@@ -26,9 +26,9 @@ synthetic.write_corpus(language, workdir / "corpus.txt")
 lexicon.save_lexicon(language.lexicon, workdir / "lexicon.tsv")
 
 # Three directions, three window sizes: nine cells, a few seconds in
-# total.  Cells are independent, share one train/dev/test split fixed up
-# front, and could run in parallel (workers=..., capped by
-# GENDERVEC_THREADS).
+# total.  The corpus is read and counted once, by distance up to w=5;
+# each cell sums those counts into its own matrix, and all cells share
+# one train/dev/test split fixed up front.
 grid = default_grid(
     ("asymmetric_backward", "symmetric", "asymmetric_forward"), (1, 2, 5)
 )

@@ -14,11 +14,12 @@ import argparse
 import json
 import logging
 import os
+import shutil
 import sys
 
 import numpy as np
 
-from . import classifier, cooccurrence, corpus, dataset, embedding, lexicon, metrics
+from . import classifier, cooccurrence, corpus, dataset, embedding, lexicon
 from . import pipeline, report, synthetic
 from .errors import ConfigurationError, DataError, GendervecError
 
@@ -207,12 +208,7 @@ def cmd_split(args) -> int:
     ratios = opts.ratios()
     seed = int(opts.get("split_seed", 0))
     parts = dataset.split_words_by_class(words_by_class, ratios, seed)
-    manifest = {
-        "seed": seed,
-        "ratios": list(ratios),
-        "partitions": parts,
-        "test_digest": dataset.word_list_digest(parts["test"]),
-    }
+    manifest = dataset.split_manifest(parts, seed, ratios)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(dataset.manifest_to_json(manifest))
     sizes = {name: len(words) for name, words in parts.items()}
@@ -253,7 +249,6 @@ def cmd_tune(args) -> int:
         vocab_min_freq=int(opts.get("vocab_min_freq", 0)),
         split_seed=int(opts.get("split_seed", 0)),
         ratios=opts.ratios(),
-        workers=args.workers,
     )
     os.makedirs(args.out, exist_ok=True)
     grid_path = os.path.join(args.out, "grid.json")
@@ -296,7 +291,7 @@ def cmd_eval(args) -> int:
         evaluation.records, os.path.join(args.out, "records.csv")
     )
     with open(os.path.join(args.out, "stats.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(evaluation.analysis.to_dict(), indent=2, sort_keys=True) + "\n")
+        fh.write(evaluation.analysis.to_json())
     logger.info(
         "test accuracy %.4f (baseline %.4f) over %d words; wrote %s",
         evaluation.report.accuracy,
@@ -308,14 +303,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    opts = Options(args)
     records = classifier.load_prediction_records(os.path.join(args.eval_dir, "records.csv"))
-    eval_report = metrics.build_eval_report(records)
-    analysis = metrics.entropy_frequency_analysis(
-        records,
-        n_perm=int(opts.get("n_perm", 10_000)),
-        seed=int(opts.get("stats_seed", 0)),
-    )
     projection = None
     if args.embedding:
         emb = _load_embedding(args.embedding)
@@ -332,8 +320,15 @@ def cmd_report(args) -> int:
     if args.grid:
         with open(args.grid, "r", encoding="utf-8") as fh:
             grid_dict = json.load(fh)
-    paths = report.emit_report(
-        args.out, records, eval_report, analysis,
+    # eval already wrote the report and the statistics; carry them as they are
+    os.makedirs(args.out, exist_ok=True)
+    paths = []
+    for name in ("eval_report.json", "stats.json"):
+        paths.append(shutil.copyfile(
+            os.path.join(args.eval_dir, name), os.path.join(args.out, name)
+        ))
+    paths += report.emit_charts(
+        args.out, records,
         projection=projection, decile_report=decile_report, grid_dict=grid_dict,
     )
     logger.info("wrote %d report files to %s", len(paths), args.out)
@@ -461,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-min-freq", dest="vocab_min_freq", type=int)
     p.add_argument("--split-seed", dest="split_seed", type=int)
     p.add_argument("--ratios", dest="ratios")
-    p.add_argument("--workers", type=int, help=f"parallel cells; capped by ${pipeline.THREADS_ENV}")
     add_embedding_opts(p)
     add_train_opts(p)
     add_config(p)
@@ -485,9 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embedding", help="needed for the 2-D projection plot")
     p.add_argument("--dataset", help="needed for the decile diagnostic")
     p.add_argument("--grid", help="grid.json from tune, for the accuracy-by-window plot")
-    p.add_argument("--n-perm", dest="n_perm", type=int)
-    p.add_argument("--stats-seed", dest="stats_seed", type=int)
-    add_config(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("synth", help="generate a synthetic agreement language")

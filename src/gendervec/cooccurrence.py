@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -22,6 +23,10 @@ CONTEXT_TYPES = ("asymmetric_backward", "asymmetric_forward", "symmetric")
 
 # Supported window sizes; anything larger needs the explicit override.
 MAX_WINDOW = 5
+
+# Token slots flattened and counted at a time; bounds counting memory
+# whatever the corpus size.
+BLOCK_TOKENS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -94,6 +99,69 @@ class CoocMatrix:
             yield int(coo.row[i]), int(coo.col[i]), float(coo.data[i])
 
 
+def count_by_distance(
+    corpus: Iterable[Sentence], vocab: Vocabulary, max_window: int
+) -> list[sparse.csr_array]:
+    """Count (context, target) pairs by exact distance, in one pass.
+
+    Returns ``[D_1, .., D_max_window]`` where ``D_d[c, t]`` counts how
+    often context ``c`` sits exactly ``d`` positions before target ``t``
+    in the same sentence.  Token ids are flattened into blocks of about
+    ``BLOCK_TOKENS`` slots that end on sentence boundaries; each sentence
+    is followed by ``max_window`` out-of-vocabulary slots, so no counted
+    pair crosses a sentence.
+    """
+    n = len(vocab)
+    ids_of = {word: word_id for word, word_id, _ in vocab.entries()}.get
+    gap = [-1] * max_window
+    counts = [sparse.csr_array((n, n), dtype=np.float64) for _ in range(max_window)]
+    block: list[int] = []
+
+    def add_block() -> None:
+        ids = np.array(block, dtype=np.int64)
+        for d in range(1, max_window + 1):
+            context, target = ids[:-d], ids[d:]
+            keep = (context >= 0) & (target >= 0)
+            pairs = sparse.coo_array(
+                (np.ones(np.count_nonzero(keep)), (context[keep], target[keep])), shape=(n, n)
+            )
+            counts[d - 1] = counts[d - 1] + pairs.tocsr()
+        block.clear()
+
+    for sentence in corpus:
+        block.extend(map(ids_of, sentence, repeat(-1)))
+        block.extend(gap)
+        if len(block) >= BLOCK_TOKENS:
+            add_block()
+    if block:
+        add_block()
+    return counts
+
+
+def combine(by_distance: Sequence[sparse.csr_array], config: ContextConfig) -> CoocMatrix:
+    """Build the counts of ``config`` from ``count_by_distance`` output.
+
+    The backward window w is ``sum(D_d for d <= w)``, the forward window
+    its transpose and the symmetric type the sum of both.  Distance
+    weighting divides ``D_d`` by ``d``.
+    """
+    w = config.window_size
+    if w > len(by_distance):
+        raise ConfigurationError(
+            f"window_size {w} needs counts up to distance {w}, got {len(by_distance)}"
+        )
+    terms = [D / d if config.distance_weighting else D for d, D in enumerate(by_distance[:w], 1)]
+    backward = sum(terms[1:], terms[0].copy())
+    if config.context_type == "asymmetric_backward":
+        matrix = backward
+    elif config.context_type == "asymmetric_forward":
+        matrix = backward.T.tocsr()
+    else:
+        matrix = (backward + backward.T).tocsr()
+    matrix.sort_indices()
+    return CoocMatrix(matrix, config)
+
+
 def count_cooccurrences(
     corpus: Iterable[Sentence], vocab: Vocabulary, config: ContextConfig
 ) -> CoocMatrix:
@@ -104,34 +172,7 @@ def count_cooccurrences(
     both.  Each pair contributes weight 1, or ``1/distance`` when
     distance weighting is on.
     """
-    n = len(vocab)
-    backward = config.context_type in ("asymmetric_backward", "symmetric")
-    forward = config.context_type in ("asymmetric_forward", "symmetric")
-    w = config.window_size
-    counts: dict[tuple[int, int], float] = {}
-    for sentence in corpus:
-        ids = [vocab.id_of(tok) if tok in vocab else -1 for tok in sentence]
-        length = len(ids)
-        for i, target in enumerate(ids):
-            if target < 0:
-                continue
-            if backward:
-                for j in range(max(0, i - w), i):
-                    context = ids[j]
-                    if context < 0:
-                        continue
-                    weight = 1.0 / (i - j) if config.distance_weighting else 1.0
-                    key = (context, target)
-                    counts[key] = counts.get(key, 0.0) + weight
-            if forward:
-                for j in range(i + 1, min(length, i + w + 1)):
-                    context = ids[j]
-                    if context < 0:
-                        continue
-                    weight = 1.0 / (j - i) if config.distance_weighting else 1.0
-                    key = (context, target)
-                    counts[key] = counts.get(key, 0.0) + weight
-    return CoocMatrix(_to_csr(counts, n), config)
+    return combine(count_by_distance(corpus, vocab, config.window_size), config)
 
 
 def _to_csr(counts: dict[tuple[int, int], float], n: int) -> sparse.csr_array:
@@ -142,19 +183,6 @@ def _to_csr(counts: dict[tuple[int, int], float], n: int) -> sparse.csr_array:
     cols = np.fromiter((k[1] for k in keys), dtype=np.int64, count=len(keys))
     data = np.fromiter((counts[k] for k in keys), dtype=np.float64, count=len(keys))
     return sparse.csr_array((data, (rows, cols)), shape=(n, n))
-
-
-def merge(a: CoocMatrix, b: CoocMatrix) -> CoocMatrix:
-    """Add two shard counts; configs and dims must match."""
-    if a.config != b.config:
-        raise ConfigurationError(
-            f"cannot merge counts built with different configs: {a.config} vs {b.config}"
-        )
-    if a.shape != b.shape:
-        raise ConfigurationError(f"cannot merge counts with shapes {a.shape} and {b.shape}")
-    merged = (a.matrix + b.matrix).tocsr()
-    merged.sort_indices()
-    return CoocMatrix(merged, a.config)
 
 
 def save_cooccurrence(cooc: CoocMatrix, path) -> None:

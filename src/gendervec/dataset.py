@@ -42,8 +42,8 @@ class SplitBundle:
     seed: int
     ratios: tuple[float, float, float]
 
-    def partitions(self) -> dict[str, tuple]:
-        return {"train": self.train, "dev": self.dev, "test": self.test}
+    def word_partitions(self) -> dict[str, list[str]]:
+        return {name: [ex.word for ex in getattr(self, name)] for name in PARTITION_NAMES}
 
 
 def build_dataset(
@@ -179,16 +179,16 @@ def word_list_digest(words: Iterable[str]) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def split_manifest(bundle: SplitBundle) -> dict:
-    """JSON-ready record of the split: words per partition, seed, ratios."""
+def split_manifest(
+    partitions: Mapping[str, Sequence[str]], seed: int, ratios: Sequence[float]
+) -> dict:
+    """JSON-ready record of a split: words per partition, seed, ratios and
+    the digest of the test words."""
     return {
-        "seed": bundle.seed,
-        "ratios": list(bundle.ratios),
-        "partitions": {
-            name: [ex.word for ex in part]
-            for name, part in bundle.partitions().items()
-        },
-        "test_digest": word_list_digest(ex.word for ex in bundle.test),
+        "seed": seed,
+        "ratios": list(ratios),
+        "partitions": {name: list(partitions[name]) for name in PARTITION_NAMES},
+        "test_digest": word_list_digest(partitions["test"]),
     }
 
 
@@ -198,7 +198,8 @@ def manifest_to_json(manifest: dict) -> str:
 
 def save_split_manifest(bundle: SplitBundle, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(manifest_to_json(split_manifest(bundle)))
+        manifest = split_manifest(bundle.word_partitions(), bundle.seed, bundle.ratios)
+        fh.write(manifest_to_json(manifest))
 
 
 def load_split_manifest(path) -> dict:

@@ -320,6 +320,9 @@ class EntropyFrequencyReport:
             "warnings": list(self.warnings),
         }
 
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
 
 def entropy_frequency_analysis(
     records: Sequence[PredictionRecord],

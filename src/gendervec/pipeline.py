@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,7 +29,7 @@ from .classifier import (
     save_prediction_records,
     train,
 )
-from .cooccurrence import CONTEXT_TYPES, ContextConfig
+from .cooccurrence import CONTEXT_TYPES, ContextConfig, combine, count_by_distance
 from .corpus import Vocabulary, build_vocabulary, filter_by_frequency, read_sentences
 from .dataset import (
     CLASSES,
@@ -42,11 +41,12 @@ from .dataset import (
     bundle_from_manifest,
     class_ratio_by_decile,
     save_split_manifest,
+    split_manifest,
     split_words_by_class,
     stratified_split,
     word_list_digest,
 )
-from .embedding import EmbeddingConfig, EmbeddingMatrix, embed, truncated_svd
+from .embedding import EmbeddingConfig, EmbeddingMatrix, embed, embed_counts, truncated_svd
 from .errors import ConfigurationError, DataError, GendervecError
 from .lexicon import CODE_TO_CLASS, GenderLexicon, parse_lexicon
 from .metrics import (
@@ -56,30 +56,8 @@ from .metrics import (
     entropy_frequency_analysis,
 )
 
-THREADS_ENV = "GENDERVEC_THREADS"
-
 # Tie-break order across context types when dev accuracies are equal.
 _TYPE_RANK = {"asymmetric_backward": 0, "symmetric": 1, "asymmetric_forward": 2}
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count for grid cells; the env var caps explicit requests."""
-    env = os.environ.get(THREADS_ENV)
-    cap = None
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigurationError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-        if cap < 1:
-            raise ConfigurationError(f"{THREADS_ENV} must be >= 1, got {cap}")
-    if workers is None:
-        workers = cap if cap is not None else 1
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if cap is not None:
-        workers = min(workers, cap)
-    return workers
 
 
 def prepare_inputs(
@@ -249,14 +227,15 @@ def grid_search(
     vocab_min_freq: int = 0,
     split_seed: int = 0,
     ratios: Sequence[float] = DEFAULT_RATIOS,
-    workers: int | None = None,
 ) -> GridResult:
     """Train one model per grid cell and pick the best dev accuracy.
 
     The labeled word partition is computed once, before any cell runs,
     from the vocabulary and lexicon alone, so every cell trains and
     validates on identical word lists and the test digest is pinned up
-    front.  A failing cell is recorded and skipped, not fatal.  Ties on
+    front.  The corpus is counted once, by distance up to the widest
+    window, and every cell combines its matrix from those counts.  A
+    failing cell is recorded and skipped, not fatal.  Ties on
     dev accuracy go to the smaller window, then backward before
     symmetric before forward.
     """
@@ -268,16 +247,14 @@ def grid_search(
     vocab, lexicon = prepare_inputs(corpus_path, lexicon_path, vocab_min_freq)
     words_by_class = labeled_words_by_class(vocab, lexicon, min_freq)
     partitions = split_words_by_class(words_by_class, ratios, split_seed)
-    manifest = {
-        "seed": split_seed,
-        "ratios": list(ratios),
-        "partitions": partitions,
-    }
-    test_digest = word_list_digest(partitions["test"])
+    manifest = split_manifest(partitions, split_seed, ratios)
+    by_distance = count_by_distance(
+        read_sentences(corpus_path), vocab, max(c.window_size for c in cells)
+    )
 
     def run_cell(context: ContextConfig) -> CellResult:
         try:
-            emb = embed(read_sentences(corpus_path), vocab, context, embedding_config)
+            emb = embed_counts(combine(by_distance, context), vocab, embedding_config)
             data = build_dataset(emb, lexicon, vocab, min_freq)
             bundle = bundle_from_manifest(manifest, data)
             model = train(bundle.train, bundle.dev, train_config)
@@ -287,13 +264,7 @@ def grid_search(
         except GendervecError as exc:
             return CellResult(context, None, None, f"{type(exc).__name__}: {exc}")
 
-    n_workers = resolve_workers(workers)
-    if n_workers == 1:
-        results = [run_cell(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run_cell, cells))
-
+    results = [run_cell(c) for c in cells]
     survivors = [c for c in results if c.ok]
     if not survivors:
         raise DataError(
@@ -304,8 +275,8 @@ def grid_search(
         cells=tuple(results),
         best=best.context,
         split_seed=split_seed,
-        test_digest=test_digest,
-        split_manifest={**manifest, "test_digest": test_digest},
+        test_digest=manifest["test_digest"],
+        split_manifest=manifest,
     )
 
 
@@ -505,6 +476,6 @@ def run_from_manifest(manifest: RunManifest, out_dir, check_digests: bool = True
     save_split_manifest(result.bundle, paths["split_manifest.json"])
     save_prediction_records(result.evaluation.records, paths["records.csv"])
     with open(paths["stats.json"], "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(result.evaluation.analysis.to_dict(), indent=2, sort_keys=True) + "\n")
+        fh.write(result.evaluation.analysis.to_json())
     save_model(result.model, paths["model.bin"])
     return paths

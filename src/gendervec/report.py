@@ -7,7 +7,7 @@ are disposable and any external tool can re-render from the CSVs.
 from __future__ import annotations
 
 import csv
-import json
+import math
 import os
 from typing import Sequence
 
@@ -29,9 +29,7 @@ def _write_csv(path, header: Sequence[str], rows) -> None:
         writer.writerows(rows)
 
 
-def emit_entropy_frequency(
-    out_dir, records: Sequence[PredictionRecord], analysis: EntropyFrequencyReport
-) -> list[str]:
+def emit_entropy_frequency(out_dir, records: Sequence[PredictionRecord]) -> list[str]:
     """Scatter of entropy against ln frequency, split by correctness,
     plus per-group entropy histograms."""
     paths = []
@@ -45,31 +43,19 @@ def emit_entropy_frequency(
         ),
     )
     paths.append(scatter_csv)
-    groups = {
-        "correct": (
-            [p[1] for p in analysis.points if p[2]],
-            [p[0] for p in analysis.points if p[2]],
-        ),
-        "errors": (
-            [p[1] for p in analysis.points if not p[2]],
-            [p[0] for p in analysis.points if not p[2]],
-        ),
-    }
+    groups = {"correct": ([], []), "errors": ([], [])}  # (ln frequencies, entropies)
+    for r in records:
+        ln_freqs, entropies = groups["correct" if r.correct else "errors"]
+        ln_freqs.append(math.log(r.frequency))
+        entropies.append(r.entropy)
     scatter_path = os.path.join(out_dir, "entropy_vs_frequency.svg")
     scatter_svg(groups, scatter_path, "Output entropy against word frequency",
                 "ln frequency", "entropy (nats)")
     paths.append(scatter_path)
 
     hist_path = os.path.join(out_dir, "entropy_histogram.svg")
-    histogram_svg(
-        {
-            "correct": [p[0] for p in analysis.points if p[2]],
-            "errors": [p[0] for p in analysis.points if not p[2]],
-        },
-        hist_path,
-        "Output entropy by correctness",
-        "entropy (nats)",
-    )
+    histogram_svg({name: entropies for name, (_, entropies) in groups.items()},
+                  hist_path, "Output entropy by correctness", "entropy (nats)")
     paths.append(hist_path)
     return paths
 
@@ -176,6 +162,28 @@ def emit_errors(out_dir, errors: Sequence[PredictionRecord]) -> list[str]:
     return [csv_path]
 
 
+def emit_charts(
+    out_dir,
+    records: Sequence[PredictionRecord],
+    projection: np.ndarray | None = None,
+    decile_report: DecileReport | None = None,
+    grid_dict: dict | None = None,
+) -> list[str]:
+    """Write every chart and table of the bundle that derives from the
+    records and the optional extras; returns the paths written."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = emit_entropy_frequency(out_dir, records)
+    errors = sorted((r for r in records if not r.correct), key=lambda r: (-r.entropy, r.word))
+    paths.extend(emit_errors(out_dir, errors))
+    if projection is not None:
+        paths.extend(emit_projection(out_dir, records, projection))
+    if decile_report is not None:
+        paths.extend(emit_deciles(out_dir, decile_report))
+    if grid_dict is not None:
+        paths.extend(emit_grid(out_dir, grid_dict))
+    return paths
+
+
 def emit_report(
     out_dir,
     records: Sequence[PredictionRecord],
@@ -188,21 +196,9 @@ def emit_report(
     """Write the full report bundle; returns every path written."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    report_path = os.path.join(out_dir, "eval_report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-    paths.append(report_path)
-    stats_path = os.path.join(out_dir, "stats.json")
-    with open(stats_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(analysis.to_dict(), indent=2, sort_keys=True) + "\n")
-    paths.append(stats_path)
-    paths.extend(emit_entropy_frequency(out_dir, records, analysis))
-    errors = sorted((r for r in records if not r.correct), key=lambda r: (-r.entropy, r.word))
-    paths.extend(emit_errors(out_dir, errors))
-    if projection is not None:
-        paths.extend(emit_projection(out_dir, records, projection))
-    if decile_report is not None:
-        paths.extend(emit_deciles(out_dir, decile_report))
-    if grid_dict is not None:
-        paths.extend(emit_grid(out_dir, grid_dict))
-    return paths
+    for name, text in (("eval_report.json", report.to_json()), ("stats.json", analysis.to_json())):
+        path = os.path.join(out_dir, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        paths.append(path)
+    return paths + emit_charts(out_dir, records, projection, decile_report, grid_dict)

@@ -53,8 +53,7 @@ def flow(tmp_path_factory):
          "--split", p["split.json"], "--model", p["model.bin"],
          "--out", p["eval"], "--n-perm", "500", "--stats-seed", "0"],
         ["report", "--eval-dir", p["eval"], "--out", p["report"],
-         "--embedding", p["emb.bin"], "--dataset", p["dataset.tsv"],
-         "--n-perm", "200"],
+         "--embedding", p["emb.bin"], "--dataset", p["dataset.tsv"]],
     ]
     for argv in steps:
         assert main(argv) == 0, f"stage {argv[0]} failed"
@@ -111,6 +110,14 @@ def test_flow_report_emits_expected_files(flow):
     assert set(os.listdir(flow["report"])) == REPORT_FILES
 
 
+def test_flow_report_carries_eval_results_byte_for_byte(flow):
+    for name in ("eval_report.json", "stats.json"):
+        with open(f"{flow['eval']}/{name}", "rb") as fh:
+            evaluated = fh.read()
+        with open(f"{flow['report']}/{name}", "rb") as fh:
+            assert fh.read() == evaluated, name
+
+
 def test_embed_from_corpus_matches_embed_from_counts(flow, tmp_path):
     # the two input routes must land on identical vectors
     out = tmp_path / "emb.txt"
@@ -148,7 +155,7 @@ def test_tune_restricted_grid_and_grid_report(flow, tmp_path):
     report_dir = tmp_path / "report"
     rc = main([
         "report", "--eval-dir", flow["eval"], "--out", str(report_dir),
-        "--grid", str(out / "grid.json"), "--n-perm", "200",
+        "--grid", str(out / "grid.json"),
     ])
     assert rc == 0
     names = {f.name for f in report_dir.iterdir()}

@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+import gendervec.cooccurrence as cooccurrence
 from gendervec.cooccurrence import (
     CONTEXT_TYPES,
     ContextConfig,
+    combine,
+    count_by_distance,
     count_cooccurrences,
     load_cooccurrence,
-    merge,
     save_cooccurrence,
 )
-from gendervec.corpus import build_vocabulary
+from gendervec.corpus import Vocabulary, build_vocabulary
 from gendervec.errors import ConfigurationError, DataError
 
 
@@ -22,6 +25,96 @@ def _vocab_and_corpus():
 
 def _pair_count(cooc, vocab, ctx, tgt):
     return cooc.count(vocab.id_of(ctx), vocab.id_of(tgt))
+
+
+def _reference_counts(corpus, vocab, config):
+    """Token-by-token dict loop: the plain definition of windowed counts."""
+    backward = config.context_type in ("asymmetric_backward", "symmetric")
+    forward = config.context_type in ("asymmetric_forward", "symmetric")
+    w = config.window_size
+    counts = {}
+    for sentence in corpus:
+        ids = [vocab.id_of(tok) if tok in vocab else -1 for tok in sentence]
+        for i, target in enumerate(ids):
+            if target < 0:
+                continue
+            window = []
+            if backward:
+                window += range(max(0, i - w), i)
+            if forward:
+                window += range(i + 1, min(len(ids), i + w + 1))
+            for j in window:
+                if ids[j] < 0:
+                    continue
+                weight = 1.0 / abs(i - j) if config.distance_weighting else 1.0
+                key = (ids[j], target)
+                counts[key] = counts.get(key, 0.0) + weight
+    n = len(vocab)
+    keys = sorted(counts)
+    rows = np.array([k[0] for k in keys], dtype=np.int64)
+    cols = np.array([k[1] for k in keys], dtype=np.int64)
+    data = np.array([counts[k] for k in keys], dtype=np.float64)
+    return sparse.csr_array((data, (rows, cols)), shape=(n, n))
+
+
+def _random_corpus(seed, n_sentences=80, n_words=15):
+    """Seeded sentences of 1..9 tokens; the vocabulary leaves out a few
+    words so OOV tokens occur, and one-token sentences are included."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(n_words)]
+    corpus = [
+        [words[int(i)] for i in rng.integers(0, n_words, size=rng.integers(1, 10))]
+        for _ in range(n_sentences)
+    ]
+    corpus += [[words[0]], [words[-1]]]
+    vocab = build_vocabulary(corpus)
+    kept = [(w, vocab.frequency_of(w)) for w in vocab.words if w not in ("w3", "w7")]
+    return corpus, Vocabulary(kept)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_counts_match_reference_loop(seed, monkeypatch):
+    # a small block size splits the corpus into many blocks mid-stream,
+    # so block boundaries must not lose or invent pairs
+    monkeypatch.setattr(cooccurrence, "BLOCK_TOKENS", 16)
+    corpus, vocab = _random_corpus(seed)
+    assert any(tok not in vocab for sentence in corpus for tok in sentence)
+    by_distance = count_by_distance(corpus, vocab, 5)
+    for weighting in (False, True):
+        for context_type in CONTEXT_TYPES:
+            for w in range(1, 6):
+                cfg = ContextConfig(context_type, w, distance_weighting=weighting)
+                expected = _reference_counts(corpus, vocab, cfg)
+                grid_cell = combine(by_distance, cfg).matrix
+                direct = count_cooccurrences(corpus, vocab, cfg).matrix
+                for got in (grid_cell, direct):
+                    assert np.array_equal(got.indptr, expected.indptr)
+                    assert np.array_equal(got.indices, expected.indices)
+                    if weighting:
+                        assert np.allclose(got.data, expected.data, rtol=1e-12, atol=0)
+                    else:
+                        assert np.array_equal(got.data, expected.data)
+                assert np.array_equal(grid_cell.data, direct.data)
+
+
+def test_count_by_distance_counts_exact_offsets():
+    corpus = [["a", "b", "c"], ["c", "a"]]
+    vocab = build_vocabulary(corpus)
+    d1, d2 = count_by_distance(corpus, vocab, 2)
+    ids = vocab.id_of
+    assert d1[ids("a"), ids("b")] == 1 and d1[ids("b"), ids("c")] == 1
+    assert d1[ids("c"), ids("a")] == 1
+    assert d1.sum() == 3
+    # only a..c is two apart; nothing pairs across the sentence break
+    assert d2[ids("a"), ids("c")] == 1
+    assert d2.sum() == 1
+
+
+def test_combine_rejects_window_beyond_counted_distances():
+    vocab, corpus = _vocab_and_corpus()
+    by_distance = count_by_distance(corpus, vocab, 2)
+    with pytest.raises(ConfigurationError):
+        combine(by_distance, ContextConfig("symmetric", 3))
 
 
 def test_context_config_validation():
@@ -110,30 +203,6 @@ def test_distance_weighting():
     assert _pair_count(cooc, vocab, "b", "c") == pytest.approx(1.0)
     assert _pair_count(cooc, vocab, "a", "c") == pytest.approx(0.5)
     assert _pair_count(cooc, vocab, "a", "b") == pytest.approx(1.0)
-
-
-def test_merge_equals_whole_corpus_count():
-    rng = np.random.default_rng(17)
-    words = [f"w{i}" for i in range(10)]
-    corpus = [
-        [words[int(i)] for i in rng.integers(0, len(words), size=rng.integers(2, 7))]
-        for _ in range(60)
-    ]
-    vocab = build_vocabulary(corpus)
-    cfg = ContextConfig("symmetric", 2)
-    whole = count_cooccurrences(corpus, vocab, cfg)
-    part_a = count_cooccurrences(corpus[:25], vocab, cfg)
-    part_b = count_cooccurrences(corpus[25:], vocab, cfg)
-    merged = merge(part_a, part_b)
-    assert np.array_equal(merged.matrix.toarray(), whole.matrix.toarray())
-
-
-def test_merge_rejects_mismatched_configs():
-    vocab, corpus = _vocab_and_corpus()
-    a = count_cooccurrences(corpus, vocab, ContextConfig("symmetric", 1))
-    b = count_cooccurrences(corpus, vocab, ContextConfig("symmetric", 2))
-    with pytest.raises(ConfigurationError):
-        merge(a, b)
 
 
 def test_entries_sorted_and_complete():

@@ -222,7 +222,7 @@ def test_manifest_validation(tmp_path):
 def test_bundle_from_manifest_missing_word():
     data = _examples(4, 4)
     bundle = stratified_split(data, seed=0)
-    manifest = split_manifest(bundle)
+    manifest = split_manifest(bundle.word_partitions(), bundle.seed, bundle.ratios)
     with pytest.raises(DataError, match="missing"):
         bundle_from_manifest(manifest, data[:-1])
 

@@ -22,7 +22,6 @@ from gendervec.pipeline import (
     grid_search,
     load_manifest,
     project_2d,
-    resolve_workers,
     run_experiment,
     run_from_manifest,
     save_manifest,
@@ -77,25 +76,6 @@ def test_project_2d_never_expands_distances():
             assert after <= before + 1e-9
 
 
-def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv(pipeline.THREADS_ENV, raising=False)
-    assert resolve_workers() == 1
-    assert resolve_workers(4) == 4
-    monkeypatch.setenv(pipeline.THREADS_ENV, "2")
-    assert resolve_workers() == 2
-    assert resolve_workers(8) == 2
-    assert resolve_workers(1) == 1
-    monkeypatch.setenv(pipeline.THREADS_ENV, "zero")
-    with pytest.raises(ConfigurationError):
-        resolve_workers()
-    monkeypatch.setenv(pipeline.THREADS_ENV, "0")
-    with pytest.raises(ConfigurationError):
-        resolve_workers()
-    monkeypatch.delenv(pipeline.THREADS_ENV, raising=False)
-    with pytest.raises(ConfigurationError):
-        resolve_workers(0)
-
-
 def test_default_grid_is_full_cross():
     grid = default_grid()
     assert len(grid) == 15
@@ -144,14 +124,6 @@ def test_grid_search_single_cell(language_files):
     assert result.cells[0].ok
 
 
-def test_grid_search_parallel_matches_serial(language_files):
-    corpus, lexicon = language_files
-    grid = [ContextConfig("asymmetric_backward", 1), ContextConfig("asymmetric_forward", 1)]
-    serial = grid_search(corpus, lexicon, grid, EMB_CFG, TRAIN_CFG, workers=1)
-    parallel = grid_search(corpus, lexicon, grid, EMB_CFG, TRAIN_CFG, workers=2)
-    assert serial.to_dict() == parallel.to_dict()
-
-
 def test_grid_search_shares_one_split_across_cells(language_files):
     corpus, lexicon = language_files
     grid = [ContextConfig("asymmetric_backward", 1), ContextConfig("symmetric", 3)]
@@ -167,16 +139,32 @@ def test_grid_search_shares_one_split_across_cells(language_files):
     assert manifest["test_digest"] == result.test_digest
 
 
+def test_grid_search_reads_corpus_twice_for_the_full_grid(language_files, monkeypatch):
+    corpus, lexicon = language_files
+    real_read = pipeline.read_sentences
+    reads = []
+
+    def counting_read(path):
+        reads.append(path)
+        return real_read(path)
+
+    monkeypatch.setattr(pipeline, "read_sentences", counting_read)
+    result = grid_search(corpus, lexicon, default_grid(), EMB_CFG, TRAIN_CFG)
+    assert len(result.cells) == 15
+    # once for the vocabulary, once for the counts every cell shares
+    assert len(reads) == 2
+
+
 def test_grid_search_records_cell_failure_without_aborting(language_files, monkeypatch):
     corpus, lexicon = language_files
-    real_embed = pipeline.embed
+    real_embed_counts = pipeline.embed_counts
 
-    def flaky_embed(corpus_iter, vocab, context, emb_cfg):
-        if context.window_size == 5:
+    def flaky_embed_counts(cooc, vocab, emb_cfg):
+        if cooc.config.window_size == 5:
             raise DataError("synthetic cell failure")
-        return real_embed(corpus_iter, vocab, context, emb_cfg)
+        return real_embed_counts(cooc, vocab, emb_cfg)
 
-    monkeypatch.setattr(pipeline, "embed", flaky_embed)
+    monkeypatch.setattr(pipeline, "embed_counts", flaky_embed_counts)
     grid = [ContextConfig("asymmetric_backward", 1), ContextConfig("asymmetric_backward", 5)]
     result = grid_search(corpus, lexicon, grid, EMB_CFG, TRAIN_CFG)
     failed = result.cell("asymmetric_backward", 5)
