@@ -19,10 +19,11 @@ import numpy as np
 
 from .dataset import CLASSES, LabeledExample
 from .errors import ConfigurationError, DataError, NumericalError
+from .records import Record
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Record):
     learning_rate: float = 0.05
     momentum: float = 0.9
     batch_size: int = 64
@@ -44,30 +45,6 @@ class TrainConfig:
             raise ConfigurationError(f"patience must be >= 1, got {self.patience}")
         if self.hidden_size < 1:
             raise ConfigurationError(f"hidden_size must be >= 1, got {self.hidden_size}")
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "momentum": self.momentum,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "hidden_size": self.hidden_size,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        defaults = cls()
-        return cls(
-            learning_rate=float(data.get("learning_rate", defaults.learning_rate)),
-            momentum=float(data.get("momentum", defaults.momentum)),
-            batch_size=int(data.get("batch_size", defaults.batch_size)),
-            max_epochs=int(data.get("max_epochs", defaults.max_epochs)),
-            patience=int(data.get("patience", defaults.patience)),
-            hidden_size=int(data.get("hidden_size", defaults.hidden_size)),
-            seed=int(data.get("seed", defaults.seed)),
-        )
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -321,6 +298,11 @@ def predict_records(model: MLPModel, examples: Sequence[LabeledExample]) -> list
 
 
 RECORD_FIELDS = ("word", "gold", "predicted", "p_uter", "p_neuter", "entropy", "frequency")
+
+
+def errors_by_entropy(records: Sequence[PredictionRecord]) -> tuple[PredictionRecord, ...]:
+    """Misclassified records, highest entropy first, ties by word."""
+    return tuple(sorted((r for r in records if not r.correct), key=lambda r: (-r.entropy, r.word)))
 
 
 def save_prediction_records(records: Sequence[PredictionRecord], path) -> None:

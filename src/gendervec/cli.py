@@ -20,22 +20,17 @@ import sys
 import numpy as np
 
 from . import classifier, cooccurrence, corpus, dataset, embedding, lexicon
-from . import pipeline, report, synthetic
+from . import pipeline, records, report, synthetic
 from .errors import ConfigurationError, DataError, GendervecError
 
 logger = logging.getLogger(__name__)
 
+# The config fields, plus a manifest's run-level options (its fields with defaults).
 CONFIG_KEYS = {
-    # context
-    "context_type", "window_size", "distance_weighting", "allow_large_window",
-    # embedding
-    "K", "alpha", "sigma_power", "seed",
-    # training
-    "learning_rate", "momentum", "batch_size", "max_epochs", "patience",
-    "hidden_size",
-    # pipeline
-    "min_freq", "vocab_min_freq", "split_seed", "ratios", "n_perm", "stats_seed",
-}
+    k
+    for cls in (cooccurrence.ContextConfig, embedding.EmbeddingConfig, classifier.TrainConfig)
+    for _, k in records.json_fields(cls)
+} | {k for f, k in records.json_fields(pipeline.RunManifest) if not records.required(f)}
 
 
 def _load_config(path) -> dict:
@@ -61,47 +56,20 @@ class Options:
         self.args = args
         self.config = _load_config(args.config) if getattr(args, "config", None) else {}
 
-    def get(self, name: str, default=None, cast=None):
+    def get(self, name: str, default=None):
         value = getattr(self.args, name, None)
-        if value is None:
-            value = self.config.get(name, default)
-        if value is not None and cast is not None:
-            value = cast(value)
-        return value
+        return self.config.get(name, default) if value is None else value
 
-    def require(self, name: str):
-        value = self.get(name)
-        if value is None:
-            raise ConfigurationError(f"missing required option --{name.replace('_', '-')}")
-        return value
-
-    def context_config(self) -> cooccurrence.ContextConfig:
-        return cooccurrence.ContextConfig(
-            context_type=self.require("context_type"),
-            window_size=int(self.require("window_size")),
-            distance_weighting=bool(self.get("distance_weighting", False)),
-            allow_large_window=bool(self.get("allow_large_window", False)),
-        )
-
-    def embedding_config(self) -> embedding.EmbeddingConfig:
-        return embedding.EmbeddingConfig(
-            k=int(self.get("K", 50)),
-            alpha=float(self.get("alpha", 0.5)),
-            sigma_power=float(self.get("sigma_power", 0.0)),
-            seed=int(self.get("seed", 0)),
-        )
-
-    def train_config(self) -> classifier.TrainConfig:
-        defaults = classifier.TrainConfig()
-        return classifier.TrainConfig(
-            learning_rate=float(self.get("learning_rate", defaults.learning_rate)),
-            momentum=float(self.get("momentum", defaults.momentum)),
-            batch_size=int(self.get("batch_size", defaults.batch_size)),
-            max_epochs=int(self.get("max_epochs", defaults.max_epochs)),
-            patience=int(self.get("patience", defaults.patience)),
-            hidden_size=int(self.get("hidden_size", defaults.hidden_size)),
-            seed=int(self.get("seed", defaults.seed)),
-        )
+    def build(self, cls):
+        """A config record from flags over the config file over field defaults."""
+        data = {}
+        for f, k in records.json_fields(cls):
+            value = self.get(k)
+            if value is not None:
+                data[k] = value
+            elif records.required(f):
+                raise ConfigurationError(f"missing required option --{k.replace('_', '-')}")
+        return cls.from_dict(data)
 
     def ratios(self) -> tuple[float, float, float]:
         value = self.get("ratios", dataset.DEFAULT_RATIOS)
@@ -141,7 +109,7 @@ def cmd_ingest(args) -> int:
 def cmd_cooc(args) -> int:
     opts = Options(args)
     vocab = corpus.load_vocabulary(args.vocab)
-    config = opts.context_config()
+    config = opts.build(cooccurrence.ContextConfig)
     cooc = cooccurrence.count_cooccurrences(
         corpus.read_sentences(args.corpus), vocab, config
     )
@@ -152,7 +120,7 @@ def cmd_cooc(args) -> int:
 
 def cmd_embed(args) -> int:
     opts = Options(args)
-    emb_config = opts.embedding_config()
+    emb_config = opts.build(embedding.EmbeddingConfig)
     if args.cooc:
         cooc = cooccurrence.load_cooccurrence(args.cooc)
         vocab = corpus.load_vocabulary(args.vocab)
@@ -161,7 +129,7 @@ def cmd_embed(args) -> int:
         if not args.corpus:
             raise ConfigurationError("embed needs either --cooc or --corpus")
         vocab = corpus.load_vocabulary(args.vocab)
-        context = opts.context_config()
+        context = opts.build(cooccurrence.ContextConfig)
         emb = embedding.embed(
             corpus.read_sentences(args.corpus), vocab, context, emb_config
         )
@@ -184,18 +152,8 @@ def cmd_label(args) -> int:
     if args.summary:
         lexicon.save_code_summary(lex, args.summary)
     if args.deciles:
-        decile = dataset.class_ratio_by_decile(data)
         with open(args.deciles, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "group_sizes": list(decile.group_sizes),
-                    "uter_shares": list(decile.uter_shares),
-                    "mean_uter_share": decile.mean_uter_share,
-                    "std_uter_share": decile.std_uter_share,
-                },
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
+            fh.write(dataset.class_ratio_by_decile(data).to_json())
     return 0
 
 
@@ -221,7 +179,7 @@ def cmd_train(args) -> int:
     examples = _examples_from_files(args.embedding, args.dataset)
     manifest = dataset.load_split_manifest(args.split)
     bundle = dataset.bundle_from_manifest(manifest, examples)
-    model = classifier.train(bundle.train, bundle.dev, opts.train_config())
+    model = classifier.train(bundle.train, bundle.dev, opts.build(classifier.TrainConfig))
     classifier.save_model(model, args.out)
     acc = classifier.dev_accuracy(model, bundle.dev)
     logger.info("trained model (dev accuracy %.4f), wrote %s", acc, args.out)
@@ -243,8 +201,8 @@ def cmd_tune(args) -> int:
         args.corpus,
         args.lexicon,
         grid,
-        opts.embedding_config(),
-        opts.train_config(),
+        opts.build(embedding.EmbeddingConfig),
+        opts.build(classifier.TrainConfig),
         min_freq=int(opts.get("min_freq", 0)),
         vocab_min_freq=int(opts.get("vocab_min_freq", 0)),
         split_seed=int(opts.get("split_seed", 0)),
@@ -253,7 +211,7 @@ def cmd_tune(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     grid_path = os.path.join(args.out, "grid.json")
     with open(grid_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n")
+        fh.write(result.to_json())
     split_path = os.path.join(args.out, "split_manifest.json")
     with open(split_path, "w", encoding="utf-8") as fh:
         fh.write(dataset.manifest_to_json(result.split_manifest))
@@ -373,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=cooccurrence.CONTEXT_TYPES)
         p.add_argument("--window-size", dest="window_size", type=int)
         p.add_argument("--distance-weighting", dest="distance_weighting",
-                       action="store_const", const=True)
-        p.add_argument("--allow-large-window", dest="allow_large_window",
                        action="store_const", const=True)
 
     def add_embedding_opts(p):

@@ -18,10 +18,11 @@ from scipy import sparse
 
 from .corpus import Sentence, Vocabulary
 from .errors import ConfigurationError, DataError
+from .records import Record
 
 CONTEXT_TYPES = ("asymmetric_backward", "asymmetric_forward", "symmetric")
 
-# Supported window sizes; anything larger needs the explicit override.
+# Largest supported window size.
 MAX_WINDOW = 5
 
 # Token slots flattened and counted at a time; bounds counting memory
@@ -30,11 +31,10 @@ BLOCK_TOKENS = 1 << 18
 
 
 @dataclass(frozen=True)
-class ContextConfig:
+class ContextConfig(Record):
     context_type: str
     window_size: int
     distance_weighting: bool = False
-    allow_large_window: bool = False
 
     def __post_init__(self):
         if self.context_type not in CONTEXT_TYPES:
@@ -43,27 +43,8 @@ class ContextConfig:
             )
         if self.window_size < 1:
             raise ConfigurationError(f"window_size must be >= 1, got {self.window_size}")
-        if self.window_size > MAX_WINDOW and not self.allow_large_window:
-            raise ConfigurationError(
-                f"window_size {self.window_size} exceeds {MAX_WINDOW}; "
-                "set allow_large_window to override"
-            )
-
-    def to_dict(self) -> dict:
-        return {
-            "context_type": self.context_type,
-            "window_size": self.window_size,
-            "distance_weighting": self.distance_weighting,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ContextConfig":
-        return cls(
-            context_type=data["context_type"],
-            window_size=int(data["window_size"]),
-            distance_weighting=bool(data.get("distance_weighting", False)),
-            allow_large_window=bool(data.get("allow_large_window", False)),
-        )
+        if self.window_size > MAX_WINDOW:
+            raise ConfigurationError(f"window_size {self.window_size} exceeds {MAX_WINDOW}")
 
 
 class CoocMatrix:

@@ -19,6 +19,7 @@ from .corpus import Vocabulary
 from .embedding import EmbeddingMatrix
 from .errors import ConfigurationError, DataError
 from .lexicon import CODE_TO_CLASS, CORE_CODES, GenderLexicon
+from .records import Record
 
 CLASSES = ("uter", "neuter")
 
@@ -290,7 +291,7 @@ def join_with_embedding(
 
 
 @dataclass(frozen=True)
-class DecileReport:
+class DecileReport(Record):
     """Class balance across ten frequency bands, highest frequency first."""
 
     group_sizes: tuple[int, ...]

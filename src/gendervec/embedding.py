@@ -9,7 +9,7 @@ right singular vectors; the row for a target word, optionally scaled by
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,13 +18,14 @@ from scipy import sparse
 from .cooccurrence import ContextConfig, CoocMatrix, count_cooccurrences
 from .corpus import Sentence, Vocabulary
 from .errors import ConfigurationError, DataError, NumericalError
+from .records import Record, key
 
 EMBEDDING_MAGIC = b"RSVEMB01"
 
 
 @dataclass(frozen=True)
-class EmbeddingConfig:
-    k: int = 50
+class EmbeddingConfig(Record):
+    k: int = field(default=50, metadata=key("K"))
     alpha: float = 0.5
     sigma_power: float = 0.0
     seed: int = 0
@@ -34,23 +35,6 @@ class EmbeddingConfig:
             raise ConfigurationError(f"K must be >= 1, got {self.k}")
         if self.alpha <= 0:
             raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
-
-    def to_dict(self) -> dict:
-        return {
-            "K": self.k,
-            "alpha": self.alpha,
-            "sigma_power": self.sigma_power,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EmbeddingConfig":
-        return cls(
-            k=int(data["K"]),
-            alpha=float(data.get("alpha", 0.5)),
-            sigma_power=float(data.get("sigma_power", 0.0)),
-            seed=int(data.get("seed", 0)),
-        )
 
 
 def power_transform(cooc: CoocMatrix, alpha: float) -> sparse.csr_array:

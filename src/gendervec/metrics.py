@@ -11,11 +11,10 @@ them.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -23,6 +22,7 @@ import numpy as np
 from .classifier import PredictionRecord
 from .dataset import CLASSES
 from .errors import ConfigurationError, DataError
+from .records import OMIT, Record
 
 logger = logging.getLogger(__name__)
 
@@ -66,9 +66,6 @@ class ConfusionMatrix:
 
     def predicted_total(self, cls: str) -> int:
         return sum(self._counts[(g, cls)] for g in CLASSES)
-
-    def to_dict(self) -> dict:
-        return {g: {p: self._counts[(g, p)] for p in CLASSES} for g in CLASSES}
 
 
 def accuracy(confusion: ConfusionMatrix) -> float:
@@ -132,7 +129,7 @@ def zero_rule_baseline(labels: Iterable[str]) -> float:
 
 
 @dataclass(frozen=True)
-class StatResult:
+class StatResult(Record):
     """Shared result shape for the correlation and permutation tests."""
 
     name: str
@@ -142,17 +139,6 @@ class StatResult:
     n: int
     seed: int | None = None
     method: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statistic": self.statistic,
-            "z": self.z,
-            "p": self.p,
-            "n": self.n,
-            "seed": self.seed,
-            "method": self.method,
-        }
 
 
 def _tie_terms(values: np.ndarray) -> tuple[int, int, int, int]:
@@ -281,7 +267,7 @@ def fisher_pitman_permutation(
 
 
 @dataclass(frozen=True)
-class EntropyFrequencyReport:
+class EntropyFrequencyReport(Record):
     """Entropy/frequency diagnostics over one set of prediction records.
 
     ``points`` holds ``(entropy, ln_frequency, correct)`` per word.  Any
@@ -289,7 +275,7 @@ class EntropyFrequencyReport:
     everywhere) is None, with the reason recorded in ``warnings``.
     """
 
-    points: tuple[tuple[float, float, bool], ...]
+    points: tuple[tuple[float, float, bool], ...] = field(metadata=OMIT)
     log_freq_threshold: float
     low_freq_share: float
     mean_entropy_correct: float | None
@@ -301,27 +287,6 @@ class EntropyFrequencyReport:
     tau_errors_low_freq: StatResult | None
     entropy_permutation: StatResult | None
     warnings: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        def stat(s):
-            return None if s is None else s.to_dict()
-
-        return {
-            "log_freq_threshold": self.log_freq_threshold,
-            "low_freq_share": self.low_freq_share,
-            "mean_entropy_correct": self.mean_entropy_correct,
-            "mean_entropy_errors": self.mean_entropy_errors,
-            "tau_overall": stat(self.tau_overall),
-            "tau_correct": stat(self.tau_correct),
-            "tau_errors": stat(self.tau_errors),
-            "tau_correct_low_freq": stat(self.tau_correct_low_freq),
-            "tau_errors_low_freq": stat(self.tau_errors_low_freq),
-            "entropy_permutation": stat(self.entropy_permutation),
-            "warnings": list(self.warnings),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def entropy_frequency_analysis(
@@ -393,7 +358,7 @@ def entropy_frequency_analysis(
 
 
 @dataclass(frozen=True)
-class EvalReport:
+class EvalReport(Record):
     """Full evaluation summary, recomputable from the records alone."""
 
     n: int
@@ -403,20 +368,6 @@ class EvalReport:
     per_class: dict
     overall: dict
     entropy_summary: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "confusion": self.confusion,
-            "accuracy": self.accuracy,
-            "baseline_accuracy": self.baseline_accuracy,
-            "per_class": self.per_class,
-            "overall": self.overall,
-            "entropy_summary": self.entropy_summary,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def build_eval_report(records: Sequence[PredictionRecord]) -> EvalReport:
@@ -458,7 +409,7 @@ def build_eval_report(records: Sequence[PredictionRecord]) -> EvalReport:
 
     return EvalReport(
         n=total,
-        confusion=confusion.to_dict(),
+        confusion={g: {p: confusion.count(g, p) for p in CLASSES} for g in CLASSES},
         accuracy=accuracy(confusion),
         baseline_accuracy=zero_rule_baseline(r.gold for r in records),
         per_class=per_class,

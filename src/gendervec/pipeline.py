@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .classifier import (
     PredictionRecord,
     TrainConfig,
     dev_accuracy,
+    errors_by_entropy,
     predict_records,
     save_model,
     save_prediction_records,
@@ -55,6 +56,7 @@ from .metrics import (
     build_eval_report,
     entropy_frequency_analysis,
 )
+from .records import OMIT, Record
 
 # Tie-break order across context types when dev accuracies are equal.
 _TYPE_RANK = {"asymmetric_backward": 0, "symmetric": 1, "asymmetric_forward": 2}
@@ -143,21 +145,18 @@ def final_evaluate(
         projection = project_2d(np.stack([ex.vector for ex in test_set]))
     except DataError:
         projection = None
-    errors = tuple(
-        sorted((r for r in records if not r.correct), key=lambda r: (-r.entropy, r.word))
-    )
     return FinalEvaluation(
         records=tuple(records),
         report=report,
         analysis=analysis,
-        errors=errors,
+        errors=errors_by_entropy(records),
         projection=projection,
         test_digest=digest,
     )
 
 
 @dataclass(frozen=True)
-class CellResult:
+class CellResult(Record):
     context: ContextConfig
     dev_accuracy: float | None
     per_class_dev_accuracy: dict | None
@@ -169,35 +168,19 @@ class CellResult:
 
 
 @dataclass(frozen=True, eq=False)
-class GridResult:
+class GridResult(Record):
     cells: tuple[CellResult, ...]
     best: ContextConfig
     split_seed: int
     test_digest: str
     # The word partition pinned before any cell ran, in split-manifest shape.
-    split_manifest: dict
+    split_manifest: dict = field(metadata=OMIT)
 
     def cell(self, context_type: str, window_size: int) -> CellResult:
         for c in self.cells:
             if (c.context.context_type, c.context.window_size) == (context_type, window_size):
                 return c
         raise KeyError(f"no grid cell for ({context_type}, {window_size})")
-
-    def to_dict(self) -> dict:
-        return {
-            "split_seed": self.split_seed,
-            "test_digest": self.test_digest,
-            "best": self.best.to_dict(),
-            "cells": [
-                {
-                    "context": c.context.to_dict(),
-                    "dev_accuracy": c.dev_accuracy,
-                    "per_class_dev_accuracy": c.per_class_dev_accuracy,
-                    "error": c.error,
-                }
-                for c in self.cells
-            ],
-        }
 
 
 def default_grid(
@@ -348,7 +331,7 @@ def file_sha256(path) -> str:
 
 
 @dataclass(frozen=True)
-class RunManifest:
+class RunManifest(Record):
     """Everything needed to replay a run byte for byte."""
 
     corpus_path: str
@@ -364,41 +347,6 @@ class RunManifest:
     ratios: tuple[float, float, float] = DEFAULT_RATIOS
     n_perm: int = 10_000
     stats_seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "corpus_path": str(self.corpus_path),
-            "corpus_sha256": self.corpus_sha256,
-            "lexicon_path": str(self.lexicon_path),
-            "lexicon_sha256": self.lexicon_sha256,
-            "context": self.context.to_dict(),
-            "embedding": self.embedding.to_dict(),
-            "training": self.training.to_dict(),
-            "min_freq": self.min_freq,
-            "vocab_min_freq": self.vocab_min_freq,
-            "split_seed": self.split_seed,
-            "ratios": list(self.ratios),
-            "n_perm": self.n_perm,
-            "stats_seed": self.stats_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunManifest":
-        return cls(
-            corpus_path=data["corpus_path"],
-            corpus_sha256=data["corpus_sha256"],
-            lexicon_path=data["lexicon_path"],
-            lexicon_sha256=data["lexicon_sha256"],
-            context=ContextConfig.from_dict(data["context"]),
-            embedding=EmbeddingConfig.from_dict(data["embedding"]),
-            training=TrainConfig.from_dict(data["training"]),
-            min_freq=int(data.get("min_freq", 0)),
-            vocab_min_freq=int(data.get("vocab_min_freq", 0)),
-            split_seed=int(data.get("split_seed", 0)),
-            ratios=tuple(data.get("ratios", DEFAULT_RATIOS)),
-            n_perm=int(data.get("n_perm", 10_000)),
-            stats_seed=int(data.get("stats_seed", 0)),
-        )
 
 
 def build_manifest(
@@ -424,7 +372,7 @@ def build_manifest(
 
 def save_manifest(manifest: RunManifest, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
+        fh.write(manifest.to_json())
 
 
 def load_manifest(path) -> RunManifest:

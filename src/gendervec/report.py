@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifier import PredictionRecord
+from .classifier import PredictionRecord, errors_by_entropy
 from .dataset import DecileReport
 from .errors import DataError
 from .metrics import EntropyFrequencyReport, EvalReport
@@ -173,8 +173,7 @@ def emit_charts(
     records and the optional extras; returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
     paths = emit_entropy_frequency(out_dir, records)
-    errors = sorted((r for r in records if not r.correct), key=lambda r: (-r.entropy, r.word))
-    paths.extend(emit_errors(out_dir, errors))
+    paths.extend(emit_errors(out_dir, errors_by_entropy(records)))
     if projection is not None:
         paths.extend(emit_projection(out_dir, records, projection))
     if decile_report is not None:

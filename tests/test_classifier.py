@@ -272,7 +272,14 @@ def test_train_config_validation_and_roundtrip():
         with pytest.raises(ConfigurationError):
             TrainConfig(**kwargs)
     cfg = TrainConfig(learning_rate=0.1, batch_size=16, seed=5)
+    assert set(cfg.to_dict()) == {
+        "learning_rate", "momentum", "batch_size", "max_epochs", "patience",
+        "hidden_size", "seed",
+    }
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    loaded = TrainConfig.from_dict({"learning_rate": 1, "unknown": 0})
+    assert loaded == TrainConfig(learning_rate=1.0)
+    assert type(loaded.learning_rate) is float
 
 
 def test_model_shape_validation():

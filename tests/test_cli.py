@@ -10,8 +10,11 @@ import json
 import numpy as np
 import pytest
 
-from gendervec import embedding
+from gendervec import cli, embedding
+from gendervec.classifier import TrainConfig
 from gendervec.cli import main
+from gendervec.cooccurrence import ContextConfig
+from gendervec.embedding import EmbeddingConfig
 
 
 REPORT_FILES = {
@@ -197,7 +200,7 @@ def test_embed_from_corpus_without_context_exits_two(flow, tmp_path, capsys):
     rc = main(["embed", "--corpus", flow["corpus.txt"], "--vocab", flow["vocab.tsv"],
                "--out", str(tmp_path / "emb.txt")])
     assert rc == 2
-    assert "--context-type" in capsys.readouterr().err
+    assert "missing required option --context-type" in capsys.readouterr().err
 
 
 def test_tune_malformed_window_sizes_exits_two(flow, tmp_path, capsys):
@@ -246,6 +249,34 @@ def test_flag_overrides_config_file(flow, tmp_path):
                "--out", str(out), "--config", str(cfg), "--dim", "6"])
     assert rc == 0
     assert embedding.load_embedding_text(str(out)).k == 6
+
+
+def test_config_keys_are_the_config_fields():
+    assert cli.CONFIG_KEYS == {
+        "context_type", "window_size", "distance_weighting",
+        "K", "alpha", "sigma_power", "seed",
+        "learning_rate", "momentum", "batch_size", "max_epochs", "patience",
+        "hidden_size",
+        "min_freq", "vocab_min_freq", "split_seed", "ratios", "n_perm", "stats_seed",
+    }
+
+
+def test_options_build_from_config_file_and_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"context_type": "symmetric", "window_size": 3,
+                               "alpha": 1, "seed": 7, "patience": 4}), encoding="utf-8")
+    args = cli.build_parser().parse_args([
+        "tune", "--corpus", "c", "--lexicon", "l", "--out", "o",
+        "--config", str(cfg), "--dim", "6",
+    ])
+    opts = cli.Options(args)
+    # tune has no context flags, so the file alone sets the context
+    assert opts.build(ContextConfig) == ContextConfig("symmetric", 3)
+    emb = opts.build(EmbeddingConfig)
+    assert emb == EmbeddingConfig(k=6, alpha=1.0, seed=7)
+    assert type(emb.alpha) is float
+    # the one seed key feeds the embedding and the training config
+    assert opts.build(TrainConfig) == TrainConfig(patience=4, seed=7)
 
 
 def test_malformed_config_json_exits_two(flow, tmp_path, capsys):

@@ -125,13 +125,23 @@ def test_context_config_validation():
         ContextConfig("symmetric", 0)
     with pytest.raises(ConfigurationError):
         ContextConfig("symmetric", 6)
-    # the escape hatch admits larger windows explicitly
-    ContextConfig("symmetric", 8, allow_large_window=True)
 
 
 def test_context_config_dict_roundtrip():
     cfg = ContextConfig("asymmetric_forward", 3, distance_weighting=True)
+    assert set(cfg.to_dict()) == {"context_type", "window_size", "distance_weighting"}
     assert ContextConfig.from_dict(cfg.to_dict()) == cfg
+    # the cooc header carries the matrix dims next to the config
+    header = {"rows": 4, "cols": 4, "context_type": "symmetric", "window_size": 2.0}
+    loaded = ContextConfig.from_dict(header)
+    assert loaded == ContextConfig("symmetric", 2)
+    assert type(loaded.window_size) is int
+    with pytest.raises(DataError, match="context_type"):
+        ContextConfig.from_dict({})
+    with pytest.raises(DataError, match="window_size"):
+        ContextConfig.from_dict({"context_type": "symmetric"})
+    with pytest.raises(ConfigurationError, match="exceeds"):
+        ContextConfig.from_dict({"context_type": "symmetric", "window_size": 8})
 
 
 def test_backward_window_1_by_hand():

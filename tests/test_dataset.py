@@ -283,6 +283,13 @@ def test_deciles_order_and_shares():
     # population standard deviation over the ten shares
     expected_std = float(np.std(np.array(report.uter_shares)))
     assert report.std_uter_share == pytest.approx(expected_std)
+    d = report.to_dict()
+    assert d == {
+        "group_sizes": list(report.group_sizes),
+        "uter_shares": list(report.uter_shares),
+        "mean_uter_share": report.mean_uter_share,
+        "std_uter_share": report.std_uter_share,
+    }
 
 
 def test_deciles_require_ten_examples():

@@ -168,7 +168,11 @@ def test_embedding_config_validation_and_roundtrip():
         EmbeddingConfig(alpha=0.0)
     cfg = EmbeddingConfig(k=10, alpha=0.75, sigma_power=1.0, seed=9)
     assert EmbeddingConfig.from_dict(cfg.to_dict()) == cfg
-    assert cfg.to_dict()["K"] == 10
+    assert cfg.to_dict() == {"K": 10, "alpha": 0.75, "sigma_power": 1.0, "seed": 9}
+    loaded = EmbeddingConfig.from_dict({"K": 10, "alpha": 1, "rows": 3, "cols": 3})
+    assert loaded == EmbeddingConfig(k=10, alpha=1.0)
+    assert type(loaded.alpha) is float
+    assert EmbeddingConfig.from_dict({}) == EmbeddingConfig()
 
 
 def test_embedding_matrix_accessors_and_validation():

@@ -250,6 +250,15 @@ def test_entropy_frequency_analysis_shapes():
     assert rep.mean_entropy_errors > rep.mean_entropy_correct
     d = rep.to_dict()
     assert d["low_freq_share"] == rep.low_freq_share
+    # the per-word points stay out of stats.json
+    assert set(d) == {
+        "log_freq_threshold", "low_freq_share", "mean_entropy_correct",
+        "mean_entropy_errors", "tau_overall", "tau_correct", "tau_errors",
+        "tau_correct_low_freq", "tau_errors_low_freq", "entropy_permutation",
+        "warnings",
+    }
+    assert set(d["tau_overall"]) == {"name", "statistic", "z", "p", "n", "seed", "method"}
+    assert d["entropy_permutation"] == rep.entropy_permutation.to_dict()
 
 
 def test_entropy_frequency_analysis_rejects_bad_frequency():
@@ -283,6 +292,10 @@ def test_build_eval_report_fields():
     js = rep.to_json()
     assert js == rep.to_json()
     assert js.endswith("\n")
+    assert set(rep.to_dict()) == {
+        "n", "confusion", "accuracy", "baseline_accuracy", "per_class", "overall",
+        "entropy_summary",
+    }
     summary = rep.entropy_summary
     assert summary["errors"]["count"] == 1
     assert abs(summary["correct"]["mean"] - 0.32) < 1e-12

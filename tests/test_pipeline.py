@@ -137,6 +137,11 @@ def test_grid_search_shares_one_split_across_cells(language_files):
 
     assert result.test_digest == word_list_digest(parts["test"])
     assert manifest["test_digest"] == result.test_digest
+    # grid.json leaves the split manifest to its own file
+    d = result.to_dict()
+    assert set(d) == {"split_seed", "test_digest", "best", "cells"}
+    assert d["best"] == result.best.to_dict()
+    assert set(d["cells"][0]) == {"context", "dev_accuracy", "per_class_dev_accuracy", "error"}
 
 
 def test_grid_search_reads_corpus_twice_for_the_full_grid(language_files, monkeypatch):
@@ -264,9 +269,19 @@ def test_manifest_build_save_load(language_files, tmp_path):
     )
     assert manifest.corpus_sha256 == file_sha256(corpus)
     assert manifest.lexicon_sha256 == file_sha256(lexicon)
+    d = manifest.to_dict()
+    assert set(d) == {
+        "corpus_path", "corpus_sha256", "lexicon_path", "lexicon_sha256",
+        "context", "embedding", "training", "min_freq", "vocab_min_freq",
+        "split_seed", "ratios", "n_perm", "stats_seed",
+    }
+    assert d["embedding"]["K"] == EMB_CFG.k
+    assert d["ratios"] == list(manifest.ratios)
     path = tmp_path / "manifest.json"
     save_manifest(manifest, path)
     assert load_manifest(path) == manifest
+    with pytest.raises(DataError, match="corpus_sha256"):
+        RunManifest.from_dict({k: v for k, v in d.items() if k != "corpus_sha256"})
     path.write_text("{ nope", encoding="utf-8")
     with pytest.raises(DataError):
         load_manifest(path)
