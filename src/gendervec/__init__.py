@@ -32,6 +32,7 @@ from .corpus import (
 )
 from .dataset import (
     LabeledExample,
+    LabeledSet,
     SplitBundle,
     apportion,
     build_dataset,
@@ -85,6 +86,7 @@ __all__ = [
     "GenderLexicon",
     "GridResult",
     "LabeledExample",
+    "LabeledSet",
     "MLPModel",
     "NumericalError",
     "PredictionRecord",

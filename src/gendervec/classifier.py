@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import CLASSES, LabeledExample
+from .dataset import CLASSES, LabeledSet
 from .errors import ConfigurationError, DataError, NumericalError
 from .records import Record
 
@@ -138,21 +138,18 @@ class MLPModel:
         return loss, grads
 
 
-def _stack(examples: Sequence[LabeledExample]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.stack([ex.vector for ex in examples])
-    y = np.array([CLASSES.index(ex.gender) for ex in examples], dtype=np.int64)
-    return x, y
+def correct_predictions(model: MLPModel, data: LabeledSet) -> np.ndarray:
+    """Per row, whether the model's most probable class is the gold one."""
+    return np.argmax(model.forward(data.vectors), axis=1) == data.labels
 
 
-def dev_accuracy(model: MLPModel, examples: Sequence[LabeledExample]) -> float:
-    x, y = _stack(examples)
-    predicted = np.argmax(model.forward(x), axis=1)
-    return float((predicted == y).mean())
+def dev_accuracy(model: MLPModel, data: LabeledSet) -> float:
+    return float(correct_predictions(model, data).mean())
 
 
 def train(
-    train_set: Sequence[LabeledExample],
-    dev_set: Sequence[LabeledExample],
+    train_set: LabeledSet,
+    dev_set: LabeledSet,
     config: TrainConfig = TrainConfig(),
 ) -> MLPModel:
     """Fit the network, returning the parameters of the best dev epoch.
@@ -162,14 +159,12 @@ def train(
     """
     if not train_set or not dev_set:
         raise DataError("train and dev sets must be non-empty")
-    x_train, y_train = _stack(train_set)
-    x_dev, _ = _stack(dev_set)
-    if x_dev.shape[1] != x_train.shape[1]:
-        raise DataError(
-            f"train dim {x_train.shape[1]} does not match dev dim {x_dev.shape[1]}"
-        )
+    x_train, y_train = train_set.vectors, train_set.labels
+    k, k_dev = x_train.shape[1], dev_set.vectors.shape[1]
+    if k_dev != k:
+        raise DataError(f"train dim {k} does not match dev dim {k_dev}")
     rng = np.random.default_rng(config.seed)
-    model = MLPModel.initialize(x_train.shape[1], config.hidden_size, rng, seed=config.seed)
+    model = MLPModel.initialize(k, config.hidden_size, rng, seed=config.seed)
     velocity = {name: np.zeros_like(p) for name, p in model.params().items()}
     best_params = model.copy_params()
     best_acc = -1.0
@@ -275,26 +270,22 @@ class PredictionRecord:
         return self.gold == self.predicted
 
 
-def predict_records(model: MLPModel, examples: Sequence[LabeledExample]) -> list[PredictionRecord]:
-    """Forward every example and package per-word prediction rows."""
-    if not examples:
+def predict_records(model: MLPModel, data: LabeledSet) -> list[PredictionRecord]:
+    """Forward every row and package per-word prediction rows."""
+    if not data:
         raise DataError("cannot predict on an empty example list")
-    x, _ = _stack(examples)
-    proba = model.forward(x)
-    records = []
-    for ex, row in zip(examples, proba):
-        records.append(
-            PredictionRecord(
-                word=ex.word,
-                gold=ex.gender,
-                predicted=CLASSES[int(np.argmax(row))],
-                p_uter=float(row[0]),
-                p_neuter=float(row[1]),
-                entropy=output_entropy(row),
-                frequency=ex.frequency,
-            )
+    return [
+        PredictionRecord(
+            word=ex.word,
+            gold=ex.gender,
+            predicted=CLASSES[int(np.argmax(row))],
+            p_uter=float(row[0]),
+            p_neuter=float(row[1]),
+            entropy=output_entropy(row),
+            frequency=ex.frequency,
         )
-    return records
+        for ex, row in zip(data, model.forward(data.vectors))
+    ]
 
 
 RECORD_FIELDS = ("word", "gold", "predicted", "p_uter", "p_neuter", "entropy", "frequency")

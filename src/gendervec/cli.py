@@ -17,8 +17,6 @@ import os
 import shutil
 import sys
 
-import numpy as np
-
 from . import classifier, cooccurrence, corpus, dataset, embedding, lexicon
 from . import pipeline, records, report, synthetic
 from .errors import ConfigurationError, DataError, GendervecError
@@ -69,16 +67,24 @@ class Options:
                 data[k] = value
             elif records.required(f):
                 raise ConfigurationError(f"missing required option --{k.replace('_', '-')}")
-        return cls.from_dict(data)
+        try:
+            return cls.from_dict(data)
+        except DataError as exc:
+            raise ConfigurationError(str(exc)) from None
 
-    def ratios(self) -> tuple[float, float, float]:
+    def integer(self, name: str, default: int = 0) -> int:
+        value = self.get(name, default)
+        try:
+            return int(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+
+    def ratios(self) -> tuple[float, ...]:
         value = self.get("ratios", dataset.DEFAULT_RATIOS)
-        if isinstance(value, str):
-            try:
-                value = tuple(float(x) for x in value.split(","))
-            except ValueError:
-                raise ConfigurationError(f"malformed ratios {value!r}") from None
-        return tuple(value)
+        try:
+            return tuple(float(x) for x in (value.split(",") if isinstance(value, str) else value))
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"malformed ratios {value!r}") from None
 
 
 def _load_embedding(path) -> embedding.EmbeddingMatrix:
@@ -89,16 +95,15 @@ def _load_embedding(path) -> embedding.EmbeddingMatrix:
     return embedding.load_embedding_text(path)
 
 
-def _examples_from_files(embedding_path, dataset_path) -> list[dataset.LabeledExample]:
+def _labeled_set(embedding_path, dataset_path) -> dataset.LabeledSet:
     emb = _load_embedding(embedding_path)
-    rows = dataset.load_dataset_table(dataset_path)
-    return dataset.join_with_embedding(rows, emb)
+    return dataset.join_with_embedding(dataset.load_dataset_table(dataset_path), emb)
 
 
 def cmd_ingest(args) -> int:
     opts = Options(args)
     vocab = corpus.build_vocabulary(corpus.read_sentences(args.corpus))
-    vocab = corpus.filter_by_frequency(vocab, int(opts.get("vocab_min_freq", 0)))
+    vocab = corpus.filter_by_frequency(vocab, opts.integer("vocab_min_freq"))
     if len(vocab) == 0:
         raise DataError(f"{args.corpus}: no vocabulary entries survive the frequency filter")
     corpus.save_vocabulary(vocab, args.out)
@@ -146,7 +151,7 @@ def cmd_label(args) -> int:
     emb = _load_embedding(args.embedding)
     vocab = corpus.load_vocabulary(args.vocab)
     lex = lexicon.parse_lexicon(args.lexicon).restrict_to_core_genders()
-    data = dataset.build_dataset(emb, lex, vocab, int(opts.get("min_freq", 0)))
+    data = dataset.build_dataset(emb, lex, vocab, opts.integer("min_freq"))
     dataset.save_dataset_table(data, args.out)
     logger.info("wrote %d labeled words to %s", len(data), args.out)
     if args.summary:
@@ -159,16 +164,11 @@ def cmd_label(args) -> int:
 
 def cmd_split(args) -> int:
     opts = Options(args)
-    rows = dataset.load_dataset_table(args.dataset)
-    words_by_class: dict[str, list[str]] = {}
-    for word, gender, _ in rows:
-        words_by_class.setdefault(gender, []).append(word)
+    words_by_class = dataset.load_dataset_table(args.dataset).words_by_class()
     ratios = opts.ratios()
-    seed = int(opts.get("split_seed", 0))
+    seed = opts.integer("split_seed")
     parts = dataset.split_words_by_class(words_by_class, ratios, seed)
-    manifest = dataset.split_manifest(parts, seed, ratios)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(dataset.manifest_to_json(manifest))
+    dataset.save_split_manifest(dataset.split_manifest(parts, seed, ratios), args.out)
     sizes = {name: len(words) for name, words in parts.items()}
     logger.info("wrote split %s to %s", sizes, args.out)
     return 0
@@ -176,9 +176,9 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     opts = Options(args)
-    examples = _examples_from_files(args.embedding, args.dataset)
+    data = _labeled_set(args.embedding, args.dataset)
     manifest = dataset.load_split_manifest(args.split)
-    bundle = dataset.bundle_from_manifest(manifest, examples)
+    bundle = dataset.bundle_from_manifest(manifest, data)
     model = classifier.train(bundle.train, bundle.dev, opts.build(classifier.TrainConfig))
     classifier.save_model(model, args.out)
     acc = classifier.dev_accuracy(model, bundle.dev)
@@ -203,9 +203,9 @@ def cmd_tune(args) -> int:
         grid,
         opts.build(embedding.EmbeddingConfig),
         opts.build(classifier.TrainConfig),
-        min_freq=int(opts.get("min_freq", 0)),
-        vocab_min_freq=int(opts.get("vocab_min_freq", 0)),
-        split_seed=int(opts.get("split_seed", 0)),
+        min_freq=opts.integer("min_freq"),
+        vocab_min_freq=opts.integer("vocab_min_freq"),
+        split_seed=opts.integer("split_seed"),
         ratios=opts.ratios(),
     )
     os.makedirs(args.out, exist_ok=True)
@@ -213,8 +213,7 @@ def cmd_tune(args) -> int:
     with open(grid_path, "w", encoding="utf-8") as fh:
         fh.write(result.to_json())
     split_path = os.path.join(args.out, "split_manifest.json")
-    with open(split_path, "w", encoding="utf-8") as fh:
-        fh.write(dataset.manifest_to_json(result.split_manifest))
+    dataset.save_split_manifest(result.split_manifest, split_path)
     for cell in result.cells:
         label = f"{cell.context.context_type} w={cell.context.window_size}"
         if cell.ok:
@@ -230,26 +229,19 @@ def cmd_tune(args) -> int:
 
 def cmd_eval(args) -> int:
     opts = Options(args)
-    examples = _examples_from_files(args.embedding, args.dataset)
+    data = _labeled_set(args.embedding, args.dataset)
     manifest = dataset.load_split_manifest(args.split)
-    bundle = dataset.bundle_from_manifest(manifest, examples)
+    bundle = dataset.bundle_from_manifest(manifest, data)
     model = classifier.load_model(args.model)
     expected = args.expected_test_digest or manifest.get("test_digest")
     evaluation = pipeline.final_evaluate(
         model,
         bundle.test,
         expected_test_digest=expected,
-        n_perm=int(opts.get("n_perm", 10_000)),
-        stats_seed=int(opts.get("stats_seed", 0)),
+        n_perm=opts.integer("n_perm", 10_000),
+        stats_seed=opts.integer("stats_seed"),
     )
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "eval_report.json"), "w", encoding="utf-8") as fh:
-        fh.write(evaluation.report.to_json())
-    classifier.save_prediction_records(
-        evaluation.records, os.path.join(args.out, "records.csv")
-    )
-    with open(os.path.join(args.out, "stats.json"), "w", encoding="utf-8") as fh:
-        fh.write(evaluation.analysis.to_json())
+    pipeline.save_evaluation(evaluation, args.out)
     logger.info(
         "test accuracy %.4f (baseline %.4f) over %d words; wrote %s",
         evaluation.report.accuracy,
@@ -265,15 +257,10 @@ def cmd_report(args) -> int:
     projection = None
     if args.embedding:
         emb = _load_embedding(args.embedding)
-        vectors = np.stack([emb.vector(r.word) for r in records])
-        projection = pipeline.project_2d(vectors)
+        projection = pipeline.project_2d(emb.matrix[emb.rows(r.word for r in records)])
     decile_report = None
     if args.dataset:
-        rows = dataset.load_dataset_table(args.dataset)
-        if args.embedding is None:
-            raise ConfigurationError("--dataset needs --embedding for vectors")
-        examples = dataset.join_with_embedding(rows, emb)
-        decile_report = dataset.class_ratio_by_decile(examples)
+        decile_report = dataset.class_ratio_by_decile(dataset.load_dataset_table(args.dataset))
     grid_dict = None
     if args.grid:
         with open(args.grid, "r", encoding="utf-8") as fh:
@@ -463,9 +450,9 @@ def main(argv=None) -> int:
     except GendervecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
-        # unreadable/missing input and unwritable output files count as
-        # data errors for exit-code purposes
+    except (OSError, UnicodeDecodeError) as exc:
+        # unreadable, missing or non-UTF-8 input and unwritable output
+        # files count as data errors for exit-code purposes
         print(f"error: {exc}", file=sys.stderr)
         return DataError.exit_code
 

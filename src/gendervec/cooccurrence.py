@@ -182,8 +182,11 @@ def load_cooccurrence(path) -> CoocMatrix:
             header = json.loads(fh.readline())
         except json.JSONDecodeError:
             raise DataError(f"{path}: missing or malformed JSON header") from None
-        n = int(header["rows"])
-        if int(header["cols"]) != n:
+        try:
+            n, cols = int(header["rows"]), int(header["cols"])
+        except (KeyError, TypeError, ValueError):
+            raise DataError(f"{path}: header lacks integer rows and cols") from None
+        if cols != n:
             raise DataError(f"{path}: non-square dims in header")
         config = ContextConfig.from_dict(header)
         counts: dict[tuple[int, int], float] = {}

@@ -1,7 +1,8 @@
 """Labeled dataset assembly and deterministic stratified splitting.
 
-A labeled example ties a word to its embedding vector, gender class and
-corpus frequency.  The 80/10/10 split is stratified per class with
+A ``LabeledSet`` holds the labeled words as parallel arrays: words,
+embedding rows, class indices and corpus frequencies; splits are row
+takes of it.  The 80/10/10 split is stratified per class with
 largest-remainder apportionment, so the same seed always yields the
 same word partition regardless of which embedding produced the vectors.
 """
@@ -10,13 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import Vocabulary
-from .embedding import EmbeddingMatrix
+from .embedding import EmbeddingMatrix, row_lookup
 from .errors import ConfigurationError, DataError
 from .lexicon import CODE_TO_CLASS, CORE_CODES, GenderLexicon
 from .records import Record
@@ -36,42 +37,85 @@ class LabeledExample:
 
 
 @dataclass(frozen=True, eq=False)
+class LabeledSet:
+    """Labeled words as parallel arrays.
+
+    Row ``i`` is ``words[i]`` with its embedding row ``vectors[i]``, its
+    class ``labels[i]`` (an index into ``CLASSES``) and its corpus
+    frequency.  Sets selected from the vocabulary or read from a dataset
+    table have zero-width vectors until ``join_with_embedding`` attaches
+    them.  Iterating yields one ``LabeledExample`` per row.
+    """
+
+    words: tuple[str, ...]
+    vectors: np.ndarray
+    labels: np.ndarray
+    frequencies: np.ndarray
+
+    def __post_init__(self):
+        lengths = {len(self.words), len(self.vectors), len(self.labels), len(self.frequencies)}
+        if self.vectors.ndim != 2 or len(lengths) != 1:
+            raise DataError("words, vectors, labels and frequencies do not match in length")
+        index: dict[str, int] = {}
+        for i, word in enumerate(self.words):
+            if index.setdefault(word, i) != i:
+                raise DataError(f"duplicate word in dataset: {word!r}")
+        object.__setattr__(self, "_index", index)
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __iter__(self) -> Iterator[LabeledExample]:
+        rows = zip(self.words, self.vectors, self.labels, self.frequencies)
+        for word, vector, label, freq in rows:
+            yield LabeledExample(word, vector, CLASSES[label], int(freq))
+
+    def rows(self, words: Iterable[str]) -> np.ndarray:
+        return row_lookup(self._index, words, "the dataset")
+
+    def take(self, rows: np.ndarray) -> "LabeledSet":
+        words = tuple(self.words[i] for i in rows)
+        return LabeledSet(words, self.vectors[rows], self.labels[rows], self.frequencies[rows])
+
+    def words_by_class(self) -> dict[str, list[str]]:
+        """The words of each class present, in row order."""
+        return {
+            CLASSES[c]: [self.words[i] for i in np.flatnonzero(self.labels == c)]
+            for c in np.unique(self.labels)
+        }
+
+
+def _unjoined(words: list[str], labels: list[int], frequencies: list[int]) -> LabeledSet:
+    return LabeledSet(
+        tuple(words), np.empty((len(words), 0)),
+        np.array(labels, dtype=np.int64), np.array(frequencies, dtype=np.int64),
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class SplitBundle:
-    train: tuple
-    dev: tuple
-    test: tuple
+    train: LabeledSet
+    dev: LabeledSet
+    test: LabeledSet
     seed: int
     ratios: tuple[float, float, float]
 
-    def word_partitions(self) -> dict[str, list[str]]:
-        return {name: [ex.word for ex in getattr(self, name)] for name in PARTITION_NAMES}
+    def manifest(self) -> dict:
+        partitions = {name: getattr(self, name).words for name in PARTITION_NAMES}
+        return split_manifest(partitions, self.seed, self.ratios)
 
 
-def build_dataset(
-    embedding: EmbeddingMatrix,
-    lexicon: GenderLexicon,
-    vocab: Vocabulary,
-    min_freq: int = 0,
-) -> list[LabeledExample]:
-    """Intersect embedding, lexicon and vocabulary into labeled examples.
-
-    Keeps words present in all three with corpus frequency strictly
-    above ``min_freq``.  The lexicon must already be restricted to the
-    two core genders.  Output order follows vocabulary ids (descending
-    frequency), which downstream seeding relies on.
+def labeled_rows(vocab: Vocabulary, lexicon: GenderLexicon, min_freq: int = 0) -> LabeledSet:
+    """The words of both vocabulary and core-gender lexicon with corpus
+    frequency strictly above ``min_freq``, with zero-width vectors, in
+    vocabulary-id order (descending frequency), which split seeding
+    relies on.  It fixes a grid's split before any embedding exists.
     """
     if min_freq < 0:
         raise ConfigurationError(f"min_freq must be >= 0, got {min_freq}")
-    for word, code in lexicon.items():
-        if code not in CORE_CODES:
-            raise ConfigurationError(
-                f"lexicon contains non-core code {code!r} for {word!r}; "
-                "call restrict_to_core_genders first"
-            )
-        break  # items() is sorted, but any row suffices as a spot check
-    examples: list[LabeledExample] = []
+    words, labels, freqs = [], [], []
     for word, _, freq in vocab.entries():
-        if freq <= min_freq or word not in lexicon or word not in embedding:
+        if freq <= min_freq or word not in lexicon:
             continue
         code = lexicon.code_of(word)
         if code not in CORE_CODES:
@@ -79,17 +123,24 @@ def build_dataset(
                 f"lexicon contains non-core code {code!r} for {word!r}; "
                 "call restrict_to_core_genders first"
             )
-        examples.append(
-            LabeledExample(
-                word=word,
-                vector=embedding.vector(word),
-                gender=CODE_TO_CLASS[code],
-                frequency=freq,
-            )
-        )
-    if not examples:
+        words.append(word)
+        labels.append(CLASSES.index(CODE_TO_CLASS[code]))
+        freqs.append(freq)
+    return _unjoined(words, labels, freqs)
+
+
+def build_dataset(
+    embedding: EmbeddingMatrix,
+    lexicon: GenderLexicon,
+    vocab: Vocabulary,
+    min_freq: int = 0,
+) -> LabeledSet:
+    """The ``labeled_rows`` that the embedding covers, with their vectors."""
+    table = labeled_rows(vocab, lexicon, min_freq)
+    table = table.take(np.flatnonzero([word in embedding for word in table.words]))
+    if not table:
         raise DataError("no labeled examples: embedding, lexicon and vocabulary do not overlap")
-    return examples
+    return join_with_embedding(table, embedding)
 
 
 def apportion(total: int, ratios: Sequence[float]) -> list[int]:
@@ -151,27 +202,13 @@ def split_words_by_class(
 
 
 def stratified_split(
-    data: Iterable[LabeledExample],
+    data: LabeledSet,
     ratios: Sequence[float] = DEFAULT_RATIOS,
     seed: int = 0,
 ) -> SplitBundle:
-    """Stratified 80/10/10 split (or custom ratios) over labeled examples."""
-    data = list(data)
-    by_word = {}
-    words_by_class: dict[str, list[str]] = {}
-    for ex in data:
-        if ex.word in by_word:
-            raise DataError(f"duplicate word in dataset: {ex.word!r}")
-        by_word[ex.word] = ex
-        words_by_class.setdefault(ex.gender, []).append(ex.word)
-    parts = split_words_by_class(words_by_class, ratios, seed)
-    return SplitBundle(
-        train=tuple(by_word[w] for w in parts["train"]),
-        dev=tuple(by_word[w] for w in parts["dev"]),
-        test=tuple(by_word[w] for w in parts["test"]),
-        seed=seed,
-        ratios=_validate_ratios(ratios),
-    )
+    """Stratified 80/10/10 split (or custom ratios) of a labeled set."""
+    parts = split_words_by_class(data.words_by_class(), ratios, seed)
+    return bundle_from_manifest(split_manifest(parts, seed, ratios), data)
 
 
 def word_list_digest(words: Iterable[str]) -> str:
@@ -193,14 +230,9 @@ def split_manifest(
     }
 
 
-def manifest_to_json(manifest: dict) -> str:
-    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-
-
-def save_split_manifest(bundle: SplitBundle, path) -> None:
+def save_split_manifest(manifest: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        manifest = split_manifest(bundle.word_partitions(), bundle.seed, bundle.ratios)
-        fh.write(manifest_to_json(manifest))
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def load_split_manifest(path) -> dict:
@@ -218,29 +250,19 @@ def load_split_manifest(path) -> dict:
     return manifest
 
 
-def bundle_from_manifest(manifest: dict, data: Iterable[LabeledExample]) -> SplitBundle:
-    """Rebuild a SplitBundle by looking manifest words up in ``data``."""
-    by_word = {ex.word: ex for ex in data}
-    parts = {}
-    for name in PARTITION_NAMES:
-        words = manifest["partitions"][name]
-        absent = [w for w in words if w not in by_word]
-        if absent:
-            raise DataError(
-                f"split manifest references {len(absent)} words missing from the "
-                f"dataset, e.g. {absent[0]!r}"
-            )
-        parts[name] = tuple(by_word[w] for w in words)
+def bundle_from_manifest(manifest: dict, data: LabeledSet) -> SplitBundle:
+    """Take each partition's words out of ``data``, in manifest order."""
+    parts = {
+        name: data.take(data.rows(manifest["partitions"][name])) for name in PARTITION_NAMES
+    }
     return SplitBundle(
-        train=parts["train"],
-        dev=parts["dev"],
-        test=parts["test"],
+        **parts,
         seed=int(manifest["seed"]),
         ratios=_validate_ratios(manifest["ratios"]),
     )
 
 
-def save_dataset_table(data: Sequence[LabeledExample], path) -> None:
+def save_dataset_table(data: LabeledSet, path) -> None:
     """Write ``word<TAB>gender<TAB>frequency`` rows in dataset order.
 
     Vectors are not stored; they are rejoined from an embedding file.
@@ -250,9 +272,9 @@ def save_dataset_table(data: Sequence[LabeledExample], path) -> None:
             fh.write(f"{ex.word}\t{ex.gender}\t{ex.frequency}\n")
 
 
-def load_dataset_table(path) -> list[tuple[str, str, int]]:
-    rows: list[tuple[str, str, int]] = []
-    seen: set[str] = set()
+def load_dataset_table(path) -> LabeledSet:
+    """A dataset table as a LabeledSet with zero-width vectors."""
+    words, labels, freqs = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -264,30 +286,20 @@ def load_dataset_table(path) -> list[tuple[str, str, int]]:
             word, gender, freq_text = parts
             if gender not in CLASSES:
                 raise DataError(f"{path}:{lineno}: unknown gender {gender!r}")
-            if word in seen:
-                raise DataError(f"{path}:{lineno}: duplicate word {word!r}")
-            seen.add(word)
             try:
-                rows.append((word, gender, int(freq_text)))
+                freqs.append(int(freq_text))
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-integer frequency") from None
-    if not rows:
+            words.append(word)
+            labels.append(CLASSES.index(gender))
+    if not words:
         raise DataError(f"{path}: empty dataset table")
-    return rows
+    return _unjoined(words, labels, freqs)
 
 
-def join_with_embedding(
-    rows: Sequence[tuple[str, str, int]], embedding: EmbeddingMatrix
-) -> list[LabeledExample]:
-    """Attach vectors to dataset-table rows; every word must be embedded."""
-    examples = []
-    for word, gender, freq in rows:
-        if word not in embedding:
-            raise DataError(f"dataset word {word!r} missing from the embedding")
-        examples.append(
-            LabeledExample(word=word, vector=embedding.vector(word), gender=gender, frequency=freq)
-        )
-    return examples
+def join_with_embedding(table: LabeledSet, embedding: EmbeddingMatrix) -> LabeledSet:
+    """Attach vectors to a table's words; every word must be embedded."""
+    return replace(table, vectors=embedding.matrix[embedding.rows(table.words)])
 
 
 @dataclass(frozen=True)
@@ -300,26 +312,17 @@ class DecileReport(Record):
     std_uter_share: float
 
 
-def class_ratio_by_decile(data: Sequence[LabeledExample]) -> DecileReport:
+def class_ratio_by_decile(data: LabeledSet) -> DecileReport:
     """Sort by descending frequency (ties by word) and report the uter
     share in each of ten near-equal groups."""
-    data = list(data)
     if len(data) < 10:
         raise DataError(f"need at least 10 examples for deciles, got {len(data)}")
-    ordered = sorted(data, key=lambda ex: (-ex.frequency, ex.word))
-    n = len(ordered)
-    base, extra = divmod(n, 10)
-    sizes = [base + 1 if i < extra else base for i in range(10)]
-    shares = []
-    start = 0
-    for size in sizes:
-        group = ordered[start : start + size]
-        start += size
-        shares.append(sum(1 for ex in group if ex.gender == "uter") / size)
-    shares_arr = np.array(shares)
+    order = np.lexsort((np.array(data.words), -data.frequencies))
+    groups = np.array_split(data.labels[order] == CLASSES.index("uter"), 10)
+    shares = np.array([group.mean() for group in groups])
     return DecileReport(
-        group_sizes=tuple(sizes),
-        uter_shares=tuple(shares),
-        mean_uter_share=float(shares_arr.mean()),
-        std_uter_share=float(shares_arr.std()),
+        group_sizes=tuple(len(group) for group in groups),
+        uter_shares=tuple(shares.tolist()),
+        mean_uter_share=float(shares.mean()),
+        std_uter_share=float(shares.std()),
     )

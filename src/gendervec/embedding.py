@@ -8,9 +8,10 @@ right singular vectors; the row for a target word, optionally scaled by
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -179,6 +180,17 @@ class EmbeddingMatrix:
         except KeyError:
             raise KeyError(f"word not in embedding: {word!r}") from None
 
+    def rows(self, words: Iterable[str]) -> np.ndarray:
+        return row_lookup(self._index, words, "the embedding")
+
+
+def row_lookup(index: Mapping[str, int], words: Iterable[str], source: str) -> np.ndarray:
+    """Row numbers of ``words`` in ``index``; a word it lacks is a DataError."""
+    try:
+        return np.array([index[word] for word in words], dtype=np.intp)
+    except KeyError as exc:
+        raise DataError(f"word {exc.args[0]!r} is missing from {source}") from None
+
 
 def embed_counts(cooc: CoocMatrix, vocab: Vocabulary, config: EmbeddingConfig) -> EmbeddingMatrix:
     """Transform counts and factor them into word vectors."""
@@ -217,20 +229,21 @@ def save_embedding_text(emb: EmbeddingMatrix, path) -> None:
 def load_embedding_text(path) -> EmbeddingMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise DataError(f"{path}: malformed header line")
         try:
-            n, k = int(header[0]), int(header[1])
+            n, k = (int(x) for x in header)
+            rows = np.empty((n, k), dtype=np.float64)
         except ValueError:
             raise DataError(f"{path}: malformed header line") from None
         words: list[str] = []
-        rows = np.empty((n, k), dtype=np.float64)
         for i in range(n):
             parts = fh.readline().split()
             if len(parts) != k + 1:
                 raise DataError(f"{path}: row {i} has {len(parts) - 1} values, expected {k}")
             words.append(parts[0])
-            rows[i] = [float(x) for x in parts[1:]]
+            try:
+                rows[i] = [float(x) for x in parts[1:]]
+            except ValueError:
+                raise DataError(f"{path}: row {i} has a non-numeric value") from None
     return EmbeddingMatrix(words, rows)
 
 
@@ -247,19 +260,26 @@ def save_embedding_binary(emb: EmbeddingMatrix, path) -> None:
             fh.write(np.ascontiguousarray(row, dtype="<f8").tobytes())
 
 
+def _read(fh, size: int, path) -> bytes:
+    buf = fh.read(size)
+    if len(buf) != size:
+        raise DataError(f"{path}: truncated embedding file")
+    return buf
+
+
 def load_embedding_binary(path) -> EmbeddingMatrix:
     with open(path, "rb") as fh:
         magic = fh.read(len(EMBEDDING_MAGIC))
         if magic != EMBEDDING_MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}")
-        n, k = struct.unpack("<QQ", fh.read(16))
+        n, k = struct.unpack("<QQ", _read(fh, 16, path))
+        # every row takes a 4-byte length and K float64 values
+        if len(EMBEDDING_MAGIC) + 16 + n * (4 + 8 * k) > os.fstat(fh.fileno()).st_size:
+            raise DataError(f"{path}: header promises {n} vectors of dim {k}, past the file end")
         words: list[str] = []
         rows = np.empty((n, k), dtype=np.float64)
         for i in range(n):
-            (length,) = struct.unpack("<I", fh.read(4))
-            words.append(fh.read(length).decode("utf-8"))
-            buf = fh.read(8 * k)
-            if len(buf) != 8 * k:
-                raise DataError(f"{path}: truncated vector block at row {i}")
-            rows[i] = np.frombuffer(buf, dtype="<f8")
+            (length,) = struct.unpack("<I", _read(fh, 4, path))
+            words.append(_read(fh, length, path).decode("utf-8"))
+            rows[i] = np.frombuffer(_read(fh, 8 * k, path), dtype="<f8")
     return EmbeddingMatrix(words, rows)

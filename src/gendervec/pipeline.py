@@ -23,7 +23,7 @@ from .classifier import (
     MLPModel,
     PredictionRecord,
     TrainConfig,
-    dev_accuracy,
+    correct_predictions,
     errors_by_entropy,
     predict_records,
     save_model,
@@ -36,11 +36,12 @@ from .dataset import (
     CLASSES,
     DEFAULT_RATIOS,
     DecileReport,
-    LabeledExample,
+    LabeledSet,
     SplitBundle,
     build_dataset,
     bundle_from_manifest,
     class_ratio_by_decile,
+    labeled_rows,
     save_split_manifest,
     split_manifest,
     split_words_by_class,
@@ -49,7 +50,7 @@ from .dataset import (
 )
 from .embedding import EmbeddingConfig, EmbeddingMatrix, embed, embed_counts, truncated_svd
 from .errors import ConfigurationError, DataError, GendervecError
-from .lexicon import CODE_TO_CLASS, GenderLexicon, parse_lexicon
+from .lexicon import GenderLexicon, parse_lexicon
 from .metrics import (
     EntropyFrequencyReport,
     EvalReport,
@@ -74,23 +75,6 @@ def prepare_inputs(
     if len(lexicon) == 0:
         raise DataError(f"{lexicon_path}: no u/n entries in lexicon")
     return vocab, lexicon
-
-
-def labeled_words_by_class(
-    vocab: Vocabulary, lexicon: GenderLexicon, min_freq: int = 0
-) -> dict[str, list[str]]:
-    """The exact word set build_dataset would label, grouped by class.
-
-    Used to pin the split before any embedding exists; selection and
-    order (vocabulary ids) match build_dataset, so splits agree.
-    """
-    words_by_class: dict[str, list[str]] = {}
-    for word, _, freq in vocab.entries():
-        if freq <= min_freq or word not in lexicon:
-            continue
-        cls = CODE_TO_CLASS[lexicon.code_of(word)]
-        words_by_class.setdefault(cls, []).append(word)
-    return words_by_class
 
 
 def project_2d(vectors: np.ndarray, seed: int = 0) -> np.ndarray:
@@ -122,7 +106,7 @@ class FinalEvaluation:
 
 def final_evaluate(
     model: MLPModel,
-    test_set: Sequence[LabeledExample],
+    test_set: LabeledSet,
     expected_test_digest: str | None = None,
     n_perm: int = 10_000,
     stats_seed: int = 0,
@@ -133,7 +117,7 @@ def final_evaluate(
     must hash to it; a mismatch means the held-out set was tampered
     with and aborts.
     """
-    digest = word_list_digest(ex.word for ex in test_set)
+    digest = word_list_digest(test_set.words)
     if expected_test_digest is not None and digest != expected_test_digest:
         raise DataError(
             f"test-set digest mismatch: expected {expected_test_digest}, got {digest}"
@@ -142,7 +126,7 @@ def final_evaluate(
     report = build_eval_report(records)
     analysis = entropy_frequency_analysis(records, n_perm=n_perm, seed=stats_seed)
     try:
-        projection = project_2d(np.stack([ex.vector for ex in test_set]))
+        projection = project_2d(test_set.vectors)
     except DataError:
         projection = None
     return FinalEvaluation(
@@ -153,6 +137,20 @@ def final_evaluate(
         projection=projection,
         test_digest=digest,
     )
+
+
+def save_evaluation(evaluation: FinalEvaluation, out_dir) -> dict[str, str]:
+    """Write eval's three files into ``out_dir``; returns a name -> path map."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {name: os.path.join(out_dir, name) for name in (
+        "eval_report.json", "records.csv", "stats.json",
+    )}
+    with open(paths["eval_report.json"], "w", encoding="utf-8") as fh:
+        fh.write(evaluation.report.to_json())
+    save_prediction_records(evaluation.records, paths["records.csv"])
+    with open(paths["stats.json"], "w", encoding="utf-8") as fh:
+        fh.write(evaluation.analysis.to_json())
+    return paths
 
 
 @dataclass(frozen=True)
@@ -228,7 +226,7 @@ def grid_search(
     if len({(c.context_type, c.window_size) for c in cells}) != len(cells):
         raise ConfigurationError("duplicate grid cells")
     vocab, lexicon = prepare_inputs(corpus_path, lexicon_path, vocab_min_freq)
-    words_by_class = labeled_words_by_class(vocab, lexicon, min_freq)
+    words_by_class = labeled_rows(vocab, lexicon, min_freq).words_by_class()
     partitions = split_words_by_class(words_by_class, ratios, split_seed)
     manifest = split_manifest(partitions, split_seed, ratios)
     by_distance = count_by_distance(
@@ -241,9 +239,12 @@ def grid_search(
             data = build_dataset(emb, lexicon, vocab, min_freq)
             bundle = bundle_from_manifest(manifest, data)
             model = train(bundle.train, bundle.dev, train_config)
-            acc = dev_accuracy(model, bundle.dev)
-            per_class = _per_class_accuracy(model, bundle.dev)
-            return CellResult(context, acc, per_class, None)
+            hits, labels = correct_predictions(model, bundle.dev), bundle.dev.labels
+            per_class = {
+                cls: float(hits[labels == c].mean()) if np.any(labels == c) else None
+                for c, cls in enumerate(CLASSES)
+            }
+            return CellResult(context, float(hits.mean()), per_class, None)
         except GendervecError as exc:
             return CellResult(context, None, None, f"{type(exc).__name__}: {exc}")
 
@@ -263,23 +264,12 @@ def grid_search(
     )
 
 
-def _per_class_accuracy(model: MLPModel, examples: Sequence[LabeledExample]) -> dict:
-    records = predict_records(model, examples)
-    out = {}
-    for cls in CLASSES:
-        members = [r for r in records if r.gold == cls]
-        out[cls] = (
-            sum(1 for r in members if r.correct) / len(members) if members else None
-        )
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
     vocab: Vocabulary
     lexicon: GenderLexicon
     embedding: EmbeddingMatrix
-    dataset: tuple[LabeledExample, ...]
+    dataset: LabeledSet
     bundle: SplitBundle
     model: MLPModel
     evaluation: FinalEvaluation
@@ -314,7 +304,7 @@ def run_experiment(
         vocab=vocab,
         lexicon=lexicon,
         embedding=embedding,
-        dataset=tuple(data),
+        dataset=data,
         bundle=bundle,
         model=model,
         evaluation=evaluation,
@@ -413,17 +403,10 @@ def run_from_manifest(manifest: RunManifest, out_dir, check_digests: bool = True
         n_perm=manifest.n_perm,
         stats_seed=manifest.stats_seed,
     )
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {name: os.path.join(out_dir, name) for name in (
-        "manifest.json", "eval_report.json", "split_manifest.json",
-        "records.csv", "stats.json", "model.bin",
-    )}
+    paths = save_evaluation(result.evaluation, out_dir)
+    for name in ("manifest.json", "split_manifest.json", "model.bin"):
+        paths[name] = os.path.join(out_dir, name)
     save_manifest(manifest, paths["manifest.json"])
-    with open(paths["eval_report.json"], "w", encoding="utf-8") as fh:
-        fh.write(result.evaluation.report.to_json())
-    save_split_manifest(result.bundle, paths["split_manifest.json"])
-    save_prediction_records(result.evaluation.records, paths["records.csv"])
-    with open(paths["stats.json"], "w", encoding="utf-8") as fh:
-        fh.write(result.evaluation.analysis.to_json())
+    save_split_manifest(result.bundle.manifest(), paths["split_manifest.json"])
     save_model(result.model, paths["model.bin"])
     return paths

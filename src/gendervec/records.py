@@ -1,9 +1,10 @@
 """JSON-dict conversion for the config and result dataclasses.
 
 ``Record.to_dict`` walks ``dataclasses.fields``; ``Record.from_dict``
-casts each value to its annotated type and ignores keys it does not
-know.  Field metadata covers the two exceptions: ``key(name)`` writes a
-field under another JSON key, and ``OMIT`` leaves it out of the dict.
+casts each value to its annotated type, raising ``DataError`` naming the
+key when it cannot, and ignores keys it does not know.  Field metadata
+covers the two exceptions: ``key(name)`` writes a field under another
+JSON key, and ``OMIT`` leaves it out of the dict.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import types
 import typing
 
-from .errors import DataError
+from .errors import DataError, GendervecError
 
 OMIT = {"omit": True}
 
@@ -57,6 +58,8 @@ def _cast(tp, value):
         return tuple(_cast(a, v) for a, v in zip(args, value))
     if isinstance(tp, type) and issubclass(tp, Record):
         return tp.from_dict(value)
+    if tp is bool and not isinstance(value, bool):
+        raise TypeError(value)
     if tp in (bool, int, float, str):
         return tp(value)
     return value
@@ -77,7 +80,12 @@ class Record:
         values = {}
         for f, k in json_fields(cls):
             if k in data:
-                values[f.name] = _cast(hints[f.name], data[k])
+                try:
+                    values[f.name] = _cast(hints[f.name], data[k])
+                except GendervecError:
+                    raise
+                except (TypeError, ValueError, OverflowError):
+                    raise DataError(f"{cls.__name__}: bad value {data[k]!r} for {k!r}") from None
             elif required(f):
                 raise DataError(f"{cls.__name__}: missing required key {k!r}")
         return cls(**values)

@@ -19,7 +19,7 @@ from gendervec.classifier import (
     save_prediction_records,
     train,
 )
-from gendervec.dataset import LabeledExample
+from gendervec.dataset import LabeledSet
 from gendervec.errors import ConfigurationError, DataError, NumericalError
 
 
@@ -52,15 +52,11 @@ def _toy_model(input_dim=3, hidden=4, seed=0):
 def _blobs(n_per_class=20, dim=2, seed=0, spread=0.3):
     """Two linearly separable clouds around (+2, 0...) and (-2, 0...)."""
     rng = np.random.default_rng(seed)
-    data = []
-    for cls, center in (("uter", 2.0), ("neuter", -2.0)):
-        for i in range(n_per_class):
-            vec = rng.standard_normal(dim) * spread
-            vec[0] += center
-            data.append(
-                LabeledExample(word=f"{cls}{i}", vector=vec, gender=cls, frequency=100 - i)
-            )
-    return data
+    vectors = rng.standard_normal((2 * n_per_class, dim)) * spread
+    labels = np.repeat([0, 1], n_per_class)
+    vectors[:, 0] += np.where(labels == 0, 2.0, -2.0)
+    words = tuple(f"{cls}{i}" for cls in ("uter", "neuter") for i in range(n_per_class))
+    return LabeledSet(words, vectors, labels, 100 - np.tile(np.arange(n_per_class), 2))
 
 
 def test_backprop_matches_finite_differences():
@@ -91,7 +87,7 @@ def test_gradient_check_after_one_epoch():
     data = _blobs(10)
     cfg = TrainConfig(max_epochs=1, hidden_size=5)
     model = train(data, data, cfg)
-    x = np.stack([ex.vector for ex in data[:8]])
+    x = data.vectors[:8]
     y = np.array([0] * 4 + [1] * 4)
     assert gradient_check(model, x, y) <= 1e-4
 
@@ -185,28 +181,22 @@ def test_separable_toy_reaches_perfect_dev_accuracy():
     model = train(data, data, TrainConfig(max_epochs=50, hidden_size=8))
     assert dev_accuracy(model, data) == 1.0
     # a training point classifies as its own label
-    ex = data[0]
-    p_u, p_n = predict(model, ex.vector)
-    assert (p_u > p_n) == (ex.gender == "uter")
+    p_u, p_n = predict(model, data.vectors[0])
+    assert (p_u > p_n) == (data.labels[0] == 0)
 
 
 def test_single_class_train_set_predicts_that_class():
     # dev vectors carry no class signal at all, so predicting uter
     # everywhere is the true dev optimum for a uter-only train set
     rng = np.random.default_rng(11)
-    train_set = [
-        LabeledExample(word=f"t{i}", vector=rng.standard_normal(2), gender="uter", frequency=50)
-        for i in range(12)
-    ]
-    dev = [
-        LabeledExample(
-            word=f"d{i}",
-            vector=rng.standard_normal(2),
-            gender="uter" if i < 14 else "neuter",
-            frequency=20,
-        )
-        for i in range(20)
-    ]
+    train_set = LabeledSet(
+        tuple(f"t{i}" for i in range(12)), rng.standard_normal((12, 2)),
+        np.zeros(12, dtype=np.int64), np.full(12, 50),
+    )
+    dev = LabeledSet(
+        tuple(f"d{i}" for i in range(20)), rng.standard_normal((20, 2)),
+        (np.arange(20) >= 14).astype(np.int64), np.full(20, 20),
+    )
     model = train(train_set, dev, TrainConfig(max_epochs=40, hidden_size=4))
     records = predict_records(model, dev)
     assert all(r.predicted == "uter" for r in records)
@@ -225,8 +215,7 @@ def test_training_is_bitwise_deterministic():
 
 def test_full_batch_descent_has_non_increasing_loss():
     data = _blobs(20, seed=3)
-    x = np.stack([ex.vector for ex in data])
-    y = np.array([0 if ex.gender == "uter" else 1 for ex in data])
+    x, y = data.vectors, data.labels
     model = _toy_model(input_dim=2, hidden=6, seed=0)
     lr = 0.01
     losses = []
@@ -241,13 +230,10 @@ def test_full_batch_descent_has_non_increasing_loss():
 def test_train_input_validation():
     data = _blobs(5)
     with pytest.raises(DataError):
-        train([], data)
+        train(data.take([]), data)
     with pytest.raises(DataError):
-        train(data, [])
-    other = [
-        LabeledExample(word="x", vector=np.zeros(7), gender="uter", frequency=1)
-        for _ in range(3)
-    ]
+        train(data, data.take([]))
+    other = LabeledSet(("x", "y", "z"), np.zeros((3, 7)), np.zeros(3, dtype=np.int64), np.ones(3))
     with pytest.raises(DataError):
         train(data, other)
 
@@ -303,7 +289,7 @@ def test_predict_records_fields():
         assert rec.entropy == pytest.approx(output_entropy((rec.p_uter, rec.p_neuter)))
         assert rec.correct == (rec.gold == rec.predicted)
     with pytest.raises(DataError):
-        predict_records(model, [])
+        predict_records(model, data.take([]))
 
 
 def test_prediction_records_roundtrip(tmp_path):

@@ -6,11 +6,12 @@ flag-over-config-over-default resolution.
 """
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from gendervec import cli, embedding
+from gendervec import cli, embedding, pipeline
 from gendervec.classifier import TrainConfig
 from gendervec.cli import main
 from gendervec.cooccurrence import ContextConfig
@@ -312,3 +313,96 @@ def test_missing_config_file_exits_two(flow, tmp_path, capsys):
                "--config", str(tmp_path / "absent.json")])
     assert rc == 2
     assert "config file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage, config", [
+    ("cooc", {"window_size": "x"}),
+    ("embed", {"K": [1]}),
+    ("split", {"split_seed": "x"}),
+    ("split", {"ratios": 5}),
+])
+def test_config_value_of_wrong_type_exits_two(flow, tmp_path, capsys, stage, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = str(tmp_path / "out")
+    argv = {
+        "cooc": ["--corpus", flow["corpus.txt"], "--vocab", flow["vocab.tsv"],
+                 "--context-type", "symmetric"],
+        "embed": ["--cooc", flow["cooc.bin"], "--vocab", flow["vocab.tsv"]],
+        "split": ["--dataset", flow["dataset.tsv"]],
+    }[stage]
+    rc = main([stage, *argv, "--out", out, "--config", str(cfg)])
+    assert rc == 2
+    assert next(iter(config)) in capsys.readouterr().err
+
+
+def test_cooc_header_value_of_wrong_type_exits_three(flow, tmp_path, capsys):
+    with open(flow["cooc.bin"], encoding="utf-8") as fh:
+        header, body = fh.readline(), fh.read()
+    edited = json.loads(header) | {"window_size": "one"}
+    cooc = tmp_path / "cooc.txt"
+    cooc.write_text(json.dumps(edited) + "\n" + body, encoding="utf-8")
+    rc = main(["embed", "--cooc", str(cooc), "--vocab", flow["vocab.tsv"],
+               "--out", str(tmp_path / "e.txt")])
+    assert rc == 3
+    assert "window_size" in capsys.readouterr().err
+
+
+def _malformed_embedding(flow, case) -> bytes:
+    with open(flow["emb.bin"], "rb") as fh:
+        blob = fh.read()
+    if case == "short header":
+        return blob[:20]
+    if case == "rows beyond the file":
+        return blob[:8] + struct.pack("<QQ", 10**9, 8) + blob[24:]
+    if case == "not UTF-8":
+        return b"2 2\n\xff\xfe 0.5 0.5\n"
+    return b"1 2\nhund 0.5 half\n"  # a text embedding with a non-float value
+
+
+@pytest.mark.parametrize(
+    "case", ["short header", "rows beyond the file", "non-float value", "not UTF-8"]
+)
+def test_malformed_embedding_exits_three(flow, tmp_path, capsys, case):
+    emb = tmp_path / "emb"
+    emb.write_bytes(_malformed_embedding(flow, case))
+    rc = main(["label", "--embedding", str(emb), "--lexicon", flow["lexicon.tsv"],
+               "--vocab", flow["vocab.tsv"], "--out", str(tmp_path / "d.tsv")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_report_with_embedding_lacking_a_test_word_exits_three(flow, tmp_path, capsys):
+    full = embedding.load_embedding_binary(flow["emb.bin"])
+    with open(f"{flow['eval']}/records.csv", encoding="utf-8") as fh:
+        test_word = fh.readlines()[1].split(",")[0]
+    keep = [i for i, w in enumerate(full.words) if w != test_word]
+    partial = embedding.EmbeddingMatrix([full.words[i] for i in keep], full.matrix[keep])
+    emb = tmp_path / "emb.bin"
+    embedding.save_embedding_binary(partial, emb)
+    rc = main(["report", "--eval-dir", flow["eval"], "--out", str(tmp_path / "report"),
+               "--embedding", str(emb)])
+    assert rc == 3
+    assert repr(test_word) in capsys.readouterr().err
+
+
+def test_flow_equals_manifest_replay(flow, tmp_path):
+    # Two routes to one bundle: the staged flow joins the dataset table
+    # with the embedding and reads the split manifest; a replay builds the
+    # dataset in memory and splits it.  Same configs, same bytes.
+    manifest = pipeline.build_manifest(
+        flow["corpus.txt"], flow["lexicon.tsv"], ContextConfig("asymmetric_backward", 1),
+        EmbeddingConfig(k=8, seed=0), TrainConfig(max_epochs=30, hidden_size=8, seed=0),
+        n_perm=500, stats_seed=0,
+    )
+    replay = pipeline.run_from_manifest(manifest, tmp_path / "replay")
+    staged = {
+        "eval_report.json": f"{flow['eval']}/eval_report.json",
+        "records.csv": f"{flow['eval']}/records.csv",
+        "stats.json": f"{flow['eval']}/stats.json",
+        "split_manifest.json": flow["split.json"],
+        "model.bin": flow["model.bin"],
+    }
+    for name, path in staged.items():
+        with open(path, "rb") as a, open(replay[name], "rb") as b:
+            assert a.read() == b.read(), name

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -142,6 +144,15 @@ def test_context_config_dict_roundtrip():
         ContextConfig.from_dict({"context_type": "symmetric"})
     with pytest.raises(ConfigurationError, match="exceeds"):
         ContextConfig.from_dict({"context_type": "symmetric", "window_size": 8})
+    # a value that cannot take the field's type names its key
+    for bad in ("x", [1], float("inf")):
+        with pytest.raises(DataError, match="window_size"):
+            ContextConfig.from_dict({"context_type": "symmetric", "window_size": bad})
+    # a flag is only ever true or false, never a truthy string
+    with pytest.raises(DataError, match="distance_weighting"):
+        ContextConfig.from_dict(
+            {"context_type": "symmetric", "window_size": 1, "distance_weighting": "no"}
+        )
 
 
 def test_backward_window_1_by_hand():
@@ -241,6 +252,10 @@ def test_load_rejects_garbage(tmp_path):
     path.write_text("not json\n", encoding="utf-8")
     with pytest.raises(DataError):
         load_cooccurrence(path)
+    for header in ({"cols": 3, "context_type": "symmetric", "window_size": 1}, [3]):
+        path.write_text(json.dumps(header) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="rows and cols"):
+            load_cooccurrence(path)
 
 
 def test_context_types_constant():

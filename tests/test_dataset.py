@@ -8,7 +8,7 @@ import pytest
 from gendervec.corpus import build_vocabulary
 from gendervec.dataset import (
     DEFAULT_RATIOS,
-    LabeledExample,
+    LabeledSet,
     apportion,
     build_dataset,
     bundle_from_manifest,
@@ -18,7 +18,6 @@ from gendervec.dataset import (
     load_split_manifest,
     save_dataset_table,
     save_split_manifest,
-    split_manifest,
     split_words_by_class,
     stratified_split,
     word_list_digest,
@@ -29,19 +28,12 @@ from gendervec.lexicon import GenderLexicon
 
 
 def _examples(n_uter, n_neuter, k=4, seed=0):
+    """Uter words, then neuter words, in descending frequency."""
     rng = np.random.default_rng(seed)
-    out = []
-    for cls, count, tag in (("uter", n_uter, "u"), ("neuter", n_neuter, "n")):
-        for i in range(count):
-            out.append(
-                LabeledExample(
-                    word=f"{tag}{i:05d}",
-                    vector=rng.standard_normal(k),
-                    gender=cls,
-                    frequency=10_000 - len(out),
-                )
-            )
-    return out
+    n = n_uter + n_neuter
+    words = [f"u{i:05d}" for i in range(n_uter)] + [f"n{i:05d}" for i in range(n_neuter)]
+    labels = np.repeat([0, 1], [n_uter, n_neuter])
+    return LabeledSet(tuple(words), rng.standard_normal((n, k)), labels, 10_000 - np.arange(n))
 
 
 def test_apportion_exact_and_remainders():
@@ -126,7 +118,26 @@ def test_split_requires_three_per_class():
 def test_split_rejects_duplicate_words():
     data = _examples(5, 5)
     with pytest.raises(DataError, match="duplicate"):
-        stratified_split(data + [data[0]])
+        stratified_split(data.take(np.r_[np.arange(len(data)), 0]))
+    with pytest.raises(DataError, match="duplicate"):
+        LabeledSet(("a", "a"), np.zeros((2, 1)), np.array([0, 1]), np.array([2, 1]))
+
+
+def test_labeled_set_rows_are_parallel():
+    with pytest.raises(DataError, match="do not match"):
+        LabeledSet(("a", "b"), np.zeros((3, 1)), np.array([0, 1]), np.array([2, 1]))
+    data = _examples(3, 2)
+    assert [(ex.word, ex.gender, ex.frequency) for ex in data][3] == ("n00000", "neuter", 9997)
+    assert data.words_by_class() == {
+        "uter": ["u00000", "u00001", "u00002"], "neuter": ["n00000", "n00001"],
+    }
+    sub = data.take(data.rows(["n00001", "u00000"]))
+    assert sub.words == ("n00001", "u00000")
+    assert np.array_equal(sub.vectors, data.vectors[[4, 0]])
+    assert sub.labels.tolist() == [1, 0]
+    assert sub.frequencies.tolist() == [9996, 10_000]
+    with pytest.raises(DataError, match="missing"):
+        data.rows(["zzz"])
 
 
 def test_ratio_validation():
@@ -160,7 +171,7 @@ def test_build_dataset_intersects_and_orders():
         ("hund", "uter", 5),
         ("hus", "neuter", 3),
     ]
-    assert np.array_equal(data[0].vector, emb.vector("hund"))
+    assert np.array_equal(data.vectors[0], emb.vector("hund"))
 
 
 def test_build_dataset_min_freq_is_strict():
@@ -192,7 +203,7 @@ def test_manifest_roundtrip(tmp_path):
     data = _examples(8, 6)
     bundle = stratified_split(data, seed=13)
     path = tmp_path / "split.json"
-    save_split_manifest(bundle, path)
+    save_split_manifest(bundle.manifest(), path)
     manifest = load_split_manifest(path)
     assert manifest["seed"] == 13
     assert manifest["test_digest"] == word_list_digest(ex.word for ex in bundle.test)
@@ -222,9 +233,9 @@ def test_manifest_validation(tmp_path):
 def test_bundle_from_manifest_missing_word():
     data = _examples(4, 4)
     bundle = stratified_split(data, seed=0)
-    manifest = split_manifest(bundle.word_partitions(), bundle.seed, bundle.ratios)
+    manifest = bundle.manifest()
     with pytest.raises(DataError, match="missing"):
-        bundle_from_manifest(manifest, data[:-1])
+        bundle_from_manifest(manifest, data.take(np.arange(len(data) - 1)))
 
 
 def test_dataset_table_roundtrip(tmp_path):
@@ -232,11 +243,14 @@ def test_dataset_table_roundtrip(tmp_path):
     path = tmp_path / "dataset.tsv"
     save_dataset_table(data, path)
     rows = load_dataset_table(path)
-    assert rows == [(ex.word, ex.gender, ex.frequency) for ex in data]
-    emb = EmbeddingMatrix([ex.word for ex in data], np.stack([ex.vector for ex in data]))
+    assert rows.words == data.words
+    assert np.array_equal(rows.labels, data.labels)
+    assert np.array_equal(rows.frequencies, data.frequencies)
+    assert rows.vectors.shape == (len(data), 0)
+    emb = EmbeddingMatrix(list(reversed(data.words)), data.vectors[::-1])
     joined = join_with_embedding(rows, emb)
-    assert [ex.word for ex in joined] == [ex.word for ex in data]
-    assert np.array_equal(joined[0].vector, data[0].vector)
+    assert joined.words == data.words
+    assert np.array_equal(joined.vectors, data.vectors)
 
 
 def test_dataset_table_validation(tmp_path):
@@ -257,8 +271,9 @@ def test_dataset_table_validation(tmp_path):
 
 def test_join_with_embedding_missing_word():
     emb = EmbeddingMatrix(["a"], np.ones((1, 2)))
+    table = LabeledSet(("b",), np.empty((1, 0)), np.array([0]), np.array([3]))
     with pytest.raises(DataError, match="missing"):
-        join_with_embedding([("b", "uter", 3)], emb)
+        join_with_embedding(table, emb)
 
 
 def test_deciles_equal_groups():

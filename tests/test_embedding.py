@@ -1,5 +1,7 @@
 """Truncated SVD against a dense oracle, plus embedding plumbing."""
 
+import struct
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -259,6 +261,12 @@ def test_text_malformed(tmp_path):
     path.write_text("2 3\nw1 0.5 0.5\nw2 0.5 0.5 0.5\n", encoding="utf-8")
     with pytest.raises(DataError):
         load_embedding_text(path)
+    path.write_text("1 2\nw1 0.5 half\n", encoding="utf-8")
+    with pytest.raises(DataError, match="non-numeric"):
+        load_embedding_text(path)
+    path.write_text("-1 2\n", encoding="utf-8")
+    with pytest.raises(DataError, match="header"):
+        load_embedding_text(path)
 
 
 def test_binary_roundtrip(tmp_path):
@@ -286,4 +294,11 @@ def test_binary_truncated(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-8])
     with pytest.raises(DataError):
+        load_embedding_binary(path)
+    # a header cut short, and a header promising more rows than the file holds
+    path.write_bytes(data[:20])
+    with pytest.raises(DataError, match="truncated"):
+        load_embedding_binary(path)
+    path.write_bytes(data[:8] + struct.pack("<QQ", 10**12, 3) + data[24:])
+    with pytest.raises(DataError, match="promises"):
         load_embedding_binary(path)

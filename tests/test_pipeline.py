@@ -9,7 +9,7 @@ import pytest
 import gendervec.pipeline as pipeline
 from gendervec.classifier import MLPModel, TrainConfig
 from gendervec.cooccurrence import ContextConfig
-from gendervec.dataset import LabeledExample
+from gendervec.dataset import LabeledSet
 from gendervec.embedding import EmbeddingConfig
 from gendervec.errors import ConfigurationError, DataError
 from gendervec.lexicon import save_lexicon
@@ -203,16 +203,10 @@ def test_grid_search_rejects_bad_grids(language_files):
 
 def _labeled(n_uter, n_neuter, dim=4, seed=0):
     rng = np.random.default_rng(seed)
-    out = []
-    for cls, count, tag in (("uter", n_uter, "u"), ("neuter", n_neuter, "n")):
-        for i in range(count):
-            out.append(
-                LabeledExample(
-                    word=f"{tag}{i}", vector=rng.standard_normal(dim), gender=cls,
-                    frequency=1000 - len(out),
-                )
-            )
-    return out
+    n = n_uter + n_neuter
+    words = [f"u{i}" for i in range(n_uter)] + [f"n{i}" for i in range(n_neuter)]
+    labels = np.repeat([0, 1], [n_uter, n_neuter])
+    return LabeledSet(tuple(words), rng.standard_normal((n, dim)), labels, 1000 - np.arange(n))
 
 
 def test_final_evaluate_zero_rule_stub_gives_majority_share():
@@ -230,7 +224,7 @@ def test_final_evaluate_digest_guard():
     test_set = _labeled(5, 5)
     from gendervec.dataset import word_list_digest
 
-    good = word_list_digest(ex.word for ex in test_set)
+    good = word_list_digest(test_set.words)
     evaluation = final_evaluate(model, test_set, expected_test_digest=good, n_perm=200)
     assert evaluation.test_digest == good
     with pytest.raises(DataError, match="digest mismatch"):
@@ -240,7 +234,7 @@ def test_final_evaluate_digest_guard():
 def test_final_evaluate_empty_test_set():
     model = MLPModel(np.zeros((4, 3)), np.zeros(3), np.zeros((3, 2)), np.zeros(2))
     with pytest.raises(DataError):
-        final_evaluate(model, [])
+        final_evaluate(model, _labeled(0, 0))
 
 
 def test_final_evaluate_sorts_errors_by_entropy():
@@ -282,6 +276,9 @@ def test_manifest_build_save_load(language_files, tmp_path):
     assert load_manifest(path) == manifest
     with pytest.raises(DataError, match="corpus_sha256"):
         RunManifest.from_dict({k: v for k, v in d.items() if k != "corpus_sha256"})
+    # a nested record's bad value names its own key
+    with pytest.raises(DataError, match="window_size"):
+        RunManifest.from_dict({**d, "context": {**d["context"], "window_size": "one"}})
     path.write_text("{ nope", encoding="utf-8")
     with pytest.raises(DataError):
         load_manifest(path)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gendervec.classifier import PredictionRecord
-from gendervec.dataset import class_ratio_by_decile, LabeledExample
+from gendervec.dataset import CLASSES, LabeledSet, class_ratio_by_decile
 from gendervec.errors import DataError
 from gendervec.metrics import build_eval_report, entropy_frequency_analysis
 from gendervec.report import (
@@ -51,10 +51,11 @@ def test_emit_report_writes_full_bundle(tmp_path):
         [np.arange(len(records), dtype=float), np.arange(len(records), dtype=float) ** 0.5],
         axis=1,
     )
-    data = [
-        LabeledExample(word=r.word, vector=np.zeros(2), gender=r.gold, frequency=r.frequency)
-        for r in records
-    ]
+    data = LabeledSet(
+        tuple(r.word for r in records), np.zeros((len(records), 2)),
+        np.array([CLASSES.index(r.gold) for r in records]),
+        np.array([r.frequency for r in records]),
+    )
     deciles = class_ratio_by_decile(data)
     grid_dict = {
         "cells": [
@@ -115,13 +116,10 @@ def test_emit_projection_checks_length(tmp_path):
 
 
 def test_emit_deciles_table(tmp_path):
-    data = [
-        LabeledExample(
-            word=f"w{i}", vector=np.zeros(2),
-            gender="uter" if i < 60 else "neuter", frequency=1000 - i,
-        )
-        for i in range(100)
-    ]
+    data = LabeledSet(
+        tuple(f"w{i}" for i in range(100)), np.zeros((100, 2)),
+        (np.arange(100) >= 60).astype(np.int64), 1000 - np.arange(100),
+    )
     emit_deciles(tmp_path, class_ratio_by_decile(data))
     rows = _read_csv(tmp_path / "deciles.csv")
     assert len(rows) == 11
