@@ -13,10 +13,10 @@ import tempfile
 from pathlib import Path
 
 from gendervec import lexicon, report, synthetic
-from gendervec.classifier import TrainConfig
+from gendervec.classifier import TrainConfig, errors_by_entropy
 from gendervec.cooccurrence import ContextConfig
 from gendervec.embedding import EmbeddingConfig
-from gendervec.pipeline import run_experiment
+from gendervec.pipeline import project_2d, run_experiment
 
 # A light dose of agreement noise and a few ambiguous nouns keep the
 # problem from being trivially separable, like real text.
@@ -52,7 +52,8 @@ result = run_experiment(
 
 rep = result.evaluation.report
 print(f"test accuracy   {rep.accuracy:.4f}  (majority baseline {rep.baseline_accuracy:.4f})")
-print(f"test words      {rep.n}, errors {len(result.evaluation.errors)}")
+errors = errors_by_entropy(result.evaluation.predictions)
+print(f"test words      {rep.n}, errors {len(errors)}")
 
 # The classifier is least sure exactly where it is wrong: mean output
 # entropy of the errors sits above that of the correct predictions.
@@ -67,10 +68,10 @@ if analysis.entropy_permutation is not None:
 out = workdir / "report"
 paths = report.emit_report(
     out,
-    result.evaluation.records,
+    result.evaluation.predictions,
     rep,
     analysis,
-    projection=result.evaluation.projection,
+    projection=project_2d(result.bundle.test.vectors),
     decile_report=result.decile_report,
 )
 print(f"report files in {out}:")

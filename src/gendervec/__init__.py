@@ -14,7 +14,7 @@ language for end-to-end checks.
 
 from .classifier import (
     MLPModel,
-    PredictionRecord,
+    Predictions,
     TrainConfig,
     gradient_check,
     output_entropy,
@@ -49,10 +49,10 @@ from .embedding import (
 from .errors import ConfigurationError, DataError, GendervecError, NumericalError
 from .lexicon import GenderLexicon, parse_lexicon
 from .metrics import (
-    ConfusionMatrix,
     EvalReport,
     accuracy,
     build_eval_report,
+    confusion_matrix,
     entropy_frequency_analysis,
     fisher_pitman_permutation,
     kendall_tau_b,
@@ -75,7 +75,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CONTEXT_TYPES",
     "ConfigurationError",
-    "ConfusionMatrix",
     "ContextConfig",
     "CoocMatrix",
     "DataError",
@@ -89,7 +88,7 @@ __all__ = [
     "LabeledSet",
     "MLPModel",
     "NumericalError",
-    "PredictionRecord",
+    "Predictions",
     "RunManifest",
     "SplitBundle",
     "SyntheticSpec",
@@ -100,6 +99,7 @@ __all__ = [
     "build_dataset",
     "build_eval_report",
     "build_vocabulary",
+    "confusion_matrix",
     "count_cooccurrences",
     "embed",
     "embed_counts",

@@ -255,81 +255,108 @@ def gradient_check(
     return worst
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    word: str
-    gold: str
-    predicted: str
-    p_uter: float
-    p_neuter: float
-    entropy: float
-    frequency: int
-
-    @property
-    def correct(self) -> bool:
-        return self.gold == self.predicted
-
-
-def predict_records(model: MLPModel, data: LabeledSet) -> list[PredictionRecord]:
-    """Forward every row and package per-word prediction rows."""
-    if not data:
-        raise DataError("cannot predict on an empty example list")
-    return [
-        PredictionRecord(
-            word=ex.word,
-            gold=ex.gender,
-            predicted=CLASSES[int(np.argmax(row))],
-            p_uter=float(row[0]),
-            p_neuter=float(row[1]),
-            entropy=output_entropy(row),
-            frequency=ex.frequency,
-        )
-        for ex, row in zip(data, model.forward(data.vectors))
-    ]
-
-
 RECORD_FIELDS = ("word", "gold", "predicted", "p_uter", "p_neuter", "entropy", "frequency")
 
 
-def errors_by_entropy(records: Sequence[PredictionRecord]) -> tuple[PredictionRecord, ...]:
-    """Misclassified records, highest entropy first, ties by word."""
-    return tuple(sorted((r for r in records if not r.correct), key=lambda r: (-r.entropy, r.word)))
+@dataclass(frozen=True, eq=False)
+class Predictions:
+    """Per-word predictions as parallel arrays, one row per ``records.csv`` line.
+
+    ``gold`` and ``predicted`` are indices into ``CLASSES``, ``proba`` is
+    ``(n, 2)`` with columns ``(p_uter, p_neuter)``, and ``entropy`` is
+    the output entropy in nats.
+    """
+
+    words: tuple[str, ...]
+    gold: np.ndarray
+    predicted: np.ndarray
+    proba: np.ndarray
+    entropy: np.ndarray
+    frequencies: np.ndarray
+
+    def __post_init__(self):
+        lengths = {len(c) for c in (self.gold, self.predicted, self.proba, self.entropy,
+                                    self.frequencies)}
+        if self.proba.shape[1:] != (len(CLASSES),) or lengths != {len(self.words)}:
+            raise DataError("prediction columns need one row per word, proba one column per class")
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    @property
+    def correct(self) -> np.ndarray:
+        return self.gold == self.predicted
+
+    def take(self, rows: np.ndarray) -> "Predictions":
+        return Predictions(
+            tuple(self.words[i] for i in rows), self.gold[rows], self.predicted[rows],
+            self.proba[rows], self.entropy[rows], self.frequencies[rows],
+        )
 
 
-def save_prediction_records(records: Sequence[PredictionRecord], path) -> None:
+def predict_records(model: MLPModel, data: LabeledSet) -> Predictions:
+    """Forward every row; each row's entropy equals ``output_entropy(row)``."""
+    if not data:
+        raise DataError("cannot predict on an empty example list")
+    proba = model.forward(data.vectors)
+    # 0 * ln 0 reads as 0: a zero probability takes ln 1 = 0 instead
+    entropy = -(proba * np.log(np.where(proba > 0, proba, 1.0))).sum(axis=1)
+    return Predictions(
+        data.words, data.labels, np.argmax(proba, axis=1), proba, entropy, data.frequencies
+    )
+
+
+def errors_by_entropy(predictions: Predictions) -> Predictions:
+    """Misclassified rows, highest entropy first, ties by word."""
+    errors = predictions.take(np.flatnonzero(~predictions.correct))
+    return errors.take(np.lexsort((np.array(errors.words, dtype=str), -errors.entropy)))
+
+
+def save_prediction_records(predictions: Predictions, path) -> None:
     """CSV dump: word,gold,predicted,p_uter,p_neuter,entropy,frequency."""
+    rows = zip(
+        predictions.words, predictions.gold.tolist(), predictions.predicted.tolist(),
+        predictions.proba.tolist(), predictions.entropy.tolist(),
+        predictions.frequencies.tolist(),
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORD_FIELDS)
-        for r in records:
+        for word, gold, predicted, (p_uter, p_neuter), entropy, frequency in rows:
             writer.writerow(
-                [r.word, r.gold, r.predicted, repr(r.p_uter), repr(r.p_neuter),
-                 repr(r.entropy), r.frequency]
+                [word, CLASSES[gold], CLASSES[predicted], repr(p_uter), repr(p_neuter),
+                 repr(entropy), frequency]
             )
 
 
-def load_prediction_records(path) -> list[PredictionRecord]:
-    records = []
+def load_prediction_records(path) -> Predictions:
+    """Read ``save_prediction_records`` output; a bad row is a ``DataError``
+    naming ``path:line``."""
+    rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(RECORD_FIELDS):
             raise DataError(f"{path}: unexpected header {header}")
         for row in reader:
+            where = f"{path}:{reader.line_num}"
             if len(row) != len(RECORD_FIELDS):
-                raise DataError(f"{path}: malformed row {row}")
-            records.append(
-                PredictionRecord(
-                    word=row[0],
-                    gold=row[1],
-                    predicted=row[2],
-                    p_uter=float(row[3]),
-                    p_neuter=float(row[4]),
-                    entropy=float(row[5]),
-                    frequency=int(row[6]),
-                )
-            )
-    return records
+                raise DataError(f"{where}: malformed row {row}")
+            try:
+                rows.append((row[0], CLASSES.index(row[1]), CLASSES.index(row[2]),
+                             float(row[3]), float(row[4]), float(row[5]), int(row[6])))
+            except ValueError:
+                raise DataError(f"{where}: malformed row {row}") from None
+            if rows[-1][-1] < 1:
+                raise DataError(f"{where}: frequency must be >= 1, got {row[6]}")
+    words, gold, predicted, p_uter, p_neuter, entropy, frequencies = (
+        zip(*rows) if rows else [()] * len(RECORD_FIELDS)
+    )
+    return Predictions(
+        words, np.array(gold, dtype=np.int64), np.array(predicted, dtype=np.int64),
+        np.column_stack([p_uter, p_neuter]), np.array(entropy),
+        np.array(frequencies, dtype=np.int64),
+    )
 
 
 def save_model(model: MLPModel, path) -> None:

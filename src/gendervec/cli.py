@@ -75,7 +75,7 @@ class Options:
     def integer(self, name: str, default: int = 0) -> int:
         value = self.get(name, default)
         try:
-            return int(value)
+            return records.integer(value)
         except (TypeError, ValueError, OverflowError):
             raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
 
@@ -253,11 +253,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    records = classifier.load_prediction_records(os.path.join(args.eval_dir, "records.csv"))
+    predictions = classifier.load_prediction_records(os.path.join(args.eval_dir, "records.csv"))
     projection = None
     if args.embedding:
         emb = _load_embedding(args.embedding)
-        projection = pipeline.project_2d(emb.matrix[emb.rows(r.word for r in records)])
+        projection = pipeline.project_2d(emb.matrix[emb.rows(predictions.words)])
     decile_report = None
     if args.dataset:
         decile_report = dataset.class_ratio_by_decile(dataset.load_dataset_table(args.dataset))
@@ -273,7 +273,7 @@ def cmd_report(args) -> int:
             os.path.join(args.eval_dir, name), os.path.join(args.out, name)
         ))
     paths += report.emit_charts(
-        args.out, records,
+        args.out, predictions,
         projection=projection, decile_report=decile_report, grid_dict=grid_dict,
     )
     logger.info("wrote %d report files to %s", len(paths), args.out)

@@ -108,9 +108,6 @@ class Vocabulary:
         except KeyError:
             raise KeyError(f"word not in vocabulary: {word!r}") from None
 
-    def word_of(self, word_id: int) -> str:
-        return self._words[word_id]
-
     def frequency_of(self, word: str) -> int:
         return self._freqs[self.id_of(word)]
 

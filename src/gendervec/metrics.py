@@ -1,6 +1,6 @@
 """Evaluation metrics and nonparametric statistics.
 
-Everything here is a pure function of prediction records or plain
+Everything here is a pure function of ``Predictions`` or plain
 arrays: confusion counts, accuracy, per-class precision/recall/F,
 prior-weighted accuracy, the majority-class baseline, Kendall tau-b
 with a tie-adjusted normal approximation, a Fisher-Pitman two-sample
@@ -14,15 +14,15 @@ import itertools
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .classifier import PredictionRecord
+from .classifier import Predictions
 from .dataset import CLASSES
 from .errors import ConfigurationError, DataError
-from .records import OMIT, Record
+from .records import Record
 
 logger = logging.getLogger(__name__)
 
@@ -31,51 +31,21 @@ logger = logging.getLogger(__name__)
 EXHAUSTIVE_LIMIT = 100_000
 
 
-class ConfusionMatrix:
-    """Gold-by-predicted counts over the two gender classes."""
-
-    def __init__(self, counts: Mapping[tuple[str, str], int]):
-        self._counts = {(g, p): 0 for g in CLASSES for p in CLASSES}
-        for (gold, predicted), value in counts.items():
-            if gold not in CLASSES or predicted not in CLASSES:
-                raise DataError(f"unknown class pair ({gold!r}, {predicted!r})")
-            if value < 0:
-                raise DataError(f"negative count for ({gold!r}, {predicted!r})")
-            self._counts[(gold, predicted)] = int(value)
-
-    @classmethod
-    def from_records(cls, records: Iterable[PredictionRecord]) -> "ConfusionMatrix":
-        counts: Counter = Counter()
-        for r in records:
-            counts[(r.gold, r.predicted)] += 1
-        return cls(counts)
-
-    def count(self, gold: str, predicted: str) -> int:
-        return self._counts[(gold, predicted)]
-
-    @property
-    def total(self) -> int:
-        return sum(self._counts.values())
-
-    @property
-    def correct(self) -> int:
-        return sum(self._counts[(c, c)] for c in CLASSES)
-
-    def support(self, cls: str) -> int:
-        return sum(self._counts[(cls, p)] for p in CLASSES)
-
-    def predicted_total(self, cls: str) -> int:
-        return sum(self._counts[(g, cls)] for g in CLASSES)
+def confusion_matrix(predictions: Predictions) -> np.ndarray:
+    """Counts indexed ``[gold, predicted]`` over the classes."""
+    n = len(CLASSES)
+    return np.bincount(predictions.gold * n + predictions.predicted, minlength=n * n).reshape(n, n)
 
 
-def accuracy(confusion: ConfusionMatrix) -> float:
+def accuracy(confusion: np.ndarray) -> float:
     """Share of agreeing (gold, predicted) pairs."""
-    if confusion.total == 0:
+    total = int(confusion.sum())
+    if total == 0:
         raise DataError("empty confusion matrix")
-    return confusion.correct / confusion.total
+    return int(np.trace(confusion)) / total
 
 
-def precision_recall_f(confusion: ConfusionMatrix, cls: str) -> tuple[float, float, float]:
+def precision_recall_f(confusion: np.ndarray, cls: str) -> tuple[float, float, float]:
     """One-vs-rest precision, recall and F-score for ``cls``.
 
     Degenerate denominators yield 0.0 with a logged warning rather than
@@ -83,9 +53,10 @@ def precision_recall_f(confusion: ConfusionMatrix, cls: str) -> tuple[float, flo
     """
     if cls not in CLASSES:
         raise ConfigurationError(f"unknown class {cls!r}")
-    tp = confusion.count(cls, cls)
-    predicted = confusion.predicted_total(cls)
-    support = confusion.support(cls)
+    c = CLASSES.index(cls)
+    tp = int(confusion[c, c])
+    predicted = int(confusion[:, c].sum())
+    support = int(confusion[c].sum())
     if predicted == 0:
         logger.warning("no predictions for class %r; precision set to 0", cls)
         precision = 0.0
@@ -268,14 +239,12 @@ def fisher_pitman_permutation(
 
 @dataclass(frozen=True)
 class EntropyFrequencyReport(Record):
-    """Entropy/frequency diagnostics over one set of prediction records.
+    """Entropy/frequency diagnostics over one set of predictions.
 
-    ``points`` holds ``(entropy, ln_frequency, correct)`` per word.  Any
-    statistic whose inputs are degenerate (an empty group, or ties
+    Any statistic whose inputs are degenerate (an empty group, or ties
     everywhere) is None, with the reason recorded in ``warnings``.
     """
 
-    points: tuple[tuple[float, float, bool], ...] = field(metadata=OMIT)
     log_freq_threshold: float
     low_freq_share: float
     mean_entropy_correct: float | None
@@ -290,7 +259,7 @@ class EntropyFrequencyReport(Record):
 
 
 def entropy_frequency_analysis(
-    records: Sequence[PredictionRecord],
+    predictions: Predictions,
     n_perm: int = 10_000,
     seed: int = 0,
     log_freq_threshold: float = 8.0,
@@ -302,56 +271,48 @@ def entropy_frequency_analysis(
     threshold.  The permutation statistic is mean(errors) - mean(correct),
     so a positive value means errors carry more entropy.
     """
-    if not records:
+    if not predictions:
         raise DataError("no prediction records to analyze")
-    for r in records:
-        if r.frequency < 1:
-            raise DataError(f"non-positive frequency for {r.word!r}: {r.frequency}")
-    points = tuple(
-        (r.entropy, math.log(r.frequency), r.correct) for r in records
-    )
+    i = int(np.argmin(predictions.frequencies))
+    if predictions.frequencies[i] < 1:
+        raise DataError(
+            f"non-positive frequency for {predictions.words[i]!r}: {predictions.frequencies[i]}"
+        )
+    entropy, ln_freq = predictions.entropy, np.log(predictions.frequencies)
+    correct = predictions.correct
+    has_correct, has_errors = bool(correct.any()), not correct.all()
+    low = ln_freq < log_freq_threshold
     warnings: list[str] = []
 
-    def guarded_tau(name: str, pts: Sequence[tuple[float, float, bool]]):
-        if len(pts) < 2:
+    def guarded_tau(name: str, mask: np.ndarray):
+        if np.count_nonzero(mask) < 2:
             warnings.append(f"{name}: fewer than 2 points, tau skipped")
             return None
         try:
-            return kendall_tau_b([p[0] for p in pts], [p[1] for p in pts])
+            return kendall_tau_b(entropy[mask], ln_freq[mask])
         except DataError as exc:
             warnings.append(f"{name}: {exc}")
             return None
 
-    correct_pts = [p for p in points if p[2]]
-    error_pts = [p for p in points if not p[2]]
-    low = [p for p in points if p[1] < log_freq_threshold]
-    low_correct = [p for p in low if p[2]]
-    low_errors = [p for p in low if not p[2]]
-
-    mean_correct = float(np.mean([p[0] for p in correct_pts])) if correct_pts else None
-    mean_errors = float(np.mean([p[0] for p in error_pts])) if error_pts else None
-
-    if correct_pts and error_pts:
+    if has_correct and has_errors:
         permutation = fisher_pitman_permutation(
-            [p[0] for p in error_pts], [p[0] for p in correct_pts],
-            n_perm=n_perm, seed=seed,
+            entropy[~correct], entropy[correct], n_perm=n_perm, seed=seed
         )
     else:
         permutation = None
-        empty = "errors" if not error_pts else "correct"
+        empty = "errors" if not has_errors else "correct"
         warnings.append(f"entropy permutation skipped: no {empty} predictions")
 
     return EntropyFrequencyReport(
-        points=points,
         log_freq_threshold=log_freq_threshold,
-        low_freq_share=len(low) / len(points),
-        mean_entropy_correct=mean_correct,
-        mean_entropy_errors=mean_errors,
-        tau_overall=guarded_tau("tau_overall", points),
-        tau_correct=guarded_tau("tau_correct", correct_pts),
-        tau_errors=guarded_tau("tau_errors", error_pts),
-        tau_correct_low_freq=guarded_tau("tau_correct_low_freq", low_correct),
-        tau_errors_low_freq=guarded_tau("tau_errors_low_freq", low_errors),
+        low_freq_share=int(np.count_nonzero(low)) / len(predictions),
+        mean_entropy_correct=float(entropy[correct].mean()) if has_correct else None,
+        mean_entropy_errors=float(entropy[~correct].mean()) if has_errors else None,
+        tau_overall=guarded_tau("tau_overall", np.ones(len(predictions), dtype=bool)),
+        tau_correct=guarded_tau("tau_correct", correct),
+        tau_errors=guarded_tau("tau_errors", ~correct),
+        tau_correct_low_freq=guarded_tau("tau_correct_low_freq", low & correct),
+        tau_errors_low_freq=guarded_tau("tau_errors_low_freq", low & ~correct),
         entropy_permutation=permutation,
         warnings=tuple(warnings),
     )
@@ -370,52 +331,53 @@ class EvalReport(Record):
     entropy_summary: dict
 
 
-def build_eval_report(records: Sequence[PredictionRecord]) -> EvalReport:
+def build_eval_report(predictions: Predictions) -> EvalReport:
     """Confusion-derived metrics plus entropy summaries per correctness group."""
-    if not records:
+    if not predictions:
         raise DataError("no prediction records to evaluate")
-    confusion = ConfusionMatrix.from_records(records)
+    confusion = confusion_matrix(predictions)
+    counts = confusion.tolist()
+    supports = {cls: sum(counts[c]) for c, cls in enumerate(CLASSES)}
     per_class = {}
     for cls in CLASSES:
         precision, recall, f_score = precision_recall_f(confusion, cls)
-        support = confusion.support(cls)
         per_class[cls] = {
             "precision": precision,
             "recall": recall,
             "f_score": f_score,
             # recall doubles as the class accuracy used by weighted accuracy
             "accuracy": recall,
-            "support": support,
+            "support": supports[cls],
         }
-    supports = {cls: confusion.support(cls) for cls in CLASSES}
-    total = confusion.total
+    total = len(predictions)
     overall = {
         "aggregation": "support-weighted one-vs-rest average over classes",
         "precision": sum(per_class[c]["precision"] * supports[c] for c in CLASSES) / total,
         "recall": sum(per_class[c]["recall"] * supports[c] for c in CLASSES) / total,
         "f_score": sum(per_class[c]["f_score"] * supports[c] for c in CLASSES) / total,
     }
-    correct_entropy = [r.entropy for r in records if r.correct]
-    error_entropy = [r.entropy for r in records if not r.correct]
 
-    def summary(values):
-        if not values:
+    def summary(values: np.ndarray):
+        if not values.size:
             return {"count": 0, "mean": None, "median": None}
         return {
-            "count": len(values),
+            "count": values.size,
             "mean": float(np.mean(values)),
             "median": float(np.median(values)),
         }
 
+    correct = predictions.correct
     return EvalReport(
         n=total,
-        confusion={g: {p: confusion.count(g, p) for p in CLASSES} for g in CLASSES},
+        confusion={
+            g: {p: counts[i][j] for j, p in enumerate(CLASSES)} for i, g in enumerate(CLASSES)
+        },
         accuracy=accuracy(confusion),
-        baseline_accuracy=zero_rule_baseline(r.gold for r in records),
+        baseline_accuracy=zero_rule_baseline(predictions.gold.tolist()),
         per_class=per_class,
         overall=overall,
         entropy_summary={
-            "correct": summary(correct_entropy),
-            "errors": summary(error_entropy),
+            "correct": summary(predictions.entropy[correct]),
+            "errors": summary(predictions.entropy[~correct]),
         },
     )

@@ -21,10 +21,9 @@ import numpy as np
 
 from .classifier import (
     MLPModel,
-    PredictionRecord,
+    Predictions,
     TrainConfig,
     correct_predictions,
-    errors_by_entropy,
     predict_records,
     save_model,
     save_prediction_records,
@@ -96,11 +95,9 @@ def project_2d(vectors: np.ndarray, seed: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FinalEvaluation:
-    records: tuple[PredictionRecord, ...]
+    predictions: Predictions
     report: EvalReport
     analysis: EntropyFrequencyReport
-    errors: tuple[PredictionRecord, ...]
-    projection: np.ndarray | None
     test_digest: str
 
 
@@ -122,19 +119,11 @@ def final_evaluate(
         raise DataError(
             f"test-set digest mismatch: expected {expected_test_digest}, got {digest}"
         )
-    records = predict_records(model, test_set)
-    report = build_eval_report(records)
-    analysis = entropy_frequency_analysis(records, n_perm=n_perm, seed=stats_seed)
-    try:
-        projection = project_2d(test_set.vectors)
-    except DataError:
-        projection = None
+    predictions = predict_records(model, test_set)
     return FinalEvaluation(
-        records=tuple(records),
-        report=report,
-        analysis=analysis,
-        errors=errors_by_entropy(records),
-        projection=projection,
+        predictions=predictions,
+        report=build_eval_report(predictions),
+        analysis=entropy_frequency_analysis(predictions, n_perm=n_perm, seed=stats_seed),
         test_digest=digest,
     )
 
@@ -147,7 +136,7 @@ def save_evaluation(evaluation: FinalEvaluation, out_dir) -> dict[str, str]:
     )}
     with open(paths["eval_report.json"], "w", encoding="utf-8") as fh:
         fh.write(evaluation.report.to_json())
-    save_prediction_records(evaluation.records, paths["records.csv"])
+    save_prediction_records(evaluation.predictions, paths["records.csv"])
     with open(paths["stats.json"], "w", encoding="utf-8") as fh:
         fh.write(evaluation.analysis.to_json())
     return paths

@@ -45,6 +45,13 @@ def _plain(value):
     return value
 
 
+def integer(value) -> int:
+    """``value`` as an int; a bool or a non-integral number is a ``ValueError``."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _cast(tp, value):
     if value is None:
         return None
@@ -58,9 +65,11 @@ def _cast(tp, value):
         return tuple(_cast(a, v) for a, v in zip(args, value))
     if isinstance(tp, type) and issubclass(tp, Record):
         return tp.from_dict(value)
-    if tp is bool and not isinstance(value, bool):
+    if tp is int:
+        return integer(value)
+    if tp in (bool, float) and isinstance(value, bool) != (tp is bool):
         raise TypeError(value)
-    if tp in (bool, int, float, str):
+    if tp in (bool, float, str):
         return tp(value)
     return value
 

@@ -7,19 +7,16 @@ are disposable and any external tool can re-render from the CSVs.
 from __future__ import annotations
 
 import csv
-import math
 import os
 from typing import Sequence
 
 import numpy as np
 
-from .classifier import PredictionRecord, errors_by_entropy
-from .dataset import DecileReport
+from .classifier import Predictions, errors_by_entropy, save_prediction_records
+from .dataset import CLASSES, DecileReport
 from .errors import DataError
 from .metrics import EntropyFrequencyReport, EvalReport
 from .svgplot import bars_svg, histogram_svg, lines_svg, scatter_svg
-
-WINDOW_RANGE = (1, 2, 3, 4, 5)
 
 
 def _write_csv(path, header: Sequence[str], rows) -> None:
@@ -29,25 +26,25 @@ def _write_csv(path, header: Sequence[str], rows) -> None:
         writer.writerows(rows)
 
 
-def emit_entropy_frequency(out_dir, records: Sequence[PredictionRecord]) -> list[str]:
+def emit_entropy_frequency(out_dir, predictions: Predictions) -> list[str]:
     """Scatter of entropy against ln frequency, split by correctness,
     plus per-group entropy histograms."""
     paths = []
+    entropy, correct = predictions.entropy, predictions.correct
+    ln_freq = np.log(predictions.frequencies)
     scatter_csv = os.path.join(out_dir, "entropy_vs_frequency.csv")
     _write_csv(
         scatter_csv,
         ("word", "entropy", "ln_frequency", "correct"),
-        (
-            (r.word, repr(r.entropy), repr(float(np.log(r.frequency))), int(r.correct))
-            for r in records
-        ),
+        zip(predictions.words, map(repr, entropy.tolist()), map(repr, ln_freq.tolist()),
+            correct.astype(int).tolist()),
     )
     paths.append(scatter_csv)
-    groups = {"correct": ([], []), "errors": ([], [])}  # (ln frequencies, entropies)
-    for r in records:
-        ln_freqs, entropies = groups["correct" if r.correct else "errors"]
-        ln_freqs.append(math.log(r.frequency))
-        entropies.append(r.entropy)
+    # (ln frequencies, entropies) per group
+    groups = {
+        name: (ln_freq[mask].tolist(), entropy[mask].tolist())
+        for name, mask in (("correct", correct), ("errors", ~correct))
+    }
     scatter_path = os.path.join(out_dir, "entropy_vs_frequency.svg")
     scatter_svg(groups, scatter_path, "Output entropy against word frequency",
                 "ln frequency", "entropy (nats)")
@@ -60,28 +57,27 @@ def emit_entropy_frequency(out_dir, records: Sequence[PredictionRecord]) -> list
     return paths
 
 
-def emit_projection(
-    out_dir, records: Sequence[PredictionRecord], projection: np.ndarray
-) -> list[str]:
+def emit_projection(out_dir, predictions: Predictions, projection: np.ndarray) -> list[str]:
     """2-D projection coordinates with gold/predicted labels."""
-    if len(records) != projection.shape[0]:
+    if len(predictions) != projection.shape[0]:
         raise DataError(
-            f"{len(records)} records but {projection.shape[0]} projected points"
+            f"{len(predictions)} records but {projection.shape[0]} projected points"
         )
+    gold, predicted = predictions.gold.tolist(), predictions.predicted.tolist()
     coords_csv = os.path.join(out_dir, "projection.csv")
     _write_csv(
         coords_csv,
         ("word", "gold", "predicted", "x", "y"),
         (
-            (r.word, r.gold, r.predicted, repr(float(x)), repr(float(y)))
-            for r, (x, y) in zip(records, projection)
+            (word, CLASSES[g], CLASSES[p], repr(x), repr(y))
+            for word, g, p, (x, y) in zip(predictions.words, gold, predicted, projection.tolist())
         ),
     )
-    groups = {}
-    for r, (x, y) in zip(records, projection):
-        groups.setdefault(r.gold, ([], []))
-        groups[r.gold][0].append(float(x))
-        groups[r.gold][1].append(float(y))
+    # one group per gold class, in order of first appearance
+    groups = {
+        CLASSES[g]: tuple(projection[predictions.gold == g].T.tolist())
+        for g in dict.fromkeys(gold)
+    }
     svg_path = os.path.join(out_dir, "projection.svg")
     scatter_svg(groups, svg_path, "Rank-2 projection of test vectors",
                 "component 1", "component 2")
@@ -147,35 +143,28 @@ def emit_grid(out_dir, grid_dict: dict) -> list[str]:
     return [csv_path, svg_path]
 
 
-def emit_errors(out_dir, errors: Sequence[PredictionRecord]) -> list[str]:
-    """Misclassified words, highest entropy first, for manual inspection."""
+def emit_errors(out_dir, predictions: Predictions) -> list[str]:
+    """Misclassified words, highest entropy first, for manual inspection;
+    same columns as ``records.csv``."""
     csv_path = os.path.join(out_dir, "errors.csv")
-    _write_csv(
-        csv_path,
-        ("word", "gold", "predicted", "p_uter", "p_neuter", "entropy", "frequency"),
-        (
-            (r.word, r.gold, r.predicted, repr(r.p_uter), repr(r.p_neuter),
-             repr(r.entropy), r.frequency)
-            for r in errors
-        ),
-    )
+    save_prediction_records(errors_by_entropy(predictions), csv_path)
     return [csv_path]
 
 
 def emit_charts(
     out_dir,
-    records: Sequence[PredictionRecord],
+    predictions: Predictions,
     projection: np.ndarray | None = None,
     decile_report: DecileReport | None = None,
     grid_dict: dict | None = None,
 ) -> list[str]:
     """Write every chart and table of the bundle that derives from the
-    records and the optional extras; returns the paths written."""
+    predictions and the optional extras; returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = emit_entropy_frequency(out_dir, records)
-    paths.extend(emit_errors(out_dir, errors_by_entropy(records)))
+    paths = emit_entropy_frequency(out_dir, predictions)
+    paths.extend(emit_errors(out_dir, predictions))
     if projection is not None:
-        paths.extend(emit_projection(out_dir, records, projection))
+        paths.extend(emit_projection(out_dir, predictions, projection))
     if decile_report is not None:
         paths.extend(emit_deciles(out_dir, decile_report))
     if grid_dict is not None:
@@ -185,7 +174,7 @@ def emit_charts(
 
 def emit_report(
     out_dir,
-    records: Sequence[PredictionRecord],
+    predictions: Predictions,
     report: EvalReport,
     analysis: EntropyFrequencyReport,
     projection: np.ndarray | None = None,
@@ -200,4 +189,4 @@ def emit_report(
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         paths.append(path)
-    return paths + emit_charts(out_dir, records, projection, decile_report, grid_dict)
+    return paths + emit_charts(out_dir, predictions, projection, decile_report, grid_dict)

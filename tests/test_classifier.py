@@ -198,8 +198,7 @@ def test_single_class_train_set_predicts_that_class():
         (np.arange(20) >= 14).astype(np.int64), np.full(20, 20),
     )
     model = train(train_set, dev, TrainConfig(max_epochs=40, hidden_size=4))
-    records = predict_records(model, dev)
-    assert all(r.predicted == "uter" for r in records)
+    assert np.all(predict_records(model, dev).predicted == 0)
     share = sum(1 for ex in dev if ex.gender == "uter") / len(dev)
     assert dev_accuracy(model, dev) == pytest.approx(share)
 
@@ -266,6 +265,9 @@ def test_train_config_validation_and_roundtrip():
     loaded = TrainConfig.from_dict({"learning_rate": 1, "unknown": 0})
     assert loaded == TrainConfig(learning_rate=1.0)
     assert type(loaded.learning_rate) is float
+    for bad in ({"batch_size": True}, {"batch_size": 2.5}, {"momentum": False}):
+        with pytest.raises(DataError, match=next(iter(bad))):
+            TrainConfig.from_dict(bad)
 
 
 def test_model_shape_validation():
@@ -279,15 +281,26 @@ def test_model_shape_validation():
 def test_predict_records_fields():
     data = _blobs(4)
     model = train(data, data, TrainConfig(max_epochs=30, hidden_size=6))
-    records = predict_records(model, data)
-    assert len(records) == len(data)
-    for rec, ex in zip(records, data):
-        assert rec.word == ex.word
-        assert rec.gold == ex.gender
-        assert rec.frequency == ex.frequency
-        assert rec.predicted == ("uter" if rec.p_uter >= rec.p_neuter else "neuter")
-        assert rec.entropy == pytest.approx(output_entropy((rec.p_uter, rec.p_neuter)))
-        assert rec.correct == (rec.gold == rec.predicted)
+    preds = predict_records(model, data)
+    assert len(preds) == len(data)
+    assert preds.words == data.words
+    assert np.array_equal(preds.gold, data.labels)
+    assert np.array_equal(preds.frequencies, data.frequencies)
+    assert np.array_equal(preds.predicted, (preds.proba[:, 0] < preds.proba[:, 1]).astype(int))
+    assert np.array_equal(preds.correct, preds.gold == preds.predicted)
+    for row, entropy in zip(preds.proba, preds.entropy):
+        assert entropy == output_entropy(row)
+    # inputs large enough that a class probability underflows to exactly 0
+    rng = np.random.default_rng(8)
+    wide = LabeledSet(
+        tuple(f"w{i}" for i in range(500)),
+        rng.standard_normal((500, 2)) * 10.0 ** rng.integers(0, 4, (500, 1)),
+        np.zeros(500, dtype=np.int64), np.ones(500, dtype=np.int64),
+    )
+    preds = predict_records(model, wide)
+    assert np.any(preds.proba == 0.0) and np.any(preds.proba[:, 0] * preds.proba[:, 1] > 0)
+    for row, entropy in zip(preds.proba, preds.entropy):
+        assert entropy == output_entropy(row)
     with pytest.raises(DataError):
         predict_records(model, data.take([]))
 
@@ -295,11 +308,13 @@ def test_predict_records_fields():
 def test_prediction_records_roundtrip(tmp_path):
     data = _blobs(3)
     model = _toy_model(input_dim=2, hidden=3)
-    records = predict_records(model, data)
+    preds = predict_records(model, data)
     path = tmp_path / "records.csv"
-    save_prediction_records(records, path)
+    save_prediction_records(preds, path)
     back = load_prediction_records(path)
-    assert back == records
+    assert back.words == preds.words
+    for name in ("gold", "predicted", "proba", "entropy", "frequencies"):
+        assert np.array_equal(getattr(back, name), getattr(preds, name)), name
 
 
 def test_prediction_records_header_check(tmp_path):

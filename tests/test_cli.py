@@ -6,6 +6,7 @@ flag-over-config-over-default resolution.
 """
 
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -320,6 +321,9 @@ def test_missing_config_file_exits_two(flow, tmp_path, capsys):
     ("embed", {"K": [1]}),
     ("split", {"split_seed": "x"}),
     ("split", {"ratios": 5}),
+    ("cooc", {"window_size": 2.7}),
+    ("label", {"min_freq": 2.5}),
+    ("split", {"split_seed": True}),
 ])
 def test_config_value_of_wrong_type_exits_two(flow, tmp_path, capsys, stage, config):
     cfg = tmp_path / "cfg.json"
@@ -329,6 +333,8 @@ def test_config_value_of_wrong_type_exits_two(flow, tmp_path, capsys, stage, con
         "cooc": ["--corpus", flow["corpus.txt"], "--vocab", flow["vocab.tsv"],
                  "--context-type", "symmetric"],
         "embed": ["--cooc", flow["cooc.bin"], "--vocab", flow["vocab.tsv"]],
+        "label": ["--embedding", flow["emb.bin"], "--lexicon", flow["lexicon.tsv"],
+                  "--vocab", flow["vocab.tsv"]],
         "split": ["--dataset", flow["dataset.tsv"]],
     }[stage]
     rc = main([stage, *argv, "--out", out, "--config", str(cfg)])
@@ -384,6 +390,26 @@ def test_report_with_embedding_lacking_a_test_word_exits_three(flow, tmp_path, c
                "--embedding", str(emb)])
     assert rc == 3
     assert repr(test_word) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, value", [("p_uter", "abc"), ("frequency", "0"), ("gold", "nope")])
+def test_report_with_malformed_records_exits_three(flow, tmp_path, capsys, column, value):
+    eval_dir = tmp_path / "eval"
+    eval_dir.mkdir()
+    for name in ("eval_report.json", "stats.json"):
+        shutil.copyfile(f"{flow['eval']}/{name}", eval_dir / name)
+    with open(f"{flow['eval']}/records.csv", encoding="utf-8") as fh:
+        header, first, *rest = fh.read().splitlines()
+    cells = first.split(",")
+    cells[header.split(",").index(column)] = value
+    (eval_dir / "records.csv").write_text(
+        "\n".join([header, ",".join(cells), *rest]) + "\n", encoding="utf-8"
+    )
+    out = tmp_path / "report"
+    rc = main(["report", "--eval-dir", str(eval_dir), "--out", str(out)])
+    assert rc == 3
+    assert "records.csv:2" in capsys.readouterr().err
+    assert not out.exists()  # nothing written before the records are read
 
 
 def test_flow_equals_manifest_replay(flow, tmp_path):

@@ -145,7 +145,8 @@ def test_context_config_dict_roundtrip():
     with pytest.raises(ConfigurationError, match="exceeds"):
         ContextConfig.from_dict({"context_type": "symmetric", "window_size": 8})
     # a value that cannot take the field's type names its key
-    for bad in ("x", [1], float("inf")):
+    # and so does an int field given a bool or a non-integral number
+    for bad in ("x", [1], float("inf"), 2.7, True):
         with pytest.raises(DataError, match="window_size"):
             ContextConfig.from_dict({"context_type": "symmetric", "window_size": bad})
     # a flag is only ever true or false, never a truthy string

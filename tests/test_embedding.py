@@ -175,6 +175,11 @@ def test_embedding_config_validation_and_roundtrip():
     assert loaded == EmbeddingConfig(k=10, alpha=1.0)
     assert type(loaded.alpha) is float
     assert EmbeddingConfig.from_dict({}) == EmbeddingConfig()
+    # a float field takes no bool, an int field no fraction
+    with pytest.raises(DataError, match="alpha"):
+        EmbeddingConfig.from_dict({"alpha": True})
+    with pytest.raises(DataError, match="K"):
+        EmbeddingConfig.from_dict({"K": 10.5})
 
 
 def test_embedding_matrix_accessors_and_validation():

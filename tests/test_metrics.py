@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from gendervec.classifier import PredictionRecord
+from gendervec.classifier import Predictions
+from gendervec.dataset import CLASSES
 from gendervec.errors import ConfigurationError, DataError
 from gendervec.metrics import (
-    ConfusionMatrix,
     accuracy,
     build_eval_report,
+    confusion_matrix,
     entropy_frequency_analysis,
     fisher_pitman_permutation,
     kendall_tau_b,
@@ -61,36 +62,43 @@ def tau_b_oracle(x, y):
     return tau, z, p
 
 
+def _predictions(rows):
+    """Predictions from (word, gold, predicted, p_uter, p_neuter, entropy, frequency) rows."""
+    words, gold, predicted, p_uter, p_neuter, entropy, frequency = zip(*rows)
+    return Predictions(
+        words, np.array([CLASSES.index(g) for g in gold]),
+        np.array([CLASSES.index(p) for p in predicted]),
+        np.column_stack([p_uter, p_neuter]), np.array(entropy), np.array(frequency),
+    )
+
+
 def test_confusion_matrix_accessors():
-    cm = ConfusionMatrix({("uter", "uter"): 3, ("uter", "neuter"): 1, ("neuter", "neuter"): 2})
-    assert cm.total == 6
-    assert cm.correct == 5
-    assert cm.count("uter", "neuter") == 1
-    assert cm.count("neuter", "uter") == 0
-    assert cm.support("uter") == 4
-    assert cm.predicted_total("neuter") == 3
+    preds = _predictions(
+        [("a", "uter", "uter", 0.9, 0.1, 0.3, 5)] * 3
+        + [("b", "uter", "neuter", 0.4, 0.6, 0.6, 5)]
+        + [("c", "neuter", "neuter", 0.1, 0.9, 0.3, 5)] * 2
+    )
+    cm = confusion_matrix(preds)
+    # indexed [gold, predicted] in CLASSES order (uter, neuter)
+    assert cm.tolist() == [[3, 1], [0, 2]]
+    assert cm.sum() == 6
+    assert np.trace(cm) == 5
+
+
+# Confusion counts as published: n->n 542, n->u 102, u->u 1430, u->n 69,
+# indexed [gold, predicted] in CLASSES order (uter, neuter).
+PUBLISHED = np.array([[1430, 69], [102, 542]])
 
 
 def test_accuracy_published_counts():
-    # Confusion counts as published: n->n 542, n->u 102, u->u 1430, u->n 69.
-    cm = ConfusionMatrix({
-        ("neuter", "neuter"): 542,
-        ("neuter", "uter"): 102,
-        ("uter", "uter"): 1430,
-        ("uter", "neuter"): 69,
-    })
-    assert cm.total == 2143
-    assert cm.correct == 1972
+    cm = PUBLISHED
+    assert cm.sum() == 2143
+    assert np.trace(cm) == 1972
     assert abs(accuracy(cm) - 0.9202) <= 0.0005
 
 
 def test_precision_recall_f_published_counts():
-    cm = ConfusionMatrix({
-        ("neuter", "neuter"): 542,
-        ("neuter", "uter"): 102,
-        ("uter", "uter"): 1430,
-        ("uter", "neuter"): 69,
-    })
+    cm = PUBLISHED
     p_n, r_n, f_n = precision_recall_f(cm, "neuter")
     assert abs(p_n - 0.8870) <= 0.0005
     assert abs(r_n - 0.8416) <= 0.0005
@@ -103,11 +111,11 @@ def test_precision_recall_f_published_counts():
 
 def test_accuracy_empty_confusion():
     with pytest.raises(DataError):
-        accuracy(ConfusionMatrix({}))
+        accuracy(np.zeros((2, 2), dtype=np.int64))
 
 
 def test_precision_degenerate_class_is_zero(caplog):
-    cm = ConfusionMatrix({("uter", "uter"): 5})
+    cm = np.array([[5, 0], [0, 0]])
     with caplog.at_level(logging.WARNING):
         p, r, f = precision_recall_f(cm, "neuter")
     assert (p, r, f) == (0.0, 0.0, 0.0)
@@ -233,19 +241,15 @@ def test_fisher_pitman_monte_carlo_two_sided_symmetry():
 
 def test_entropy_frequency_analysis_shapes():
     rng = np.random.default_rng(11)
-    records = []
+    rows = []
     for i in range(60):
         correct = i % 5 != 0
         entropy = float(rng.uniform(0.05, 0.3 if correct else 0.69))
         freq = int(rng.integers(1, 5000))
         p_u = 1.0 - entropy / 2
-        records.append(PredictionRecord(
-            word=f"w{i}", gold="uter", predicted="uter" if correct else "neuter",
-            p_uter=p_u, p_neuter=1 - p_u, entropy=entropy, frequency=freq,
-        ))
-    rep = entropy_frequency_analysis(records, n_perm=500, seed=0)
-    assert len(rep.points) == 60
-    assert rep.tau_overall is not None
+        rows.append((f"w{i}", "uter", "uter" if correct else "neuter", p_u, 1 - p_u, entropy, freq))
+    rep = entropy_frequency_analysis(_predictions(rows), n_perm=500, seed=0)
+    assert rep.tau_overall.n == 60
     assert rep.entropy_permutation is not None
     assert rep.mean_entropy_errors > rep.mean_entropy_correct
     d = rep.to_dict()
@@ -262,28 +266,28 @@ def test_entropy_frequency_analysis_shapes():
 
 
 def test_entropy_frequency_analysis_rejects_bad_frequency():
-    rec = PredictionRecord("w", "uter", "uter", 0.9, 0.1, 0.1, 0)
+    preds = _predictions([("w", "uter", "uter", 0.9, 0.1, 0.1, 0)])
     with pytest.raises(DataError):
-        entropy_frequency_analysis([rec])
+        entropy_frequency_analysis(preds)
 
 
 def test_entropy_frequency_analysis_all_correct_warns():
-    records = [
-        PredictionRecord(f"w{i}", "uter", "uter", 0.9, 0.1, 0.1 + 0.01 * (i % 7), 10 + i)
+    preds = _predictions([
+        (f"w{i}", "uter", "uter", 0.9, 0.1, 0.1 + 0.01 * (i % 7), 10 + i)
         for i in range(20)
-    ]
-    rep = entropy_frequency_analysis(records, n_perm=200, seed=0)
+    ])
+    rep = entropy_frequency_analysis(preds, n_perm=200, seed=0)
     assert rep.entropy_permutation is None
     assert rep.warnings
 
 
 def test_build_eval_report_fields():
-    records = [
-        PredictionRecord("a", "uter", "uter", 0.9, 0.1, 0.32, 50),
-        PredictionRecord("b", "uter", "neuter", 0.2, 0.8, 0.5, 3),
-        PredictionRecord("c", "neuter", "neuter", 0.1, 0.9, 0.32, 8),
-    ]
-    rep = build_eval_report(records)
+    preds = _predictions([
+        ("a", "uter", "uter", 0.9, 0.1, 0.32, 50),
+        ("b", "uter", "neuter", 0.2, 0.8, 0.5, 3),
+        ("c", "neuter", "neuter", 0.1, 0.9, 0.32, 8),
+    ])
+    rep = build_eval_report(preds)
     assert rep.n == 3
     assert abs(rep.accuracy - 2 / 3) < 1e-12
     assert rep.per_class["uter"]["support"] == 2

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gendervec.pipeline as pipeline
-from gendervec.classifier import MLPModel, TrainConfig
+from gendervec.classifier import MLPModel, TrainConfig, errors_by_entropy
 from gendervec.cooccurrence import ContextConfig
 from gendervec.dataset import LabeledSet
 from gendervec.embedding import EmbeddingConfig
@@ -244,9 +244,9 @@ def test_final_evaluate_sorts_errors_by_entropy():
         rng.standard_normal((3, 2)), rng.standard_normal(2),
     )
     evaluation = final_evaluate(model, _labeled(10, 10, seed=5), n_perm=200)
-    entropies = [r.entropy for r in evaluation.errors]
-    assert entropies == sorted(entropies, reverse=True)
-    assert all(not r.correct for r in evaluation.errors)
+    errors = errors_by_entropy(evaluation.predictions)
+    assert errors.entropy.tolist() == sorted(errors.entropy.tolist(), reverse=True)
+    assert len(errors) and not errors.correct.any()
 
 
 def test_file_sha256_matches_hashlib(tmp_path):
@@ -327,5 +327,3 @@ def test_run_experiment_end_to_end(language_files):
     assert result.evaluation.report.accuracy >= 0.9
     assert result.decile_report is not None
     assert sum(result.decile_report.group_sizes) == len(result.dataset)
-    assert result.evaluation.projection is not None
-    assert result.evaluation.projection.shape == (len(result.bundle.test), 2)

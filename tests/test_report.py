@@ -1,14 +1,15 @@
 """Report bundle emission: CSV contents and chart files."""
 
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from gendervec.classifier import PredictionRecord
-from gendervec.dataset import CLASSES, LabeledSet, class_ratio_by_decile
+from gendervec.classifier import Predictions, save_prediction_records
+from gendervec.dataset import LabeledSet, class_ratio_by_decile
 from gendervec.errors import DataError
 from gendervec.metrics import build_eval_report, entropy_frequency_analysis
 from gendervec.report import (
@@ -22,20 +23,19 @@ from gendervec.report import (
 
 def _records(n=24, seed=0):
     rng = np.random.default_rng(seed)
-    records = []
-    for i in range(n):
-        gold = "uter" if i % 3 else "neuter"
-        p_u = float(rng.uniform(0.05, 0.95))
-        predicted = "uter" if p_u >= 0.5 else "neuter"
-        entropy = float(-(p_u * math.log(p_u) + (1 - p_u) * math.log(1 - p_u)))
-        records.append(
-            PredictionRecord(
-                word=f"w{i:03d}", gold=gold, predicted=predicted,
-                p_uter=p_u, p_neuter=1 - p_u, entropy=entropy,
-                frequency=int(rng.integers(1, 5000)),
-            )
-        )
-    return records
+    p_uter, frequencies = [], []
+    for _ in range(n):
+        p_uter.append(float(rng.uniform(0.05, 0.95)))
+        frequencies.append(int(rng.integers(1, 5000)))
+    p_u = np.array(p_uter)
+    return Predictions(
+        tuple(f"w{i:03d}" for i in range(n)),
+        np.array([0 if i % 3 else 1 for i in range(n)]),
+        (p_u < 0.5).astype(int),
+        np.column_stack([p_u, 1 - p_u]),
+        -(p_u * np.log(p_u) + (1 - p_u) * np.log(1 - p_u)),
+        np.array(frequencies),
+    )
 
 
 def _read_csv(path):
@@ -51,11 +51,7 @@ def test_emit_report_writes_full_bundle(tmp_path):
         [np.arange(len(records), dtype=float), np.arange(len(records), dtype=float) ** 0.5],
         axis=1,
     )
-    data = LabeledSet(
-        tuple(r.word for r in records), np.zeros((len(records), 2)),
-        np.array([CLASSES.index(r.gold) for r in records]),
-        np.array([r.frequency for r in records]),
-    )
+    data = LabeledSet(records.words, np.zeros((len(records), 2)), records.gold, records.frequencies)
     deciles = class_ratio_by_decile(data)
     grid_dict = {
         "cells": [
@@ -83,25 +79,25 @@ def test_emit_report_writes_full_bundle(tmp_path):
     rows = _read_csv(tmp_path / "entropy_vs_frequency.csv")
     assert rows[0] == ["word", "entropy", "ln_frequency", "correct"]
     assert len(rows) == len(records) + 1
-    by_word = {r.word: r for r in records}
-    for word, entropy, ln_freq, correct in rows[1:]:
-        rec = by_word[word]
-        assert float(entropy) == pytest.approx(rec.entropy)
-        assert float(ln_freq) == pytest.approx(math.log(rec.frequency))
-        assert int(correct) == int(rec.correct)
+    for i, (word, entropy, ln_freq, correct) in enumerate(rows[1:]):
+        assert word == records.words[i]
+        assert float(entropy) == pytest.approx(records.entropy[i])
+        assert float(ln_freq) == pytest.approx(math.log(records.frequencies[i]))
+        assert int(correct) == int(records.correct[i])
 
 
 def test_emit_errors_sorted_by_entropy(tmp_path):
+    # rounding the entropies makes ties, which the word order breaks
     records = _records()
-    errors = sorted(
-        (r for r in records if not r.correct), key=lambda r: (-r.entropy, r.word)
-    )
-    emit_errors(tmp_path, errors)
-    rows = _read_csv(tmp_path / "errors.csv")
-    assert rows[0][:3] == ["word", "gold", "predicted"]
-    entropies = [float(r[5]) for r in rows[1:]]
-    assert entropies == sorted(entropies, reverse=True)
-    assert len(rows) - 1 == len(errors)
+    records = dataclasses.replace(records, entropy=np.round(records.entropy, 1))
+    save_prediction_records(records, tmp_path / "records.csv")
+    emit_errors(tmp_path, records)
+    header, *rows = _read_csv(tmp_path / "records.csv")
+    errors = _read_csv(tmp_path / "errors.csv")
+    # errors.csv is exactly the misclassified records.csv rows, highest entropy first
+    wrong = [r for r in rows if r[1] != r[2]]
+    assert errors == [header] + sorted(wrong, key=lambda r: (-float(r[5]), r[0]))
+    assert len({r[5] for r in wrong}) < len(wrong)
 
 
 def test_emit_projection_checks_length(tmp_path):
