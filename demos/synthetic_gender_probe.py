@@ -68,9 +68,7 @@ if analysis.entropy_permutation is not None:
 out = workdir / "report"
 paths = report.emit_report(
     out,
-    result.evaluation.predictions,
-    rep,
-    analysis,
+    result.evaluation,
     projection=project_2d(result.bundle.test.vectors),
     decile_report=result.decile_report,
 )

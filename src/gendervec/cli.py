@@ -126,18 +126,9 @@ def cmd_cooc(args) -> int:
 def cmd_embed(args) -> int:
     opts = Options(args)
     emb_config = opts.build(embedding.EmbeddingConfig)
-    if args.cooc:
-        cooc = cooccurrence.load_cooccurrence(args.cooc)
-        vocab = corpus.load_vocabulary(args.vocab)
-        emb = embedding.embed_counts(cooc, vocab, emb_config)
-    else:
-        if not args.corpus:
-            raise ConfigurationError("embed needs either --cooc or --corpus")
-        vocab = corpus.load_vocabulary(args.vocab)
-        context = opts.build(cooccurrence.ContextConfig)
-        emb = embedding.embed(
-            corpus.read_sentences(args.corpus), vocab, context, emb_config
-        )
+    cooc = cooccurrence.load_cooccurrence(args.cooc)
+    vocab = corpus.load_vocabulary(args.vocab)
+    emb = embedding.embed_counts(cooc, vocab, emb_config)
     if args.binary:
         embedding.save_embedding_binary(emb, args.out)
     else:
@@ -261,10 +252,7 @@ def cmd_report(args) -> int:
     decile_report = None
     if args.dataset:
         decile_report = dataset.class_ratio_by_decile(dataset.load_dataset_table(args.dataset))
-    grid_dict = None
-    if args.grid:
-        with open(args.grid, "r", encoding="utf-8") as fh:
-            grid_dict = json.load(fh)
+    grid = records.load_record(pipeline.GridResult, args.grid) if args.grid else None
     # eval already wrote the report and the statistics; carry them as they are
     os.makedirs(args.out, exist_ok=True)
     paths = []
@@ -274,7 +262,7 @@ def cmd_report(args) -> int:
         ))
     paths += report.emit_charts(
         args.out, predictions,
-        projection=projection, decile_report=decile_report, grid_dict=grid_dict,
+        projection=projection, decile_report=decile_report, grid=grid,
     )
     logger.info("wrote %d report files to %s", len(paths), args.out)
     return 0
@@ -313,13 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_config(p):
         p.add_argument("--config", help="JSON config file; flags override its fields")
 
-    def add_context(p):
-        p.add_argument("--context-type", dest="context_type",
-                       choices=cooccurrence.CONTEXT_TYPES)
-        p.add_argument("--window-size", dest="window_size", type=int)
-        p.add_argument("--distance-weighting", dest="distance_weighting",
-                       action="store_const", const=True)
-
     def add_embedding_opts(p):
         p.add_argument("--dim", dest="K", type=int, help="embedding dimensionality K")
         p.add_argument("--alpha", dest="alpha", type=float)
@@ -345,17 +326,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
-    add_context(p)
+    p.add_argument("--context-type", dest="context_type", choices=cooccurrence.CONTEXT_TYPES)
+    p.add_argument("--window-size", dest="window_size", type=int)
+    p.add_argument("--distance-weighting", dest="distance_weighting",
+                   action="store_const", const=True)
     add_config(p)
     p.set_defaults(func=cmd_cooc)
 
-    p = sub.add_parser("embed", help="factor counts into word vectors")
-    p.add_argument("--corpus")
-    p.add_argument("--cooc")
+    p = sub.add_parser("embed", help="factor a cooc file into word vectors")
+    p.add_argument("--cooc", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--binary", action="store_true")
-    add_context(p)
     add_embedding_opts(p)
     add_config(p)
     p.set_defaults(func=cmd_embed)

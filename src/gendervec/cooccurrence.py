@@ -156,16 +156,6 @@ def count_cooccurrences(
     return combine(count_by_distance(corpus, vocab, config.window_size), config)
 
 
-def _to_csr(counts: dict[tuple[int, int], float], n: int) -> sparse.csr_array:
-    if not counts:
-        return sparse.csr_array((n, n), dtype=np.float64)
-    keys = sorted(counts)
-    rows = np.fromiter((k[0] for k in keys), dtype=np.int64, count=len(keys))
-    cols = np.fromiter((k[1] for k in keys), dtype=np.int64, count=len(keys))
-    data = np.fromiter((counts[k] for k in keys), dtype=np.float64, count=len(keys))
-    return sparse.csr_array((data, (rows, cols)), shape=(n, n))
-
-
 def save_cooccurrence(cooc: CoocMatrix, path) -> None:
     """Write a JSON header line, then ``context_id<TAB>target_id<TAB>count`` triplets."""
     header = {"rows": cooc.shape[0], "cols": cooc.shape[1], **cooc.config.to_dict()}
@@ -183,13 +173,13 @@ def load_cooccurrence(path) -> CoocMatrix:
         except json.JSONDecodeError:
             raise DataError(f"{path}: missing or malformed JSON header") from None
         try:
-            n, cols = int(header["rows"]), int(header["cols"])
+            n, n_cols = int(header["rows"]), int(header["cols"])
         except (KeyError, TypeError, ValueError):
             raise DataError(f"{path}: header lacks integer rows and cols") from None
-        if cols != n:
+        if n_cols != n:
             raise DataError(f"{path}: non-square dims in header")
         config = ContextConfig.from_dict(header)
-        counts: dict[tuple[int, int], float] = {}
+        rows, cols, values = [], [], []
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -203,5 +193,15 @@ def load_cooccurrence(path) -> CoocMatrix:
                 raise DataError(f"{path}:{lineno}: malformed triplet") from None
             if not (0 <= row < n and 0 <= col < n):
                 raise DataError(f"{path}:{lineno}: index out of range")
-            counts[(row, col)] = value
-    return CoocMatrix(_to_csr(counts, n), config)
+            rows.append(row)
+            cols.append(col)
+            values.append(value)
+    matrix = sparse.coo_array(
+        (np.array(values, dtype=np.float64),
+         (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
+        shape=(n, n),
+    ).tocsr()
+    # tocsr sums repeated (row, col) pairs, so fewer entries means a repeat
+    if matrix.nnz != len(values):
+        raise DataError(f"{path}: a (context, target) pair appears on more than one line")
+    return CoocMatrix(matrix, config)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -92,11 +91,10 @@ def weighted_accuracy(per_class_accuracy: Mapping[str, float], priors: Mapping[s
 
 def zero_rule_baseline(labels: Iterable[str]) -> float:
     """Accuracy of always predicting the most common label."""
-    counts = Counter(labels)
-    total = sum(counts.values())
-    if total == 0:
+    counts = np.unique(np.asarray(list(labels)), return_counts=True)[1]
+    if counts.size == 0:
         raise DataError("empty label list")
-    return max(counts.values()) / total
+    return int(counts.max()) / int(counts.sum())
 
 
 @dataclass(frozen=True)
@@ -112,15 +110,30 @@ class StatResult(Record):
     method: str = ""
 
 
-def _tie_terms(values: np.ndarray) -> tuple[int, int, int, int]:
-    """(sum t(t-1)/2, sum t(t-1)(2t+5), sum t(t-1), sum t(t-1)(t-2)) over tie groups."""
-    pairs = correction = simple = triple = 0
-    for t in Counter(values.tolist()).values():
-        pairs += t * (t - 1) // 2
-        correction += t * (t - 1) * (2 * t + 5)
-        simple += t * (t - 1)
-        triple += t * (t - 1) * (t - 2)
-    return pairs, correction, simple, triple
+def _tie_terms(counts: np.ndarray) -> tuple[int, int, int, int]:
+    """(sum t(t-1)/2, sum t(t-1)(2t+5), sum t(t-1), sum t(t-1)(t-2)) over tie-group sizes t."""
+    t = counts.astype(np.int64)
+    terms = (t * (t - 1) // 2, t * (t - 1) * (2 * t + 5), t * (t - 1), t * (t - 1) * (t - 2))
+    return tuple(int(term.sum()) for term in terms)
+
+
+def _discordant_pairs(ranks: np.ndarray) -> int:
+    """Pairs i < j with ``ranks[i] > ranks[j]``, counted over merge-sort levels:
+    at width w, each element of a right half counts the larger elements of its
+    left half by binary search in the sorted left halves; O(n log^2 n) in all."""
+    span = int(ranks.max()) + 1
+    position = np.arange(ranks.size)
+    count, width = 0, 1
+    while width < ranks.size:
+        block = position // (2 * width)
+        right = position // width % 2 == 1
+        # adding block * span keeps each block's keys below the next block's
+        left = np.sort(block[~right] * span + ranks[~right])
+        larger = np.searchsorted(left, (block[right] + 1) * span) - np.searchsorted(
+            left, block[right] * span + ranks[right], side="right")
+        count += int(larger.sum())
+        width *= 2
+    return count
 
 
 def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> StatResult:
@@ -137,18 +150,19 @@ def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> StatResult:
     n = x.size
     if n < 2:
         raise DataError(f"need at least 2 observations, got {n}")
-    upper = np.triu_indices(n, k=1)
-    dx = np.sign(x[:, None] - x[None, :])[upper]
-    dy = np.sign(y[:, None] - y[None, :])[upper]
-    product = dx * dy
-    concordant = int(np.sum(product > 0))
-    discordant = int(np.sum(product < 0))
-    s = concordant - discordant
+    _, x_rank, x_counts = np.unique(x, return_inverse=True, return_counts=True)
+    _, y_rank, y_counts = np.unique(y, return_inverse=True, return_counts=True)
     n0 = n * (n - 1) // 2
-    n1, vt, t_simple, t_triple = _tie_terms(x)
-    n2, vu, u_simple, u_triple = _tie_terms(y)
+    n1, vt, t_simple, t_triple = _tie_terms(x_counts)
+    n2, vu, u_simple, u_triple = _tie_terms(y_counts)
     if n0 == n1 or n0 == n2:
         raise DataError("tau undefined: all values tied on one side")
+    # Knight's method: sorted by x, then y, a discordant pair is an
+    # inversion of the y ranks.  The n0 - n1 - n2 + n3 pairs tied on
+    # neither side (n3: tied on both) are concordant or discordant.
+    n3 = _tie_terms(np.unique(x_rank * y_counts.size + y_rank, return_counts=True)[1])[0]
+    discordant = _discordant_pairs(y_rank[np.lexsort((y_rank, x_rank))])
+    s = n0 - n1 - n2 + n3 - 2 * discordant
     tau = s / math.sqrt((n0 - n1) * (n0 - n2))
     v0 = n * (n - 1) * (2 * n + 5)
     var_s = (v0 - vt - vu) / 18.0

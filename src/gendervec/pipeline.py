@@ -12,7 +12,6 @@ evaluation can prove it never leaked into tuning.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -47,7 +46,7 @@ from .dataset import (
     stratified_split,
     word_list_digest,
 )
-from .embedding import EmbeddingConfig, EmbeddingMatrix, embed, embed_counts, truncated_svd
+from .embedding import EmbeddingConfig, EmbeddingMatrix, _fix_signs, embed, embed_counts
 from .errors import ConfigurationError, DataError, GendervecError
 from .lexicon import GenderLexicon, parse_lexicon
 from .metrics import (
@@ -56,7 +55,7 @@ from .metrics import (
     build_eval_report,
     entropy_frequency_analysis,
 )
-from .records import OMIT, Record
+from .records import OMIT, Record, load_record
 
 # Tie-break order across context types when dev accuracies are equal.
 _TYPE_RANK = {"asymmetric_backward": 0, "symmetric": 1, "asymmetric_forward": 2}
@@ -76,8 +75,9 @@ def prepare_inputs(
     return vocab, lexicon
 
 
-def project_2d(vectors: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Rank-2 view of mean-centered vectors via truncated SVD.
+def project_2d(vectors: np.ndarray) -> np.ndarray:
+    """Rank-2 view of mean-centered vectors along their top two right
+    singular vectors, oriented as the embedding's are.
 
     Projection onto orthonormal directions never expands pairwise
     distances.  Vectors whose centered rank is below 2 (e.g. all
@@ -87,7 +87,8 @@ def project_2d(vectors: np.ndarray, seed: int = 0) -> np.ndarray:
     if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 2:
         raise DataError(f"need at least 2 vectors of dim >= 2, got shape {x.shape}")
     centered = x - x.mean(axis=0)
-    sigma, v = truncated_svd(centered, 2, seed=seed)
+    _, sigma, vt = np.linalg.svd(centered, full_matrices=False)
+    sigma, v = _fix_signs(sigma[:2], vt[:2].T)
     if sigma[0] <= 0.0 or sigma[1] <= sigma[0] * 1e-12:
         raise DataError("vectors have rank < 2 after centering; nothing to project")
     return centered @ v
@@ -160,8 +161,8 @@ class GridResult(Record):
     best: ContextConfig
     split_seed: int
     test_digest: str
-    # The word partition pinned before any cell ran, in split-manifest shape.
-    split_manifest: dict = field(metadata=OMIT)
+    # The split manifest pinned before any cell ran; grid.json omits it (None on load).
+    split_manifest: dict | None = field(default=None, metadata=OMIT)
 
     def cell(self, context_type: str, window_size: int) -> CellResult:
         for c in self.cells:
@@ -355,12 +356,7 @@ def save_manifest(manifest: RunManifest, path) -> None:
 
 
 def load_manifest(path) -> RunManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError:
-            raise DataError(f"{path}: malformed manifest JSON") from None
-    return RunManifest.from_dict(data)
+    return load_record(RunManifest, path)
 
 
 def run_from_manifest(manifest: RunManifest, out_dir, check_digests: bool = True) -> dict:

@@ -85,6 +85,8 @@ class Record:
 
     @classmethod
     def from_dict(cls, data: dict):
+        if not isinstance(data, dict):
+            raise DataError(f"{cls.__name__}: expected a JSON object, got {type(data).__name__}")
         hints = typing.get_type_hints(cls)
         values = {}
         for f, k in json_fields(cls):
@@ -98,3 +100,13 @@ class Record:
             elif required(f):
                 raise DataError(f"{cls.__name__}: missing required key {k!r}")
         return cls(**values)
+
+
+def load_record(cls, path):
+    """``cls.from_dict`` of the JSON file at ``path``; malformed JSON is a ``DataError``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: malformed JSON: {exc}") from None
+    return cls.from_dict(data)

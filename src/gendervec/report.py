@@ -15,7 +15,7 @@ import numpy as np
 from .classifier import Predictions, errors_by_entropy, save_prediction_records
 from .dataset import CLASSES, DecileReport
 from .errors import DataError
-from .metrics import EntropyFrequencyReport, EvalReport
+from .pipeline import FinalEvaluation, GridResult, save_evaluation
 from .svgplot import bars_svg, histogram_svg, lines_svg, scatter_svg
 
 
@@ -111,7 +111,7 @@ def emit_deciles(out_dir, decile_report: DecileReport) -> list[str]:
     return [csv_path, svg_path]
 
 
-def emit_grid(out_dir, grid_dict: dict) -> list[str]:
+def emit_grid(out_dir, grid: GridResult) -> list[str]:
     """Dev accuracy per cell, as a table and one line per context type."""
     csv_path = os.path.join(out_dir, "grid_accuracy.csv")
     _write_csv(
@@ -119,20 +119,19 @@ def emit_grid(out_dir, grid_dict: dict) -> list[str]:
         ("context_type", "window_size", "dev_accuracy", "error"),
         (
             (
-                cell["context"]["context_type"],
-                cell["context"]["window_size"],
-                "" if cell["dev_accuracy"] is None else repr(cell["dev_accuracy"]),
-                cell["error"] or "",
+                cell.context.context_type,
+                cell.context.window_size,
+                "" if cell.dev_accuracy is None else repr(cell.dev_accuracy),
+                cell.error or "",
             )
-            for cell in grid_dict["cells"]
+            for cell in grid.cells
         ),
     )
     by_type: dict[str, dict[int, float]] = {}
-    for cell in grid_dict["cells"]:
-        if cell["dev_accuracy"] is None:
-            continue
-        ctx = cell["context"]
-        by_type.setdefault(ctx["context_type"], {})[ctx["window_size"]] = cell["dev_accuracy"]
+    for cell in grid.cells:
+        if cell.dev_accuracy is not None:
+            ctx = cell.context
+            by_type.setdefault(ctx.context_type, {})[ctx.window_size] = cell.dev_accuracy
     windows = sorted({w for cells in by_type.values() for w in cells})
     series = {
         t: [cells.get(w, float("nan")) for w in windows] for t, cells in by_type.items()
@@ -156,7 +155,7 @@ def emit_charts(
     predictions: Predictions,
     projection: np.ndarray | None = None,
     decile_report: DecileReport | None = None,
-    grid_dict: dict | None = None,
+    grid: GridResult | None = None,
 ) -> list[str]:
     """Write every chart and table of the bundle that derives from the
     predictions and the optional extras; returns the paths written."""
@@ -167,26 +166,18 @@ def emit_charts(
         paths.extend(emit_projection(out_dir, predictions, projection))
     if decile_report is not None:
         paths.extend(emit_deciles(out_dir, decile_report))
-    if grid_dict is not None:
-        paths.extend(emit_grid(out_dir, grid_dict))
+    if grid is not None:
+        paths.extend(emit_grid(out_dir, grid))
     return paths
 
 
 def emit_report(
     out_dir,
-    predictions: Predictions,
-    report: EvalReport,
-    analysis: EntropyFrequencyReport,
+    evaluation: FinalEvaluation,
     projection: np.ndarray | None = None,
     decile_report: DecileReport | None = None,
-    grid_dict: dict | None = None,
+    grid: GridResult | None = None,
 ) -> list[str]:
-    """Write the full report bundle; returns every path written."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for name, text in (("eval_report.json", report.to_json()), ("stats.json", analysis.to_json())):
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        paths.append(path)
-    return paths + emit_charts(out_dir, predictions, projection, decile_report, grid_dict)
+    """Write eval's three files and every chart; returns every path written."""
+    paths = list(save_evaluation(evaluation, out_dir).values())
+    return paths + emit_charts(out_dir, evaluation.predictions, projection, decile_report, grid)

@@ -9,7 +9,6 @@ import json
 import shutil
 import struct
 
-import numpy as np
 import pytest
 
 from gendervec import cli, embedding, pipeline
@@ -123,21 +122,6 @@ def test_flow_report_carries_eval_results_byte_for_byte(flow):
             assert fh.read() == evaluated, name
 
 
-def test_embed_from_corpus_matches_embed_from_counts(flow, tmp_path):
-    # the two input routes must land on identical vectors
-    out = tmp_path / "emb.txt"
-    rc = main([
-        "embed", "--corpus", flow["corpus.txt"], "--vocab", flow["vocab.tsv"],
-        "--out", str(out), "--context-type", "asymmetric_backward",
-        "--window-size", "1", "--dim", "8", "--seed", "0",
-    ])
-    assert rc == 0
-    from_corpus = embedding.load_embedding_text(str(out))
-    from_counts = embedding.load_embedding_binary(flow["emb.bin"])
-    assert from_corpus.words == from_counts.words
-    assert np.array_equal(from_corpus.matrix, from_counts.matrix)
-
-
 def test_tune_restricted_grid_and_grid_report(flow, tmp_path):
     out = tmp_path / "tune"
     rc = main([
@@ -191,16 +175,16 @@ def test_overflowing_alpha_exits_four(flow, tmp_path, capsys):
     assert "overflow" in capsys.readouterr().err
 
 
-def test_embed_without_cooc_or_corpus_exits_two(flow, tmp_path, capsys):
-    rc = main(["embed", "--vocab", flow["vocab.tsv"],
-               "--out", str(tmp_path / "emb.txt")])
-    assert rc == 2
-    assert "either --cooc or --corpus" in capsys.readouterr().err
+def test_embed_without_cooc_or_corpus_exits_two(flow, tmp_path):
+    # --cooc is the one input route, so argparse rejects its absence
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", "--vocab", flow["vocab.tsv"], "--out", str(tmp_path / "emb.txt")])
+    assert exc.value.code == 2
 
 
-def test_embed_from_corpus_without_context_exits_two(flow, tmp_path, capsys):
-    rc = main(["embed", "--corpus", flow["corpus.txt"], "--vocab", flow["vocab.tsv"],
-               "--out", str(tmp_path / "emb.txt")])
+def test_cooc_without_context_exits_two(flow, tmp_path, capsys):
+    rc = main(["cooc", "--corpus", flow["corpus.txt"], "--vocab", flow["vocab.tsv"],
+               "--out", str(tmp_path / "cooc.txt")])
     assert rc == 2
     assert "missing required option --context-type" in capsys.readouterr().err
 
@@ -410,6 +394,26 @@ def test_report_with_malformed_records_exits_three(flow, tmp_path, capsys, colum
     assert rc == 3
     assert "records.csv:2" in capsys.readouterr().err
     assert not out.exists()  # nothing written before the records are read
+
+
+def _malformed_grid(case) -> str:
+    context = ContextConfig("symmetric", 1)
+    grid = pipeline.GridResult(
+        (pipeline.CellResult(context, 0.9, None, None),), context, 0, "digest"
+    ).to_dict()
+    del grid["cells"][0]["context"]["context_type"]
+    return {"not JSON": "{ nope", "a list": "[]", "null": "null"}.get(case, json.dumps(grid))
+
+
+@pytest.mark.parametrize("case", ["not JSON", "a list", "null", "a cell without context_type"])
+def test_report_with_malformed_grid_exits_three(flow, tmp_path, capsys, case):
+    grid = tmp_path / "grid.json"
+    grid.write_text(_malformed_grid(case), encoding="utf-8")
+    out = tmp_path / "report"
+    rc = main(["report", "--eval-dir", flow["eval"], "--out", str(out), "--grid", str(grid)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()  # nothing written before the grid is read
 
 
 def test_flow_equals_manifest_replay(flow, tmp_path):

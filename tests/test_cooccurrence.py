@@ -257,6 +257,11 @@ def test_load_rejects_garbage(tmp_path):
         path.write_text(json.dumps(header) + "\n", encoding="utf-8")
         with pytest.raises(DataError, match="rows and cols"):
             load_cooccurrence(path)
+    # a repeated (row, col) pair is ambiguous, not last-one-wins
+    header = {"rows": 3, "cols": 3, "context_type": "symmetric", "window_size": 1}
+    path.write_text(json.dumps(header) + "\n0\t1\t2\n1\t2\t1\n0\t1\t5\n", encoding="utf-8")
+    with pytest.raises(DataError, match="more than one line"):
+        load_cooccurrence(path)
 
 
 def test_context_types_constant():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,27 @@ def test_kendall_matches_pairwise_oracle_exactly():
         assert res.statistic == t
         assert res.z == z
         assert res.p == p
+    # one large pair shaped like the analysis input: rounded entropies
+    # against log frequencies, both heavily tied
+    n = 1500
+    x = np.round(rng.uniform(0.0, 0.7, size=n), 2)
+    y = np.log(rng.zipf(1.6, size=n).astype(float))
+    res = kendall_tau_b(x, y)
+    t, z, p = tau_b_oracle(x.tolist(), y.tolist())
+    assert (res.statistic, res.z, res.p) == (t, z, p)
+
+
+def test_kendall_memory_stays_linear():
+    # the pairwise sign matrices of n=4000 took hundreds of MB
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=4000), rng.integers(0, 50, size=4000).astype(float)
+    tracemalloc.start()
+    try:
+        kendall_tau_b(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4000 * 4000 // 8
 
 
 def test_kendall_matches_scipy_tau():

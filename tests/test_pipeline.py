@@ -14,6 +14,8 @@ from gendervec.embedding import EmbeddingConfig
 from gendervec.errors import ConfigurationError, DataError
 from gendervec.lexicon import save_lexicon
 from gendervec.pipeline import (
+    CellResult,
+    GridResult,
     RunManifest,
     build_manifest,
     default_grid,
@@ -177,6 +179,19 @@ def test_grid_search_records_cell_failure_without_aborting(language_files, monke
     assert "synthetic cell failure" in failed.error
     assert failed.dev_accuracy is None
     assert (result.best.context_type, result.best.window_size) == ("asymmetric_backward", 1)
+
+
+def test_grid_result_round_trips_through_its_dict():
+    ok = CellResult(ContextConfig("asymmetric_backward", 1), 0.9, {"uter": 1.0, "neuter": 0.5}, None)
+    failed = CellResult(ContextConfig("symmetric", 2), None, None, "DataError: boom")
+    grid = GridResult((ok, failed), ok.context, split_seed=3, test_digest="abc",
+                      split_manifest={"partitions": {}})
+    loaded = GridResult.from_dict(grid.to_dict())
+    assert loaded.cells == grid.cells
+    assert loaded.best == grid.best
+    assert loaded.to_dict() == grid.to_dict()
+    # grid.json leaves the split manifest out
+    assert loaded.split_manifest is None
 
 
 def test_grid_search_all_cells_failing_is_fatal(language_files):

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from gendervec.classifier import Predictions, save_prediction_records
+from gendervec.cooccurrence import ContextConfig
 from gendervec.dataset import LabeledSet, class_ratio_by_decile
 from gendervec.errors import DataError
 from gendervec.metrics import build_eval_report, entropy_frequency_analysis
+from gendervec.pipeline import CellResult, FinalEvaluation, GridResult, save_evaluation
 from gendervec.report import (
     emit_deciles,
     emit_errors,
@@ -38,6 +40,10 @@ def _records(n=24, seed=0):
     )
 
 
+def _grid(*cells):
+    return GridResult(cells, cells[0].context, split_seed=0, test_digest="digest")
+
+
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -53,20 +59,17 @@ def test_emit_report_writes_full_bundle(tmp_path):
     )
     data = LabeledSet(records.words, np.zeros((len(records), 2)), records.gold, records.frequencies)
     deciles = class_ratio_by_decile(data)
-    grid_dict = {
-        "cells": [
-            {"context": {"context_type": "asymmetric_backward", "window_size": w},
-             "dev_accuracy": 1.0 - 0.05 * w, "error": None}
-            for w in (1, 2, 3)
-        ]
-    }
+    grid = _grid(*(
+        CellResult(ContextConfig("asymmetric_backward", w), 1.0 - 0.05 * w, None, None)
+        for w in (1, 2, 3)
+    ))
+    evaluation = FinalEvaluation(records, report, analysis, test_digest="digest")
     paths = emit_report(
-        tmp_path, records, report, analysis,
-        projection=projection, decile_report=deciles, grid_dict=grid_dict,
+        tmp_path, evaluation, projection=projection, decile_report=deciles, grid=grid,
     )
     names = {p.split("/")[-1] for p in paths}
     assert names == {
-        "eval_report.json", "stats.json",
+        "eval_report.json", "records.csv", "stats.json",
         "entropy_vs_frequency.csv", "entropy_vs_frequency.svg", "entropy_histogram.svg",
         "errors.csv", "projection.csv", "projection.svg",
         "deciles.csv", "deciles.svg", "grid_accuracy.csv", "grid_accuracy.svg",
@@ -75,6 +78,9 @@ def test_emit_report_writes_full_bundle(tmp_path):
     assert loaded["accuracy"] == pytest.approx(report.accuracy)
     stats = json.loads((tmp_path / "stats.json").read_text(encoding="utf-8"))
     assert "entropy_permutation" in stats
+    # eval's writer wrote the three files, so they match a direct save byte for byte
+    for name in save_evaluation(evaluation, tmp_path / "eval"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "eval" / name).read_bytes(), name
 
     rows = _read_csv(tmp_path / "entropy_vs_frequency.csv")
     assert rows[0] == ["word", "entropy", "ln_frequency", "correct"]
@@ -127,15 +133,11 @@ def test_emit_deciles_table(tmp_path):
 
 
 def test_emit_grid_skips_failed_cells_in_lines(tmp_path):
-    grid_dict = {
-        "cells": [
-            {"context": {"context_type": "asymmetric_backward", "window_size": 1},
-             "dev_accuracy": 0.95, "error": None},
-            {"context": {"context_type": "asymmetric_backward", "window_size": 2},
-             "dev_accuracy": None, "error": "DataError: boom"},
-        ]
-    }
-    paths = emit_grid(tmp_path, grid_dict)
+    grid = _grid(
+        CellResult(ContextConfig("asymmetric_backward", 1), 0.95, None, None),
+        CellResult(ContextConfig("asymmetric_backward", 2), None, None, "DataError: boom"),
+    )
+    paths = emit_grid(tmp_path, grid)
     rows = _read_csv(tmp_path / "grid_accuracy.csv")
     assert rows[1] == ["asymmetric_backward", "1", "0.95", ""]
     assert rows[2][2] == ""
