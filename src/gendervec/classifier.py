@@ -53,23 +53,32 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
+def _cross_entropy(proba: np.ndarray, y: np.ndarray) -> float:
+    picked = proba[np.arange(len(y)), y]
+    return float(-np.log(np.maximum(picked, 1e-300)).mean())
+
+
+def _split_params(flat: np.ndarray, input_dim: int, hidden: int) -> list[np.ndarray]:
+    """``flat`` cut into ``w1, b1, w2, b2``, each a reshaped view."""
+    shapes = ((input_dim, hidden), (hidden,), (hidden, len(CLASSES)), (len(CLASSES),))
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+
+
 class MLPModel:
-    """Parameters of the [input, hidden, 2] network."""
+    """Parameters of the [input, hidden, 2] network, as one float64 vector
+    ``flat`` laid out ``w1, b1, w2, b2``; the named arrays are views into it."""
 
     PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
     def __init__(self, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray, seed: int = 0):
-        self.w1 = np.asarray(w1, dtype=np.float64)
-        self.b1 = np.asarray(b1, dtype=np.float64)
-        self.w2 = np.asarray(w2, dtype=np.float64)
-        self.b2 = np.asarray(b2, dtype=np.float64)
+        params = [np.asarray(p, dtype=np.float64) for p in (w1, b1, w2, b2)]
+        k, h = params[0].shape
+        if [p.shape for p in params[1:]] != [(h,), (h, len(CLASSES)), (len(CLASSES),)]:
+            raise ConfigurationError(f"inconsistent parameter shapes: {[p.shape for p in params]}")
+        self.flat = np.concatenate([p.reshape(-1) for p in params])
+        self.w1, self.b1, self.w2, self.b2 = _split_params(self.flat, k, h)
         self.seed = seed
-        k, h = self.w1.shape
-        if self.b1.shape != (h,) or self.w2.shape != (h, len(CLASSES)) or self.b2.shape != (len(CLASSES),):
-            raise ConfigurationError(
-                f"inconsistent parameter shapes: {self.w1.shape} {self.b1.shape} "
-                f"{self.w2.shape} {self.b2.shape}"
-            )
 
     @classmethod
     def initialize(cls, input_dim: int, hidden_size: int, rng: np.random.Generator, seed: int = 0) -> "MLPModel":
@@ -89,53 +98,32 @@ class MLPModel:
     def input_dim(self) -> int:
         return self.w1.shape[0]
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in self.PARAM_NAMES}
-
-    def copy_params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name).copy() for name in self.PARAM_NAMES}
-
-    def set_params(self, params: dict[str, np.ndarray]) -> None:
-        for name in self.PARAM_NAMES:
-            getattr(self, name)[...] = params[name]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Class probabilities for a (batch, input_dim) matrix."""
+    def _forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The input as a float64 matrix, the hidden ReLU output and the class probabilities."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.input_dim:
             raise DataError(f"input dim {x.shape[1]} does not match model dim {self.input_dim}")
         hidden = np.maximum(x @ self.w1 + self.b1, 0.0)
-        return _softmax(hidden @ self.w2 + self.b2)
+        return x, hidden, _softmax(hidden @ self.w2 + self.b2)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Class probabilities for a (batch, input_dim) matrix."""
+        return self._forward(x)[2]
 
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
         """Mean cross-entropy of gold class indices ``y``."""
-        proba = self.forward(x)
-        picked = proba[np.arange(len(y)), y]
-        return float(-np.log(np.maximum(picked, 1e-300)).mean())
+        return _cross_entropy(self.forward(x), y)
 
-    def loss_and_gradients(self, x: np.ndarray, y: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-        """Backprop: mean cross-entropy and gradients for every parameter."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.input_dim:
-            raise DataError(f"input dim {x.shape[1]} does not match model dim {self.input_dim}")
-        batch = x.shape[0]
-        z1 = x @ self.w1 + self.b1
-        a1 = np.maximum(z1, 0.0)
-        proba = _softmax(a1 @ self.w2 + self.b2)
-        picked = proba[np.arange(batch), y]
-        loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
+    def loss_and_gradients(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """Backprop: mean cross-entropy and its gradient, laid out like ``flat``."""
+        x, hidden, proba = self._forward(x)
         dlogits = proba.copy()
-        dlogits[np.arange(batch), y] -= 1.0
-        dlogits /= batch
-        grads = {
-            "w2": a1.T @ dlogits,
-            "b2": dlogits.sum(axis=0),
-        }
-        da1 = dlogits @ self.w2.T
-        dz1 = da1 * (z1 > 0.0)
-        grads["w1"] = x.T @ dz1
-        grads["b1"] = dz1.sum(axis=0)
-        return loss, grads
+        dlogits[np.arange(len(y)), y] -= 1.0
+        dlogits /= len(y)
+        # the ReLU passes gradient exactly where its output is positive
+        dz1 = (dlogits @ self.w2.T) * (hidden > 0.0)
+        grad = [x.T @ dz1, dz1.sum(axis=0), hidden.T @ dlogits, dlogits.sum(axis=0)]
+        return _cross_entropy(proba, y), np.concatenate([g.reshape(-1) for g in grad])
 
 
 def correct_predictions(model: MLPModel, data: LabeledSet) -> np.ndarray:
@@ -165,8 +153,8 @@ def train(
         raise DataError(f"train dim {k} does not match dev dim {k_dev}")
     rng = np.random.default_rng(config.seed)
     model = MLPModel.initialize(k, config.hidden_size, rng, seed=config.seed)
-    velocity = {name: np.zeros_like(p) for name, p in model.params().items()}
-    best_params = model.copy_params()
+    velocity = np.zeros_like(model.flat)
+    best = model.flat.copy()
     best_acc = -1.0
     stale = 0
     n = len(train_set)
@@ -174,22 +162,21 @@ def train(
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss, grads = model.loss_and_gradients(x_train[batch], y_train[batch])
+            loss, grad = model.loss_and_gradients(x_train[batch], y_train[batch])
             if not math.isfinite(loss):
                 raise NumericalError(f"non-finite training loss at epoch {epoch + 1}")
-            for name, grad in grads.items():
-                velocity[name] = config.momentum * velocity[name] - config.learning_rate * grad
-                getattr(model, name)[...] += velocity[name]
+            velocity = config.momentum * velocity - config.learning_rate * grad
+            model.flat += velocity
         acc = dev_accuracy(model, dev_set)
         if acc > best_acc:
             best_acc = acc
-            best_params = model.copy_params()
+            best = model.flat.copy()
             stale = 0
         else:
             stale += 1
             if stale >= config.patience:
                 break
-    model.set_params(best_params)
+    model.flat[...] = best
     return model
 
 
@@ -236,22 +223,19 @@ def gradient_check(
     """
     if epsilon <= 0:
         raise ConfigurationError(f"epsilon must be > 0, got {epsilon}")
-    _, grads = model.loss_and_gradients(x, y)
+    _, analytic = model.loss_and_gradients(x, y)
+    flat = model.flat
     worst = 0.0
-    for name in model.PARAM_NAMES:
-        param = getattr(model, name)
-        flat = param.reshape(-1)
-        analytic = grads[name].reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + epsilon
-            up = model.loss(x, y)
-            flat[i] = original - epsilon
-            down = model.loss(x, y)
-            flat[i] = original
-            numeric = (up - down) / (2.0 * epsilon)
-            gap = abs(analytic[i] - numeric) / max(abs(analytic[i]) + abs(numeric), 1e-8)
-            worst = max(worst, gap)
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + epsilon
+        up = model.loss(x, y)
+        flat[i] = original - epsilon
+        down = model.loss(x, y)
+        flat[i] = original
+        numeric = (up - down) / (2.0 * epsilon)
+        gap = abs(analytic[i] - numeric) / max(abs(analytic[i]) + abs(numeric), 1e-8)
+        worst = max(worst, gap)
     return worst
 
 
@@ -360,7 +344,7 @@ def load_prediction_records(path) -> Predictions:
 
 
 def save_model(model: MLPModel, path) -> None:
-    """One JSON header line, then all parameters as little-endian float64."""
+    """One JSON header line, then ``model.flat`` as little-endian float64."""
     header = {
         "layer_sizes": list(model.layer_sizes),
         "activation": "relu",
@@ -369,32 +353,30 @@ def save_model(model: MLPModel, path) -> None:
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for name in model.PARAM_NAMES:
-            fh.write(np.ascontiguousarray(getattr(model, name), dtype="<f8").tobytes())
+        fh.write(model.flat.astype("<f8").tobytes())
 
 
 def load_model(path) -> MLPModel:
+    """Read ``save_model`` output; a malformed header or block is a ``DataError``."""
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             raise DataError(f"{path}: malformed model header") from None
-        k, h, out = header["layer_sizes"]
-        if out != len(CLASSES):
-            raise DataError(f"{path}: unsupported output size {out}")
         blob = fh.read()
-    shapes = {"w1": (k, h), "b1": (h,), "w2": (h, out), "b2": (out,)}
-    expected = sum(int(np.prod(s)) for s in shapes.values()) * 8
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: model header is not a JSON object")
+    sizes, seed = header.get("layer_sizes"), header.get("seed", 0)
+    # type(v) is int: JSON gives a bool or a float its own type
+    if not (isinstance(sizes, list) and len(sizes) == 3 and sizes[2] == len(CLASSES)
+            and all(type(s) is int and s >= 1 for s in sizes)):
+        raise DataError(f"{path}: layer_sizes must be [input, hidden, 2] of positive ints, "
+                        f"got {sizes!r}")
+    fixed = {"activation": "relu", "params": list(MLPModel.PARAM_NAMES)}
+    if type(seed) is not int or any(header.get(k, v) != v for k, v in fixed.items()):
+        raise DataError(f"{path}: unsupported model header {header!r}")
+    k, h, out = sizes
+    expected = (k * h + h + h * out + out) * 8
     if len(blob) != expected:
         raise DataError(f"{path}: parameter block is {len(blob)} bytes, expected {expected}")
-    arrays = {}
-    offset = 0
-    for name in MLPModel.PARAM_NAMES:
-        size = int(np.prod(shapes[name]))
-        arrays[name] = (
-            np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
-            .reshape(shapes[name])
-            .copy()
-        )
-        offset += size * 8
-    return MLPModel(seed=int(header.get("seed", 0)), **arrays)
+    return MLPModel(*_split_params(np.frombuffer(blob, dtype="<f8"), k, h), seed=seed)

@@ -178,7 +178,10 @@ def load_cooccurrence(path) -> CoocMatrix:
             raise DataError(f"{path}: header lacks integer rows and cols") from None
         if n_cols != n:
             raise DataError(f"{path}: non-square dims in header")
-        config = ContextConfig.from_dict(header)
+        try:
+            config = ContextConfig.from_dict(header)
+        except ConfigurationError as exc:
+            raise DataError(f"{path}: {exc}") from None
         rows, cols, values = [], [], []
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")

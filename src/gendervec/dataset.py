@@ -20,7 +20,7 @@ from .corpus import Vocabulary
 from .embedding import EmbeddingMatrix, row_lookup
 from .errors import ConfigurationError, DataError
 from .lexicon import CODE_TO_CLASS, CORE_CODES, GenderLexicon
-from .records import Record
+from .records import Record, integer
 
 CLASSES = ("uter", "neuter")
 
@@ -241,12 +241,21 @@ def load_split_manifest(path) -> dict:
             manifest = json.load(fh)
         except json.JSONDecodeError:
             raise DataError(f"{path}: malformed split manifest JSON") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: split manifest is not a JSON object")
     for key in ("seed", "ratios", "partitions"):
         if key not in manifest:
             raise DataError(f"{path}: split manifest missing {key!r}")
-    missing = set(PARTITION_NAMES) - set(manifest["partitions"])
-    if missing:
-        raise DataError(f"{path}: split manifest missing partitions {sorted(missing)}")
+    partitions = manifest["partitions"]
+    for name in PARTITION_NAMES:
+        words = partitions.get(name) if isinstance(partitions, dict) else None
+        if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
+            raise DataError(f"{path}: split manifest partition {name!r} must be a list of words")
+    try:
+        integer(manifest["seed"])
+        _validate_ratios(manifest["ratios"])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad split manifest seed or ratios: {exc}") from None
     return manifest
 
 

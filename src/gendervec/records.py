@@ -14,7 +14,7 @@ import json
 import types
 import typing
 
-from .errors import DataError, GendervecError
+from .errors import ConfigurationError, DataError, GendervecError
 
 OMIT = {"omit": True}
 
@@ -103,10 +103,14 @@ class Record:
 
 
 def load_record(cls, path):
-    """``cls.from_dict`` of the JSON file at ``path``; malformed JSON is a ``DataError``."""
+    """``cls.from_dict`` of the JSON file at ``path``; malformed JSON, or a
+    value the record's own checks reject, is a ``DataError`` naming ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: malformed JSON: {exc}") from None
-    return cls.from_dict(data)
+    try:
+        return cls.from_dict(data)
+    except ConfigurationError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -1,5 +1,6 @@
 """Network forward/backward correctness, training behavior, model IO."""
 
+import json
 import math
 
 import numpy as np
@@ -28,20 +29,17 @@ from gendervec.errors import ConfigurationError, DataError, NumericalError
 # backward pass.  gradient_check repeats this internally; the explicit
 # copy here keeps the two routes comparable in one place.
 def fd_gradients(model, x, y, eps=1e-6):
-    grads = {}
-    for name in model.PARAM_NAMES:
-        flat = getattr(model, name).reshape(-1)
-        out = np.empty_like(flat)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + eps
-            up = model.loss(x, y)
-            flat[i] = keep - eps
-            down = model.loss(x, y)
-            flat[i] = keep
-            out[i] = (up - down) / (2.0 * eps)
-        grads[name] = out.reshape(getattr(model, name).shape)
-    return grads
+    flat = model.flat
+    out = np.empty_like(flat)
+    for i in range(flat.size):
+        keep = flat[i]
+        flat[i] = keep + eps
+        up = model.loss(x, y)
+        flat[i] = keep - eps
+        down = model.loss(x, y)
+        flat[i] = keep
+        out[i] = (up - down) / (2.0 * eps)
+    return out
 
 
 def _toy_model(input_dim=3, hidden=4, seed=0):
@@ -67,11 +65,8 @@ def test_backprop_matches_finite_differences():
         y = rng.integers(0, 2, size=5)
         _, analytic = model.loss_and_gradients(x, y)
         numeric = fd_gradients(model, x, y)
-        for name in model.PARAM_NAMES:
-            a = analytic[name].reshape(-1)
-            n = numeric[name].reshape(-1)
-            gap = np.abs(a - n) / np.maximum(np.abs(a) + np.abs(n), 1e-8)
-            assert gap.max() <= 1e-6
+        gap = np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
+        assert gap.max() <= 1e-6
 
 
 def test_gradient_check_at_initialization():
@@ -115,12 +110,10 @@ def test_gradient_check_flags_corrupted_backprop():
             dlogits[np.arange(batch), y] -= 1.0
             dlogits /= batch
             da1 = dlogits @ self.w2.T
-            return loss, {
-                "w2": a1.T @ dlogits,
-                "b2": dlogits.sum(axis=0),
-                "w1": x.T @ da1,
-                "b1": da1.sum(axis=0),
-            }
+            return loss, np.concatenate([
+                (x.T @ da1).reshape(-1), da1.sum(axis=0),
+                (a1.T @ dlogits).reshape(-1), dlogits.sum(axis=0),
+            ])
 
     rng = np.random.default_rng(3)
     base = _toy_model(seed=1)
@@ -219,10 +212,9 @@ def test_full_batch_descent_has_non_increasing_loss():
     lr = 0.01
     losses = []
     for _ in range(60):
-        loss, grads = model.loss_and_gradients(x, y)
+        loss, grad = model.loss_and_gradients(x, y)
         losses.append(loss)
-        for name, grad in grads.items():
-            getattr(model, name)[...] -= lr * grad
+        model.flat -= lr * grad
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
@@ -340,6 +332,22 @@ def test_model_roundtrip(tmp_path):
         assert np.array_equal(getattr(back, name), getattr(model, name))
 
 
+def test_named_params_are_views_of_flat(tmp_path):
+    data = _blobs(5)
+    trained = train(data, data, TrainConfig(max_epochs=3, hidden_size=4))
+    path = tmp_path / "model.bin"
+    save_model(trained, path)
+    with open(path, "rb") as fh:
+        fh.readline()
+        assert fh.read() == trained.flat.tobytes()
+    for model in (_toy_model(), trained, load_model(path)):
+        named = [getattr(model, name) for name in MLPModel.PARAM_NAMES]
+        assert all(np.shares_memory(p, model.flat) for p in named)
+        assert np.array_equal(np.concatenate([p.reshape(-1) for p in named]), model.flat)
+        model.flat[0] = 7.5
+        assert model.w1[0, 0] == 7.5
+
+
 def test_model_load_validation(tmp_path):
     path = tmp_path / "model.bin"
     path.write_bytes(b"\xff\xfe not json\n" + b"\x00" * 64)
@@ -351,3 +359,13 @@ def test_model_load_validation(tmp_path):
     path.write_bytes(data[:-16])
     with pytest.raises(DataError, match="bytes"):
         load_model(path)
+    header, blob = data.split(b"\n", 1)
+    header = json.loads(header)
+    for bad in (
+        {}, [], header | {"layer_sizes": [10, 64]}, header | {"layer_sizes": ["a", 64, 2]},
+        header | {"layer_sizes": [10.0, 64, 2]}, header | {"seed": "x"},
+        header | {"activation": "tanh"}, header | {"params": ["b2", "w2", "b1", "w1"]},
+    ):
+        path.write_bytes(json.dumps(bad).encode("utf-8") + b"\n" + blob)
+        with pytest.raises(DataError, match="model header|layer_sizes|seed"):
+            load_model(path)

@@ -308,6 +308,7 @@ def test_missing_config_file_exits_two(flow, tmp_path, capsys):
     ("cooc", {"window_size": 2.7}),
     ("label", {"min_freq": 2.5}),
     ("split", {"split_seed": True}),
+    ("cooc", {"window_size": 9}),
 ])
 def test_config_value_of_wrong_type_exits_two(flow, tmp_path, capsys, stage, config):
     cfg = tmp_path / "cfg.json"
@@ -336,6 +337,37 @@ def test_cooc_header_value_of_wrong_type_exits_three(flow, tmp_path, capsys):
                "--out", str(tmp_path / "e.txt")])
     assert rc == 3
     assert "window_size" in capsys.readouterr().err
+
+
+def _out_of_range_input(flow, case, bad) -> list[str]:
+    """Write a data file holding a well-typed but out-of-range value to
+    ``bad``, and return the stage argv that reads it."""
+    if case == "cooc header window_size 9":
+        with open(flow["cooc.bin"], encoding="utf-8") as fh:
+            header, body = fh.readline(), fh.read()
+        bad.write_text(json.dumps(json.loads(header) | {"window_size": 9}) + "\n" + body,
+                       encoding="utf-8")
+        return ["embed", "--cooc", str(bad), "--vocab", flow["vocab.tsv"]]
+    with open(flow["split.json"], encoding="utf-8") as fh:
+        split = json.load(fh)
+    if case == "split partition not a list":
+        split["partitions"]["test"] = 5
+    else:
+        split["ratios"] = "x"
+    bad.write_text(json.dumps(split), encoding="utf-8")
+    return ["eval", "--embedding", flow["emb.bin"], "--dataset", flow["dataset.tsv"],
+            "--split", str(bad), "--model", flow["model.bin"]]
+
+
+@pytest.mark.parametrize(
+    "case", ["cooc header window_size 9", "split partition not a list", "split ratios not a list"]
+)
+def test_out_of_range_data_file_value_exits_three(flow, tmp_path, capsys, case):
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    rc = main([*_out_of_range_input(flow, case, bad), "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert not out.exists()
 
 
 def _malformed_embedding(flow, case) -> bytes:
@@ -401,11 +433,16 @@ def _malformed_grid(case) -> str:
     grid = pipeline.GridResult(
         (pipeline.CellResult(context, 0.9, None, None),), context, 0, "digest"
     ).to_dict()
-    del grid["cells"][0]["context"]["context_type"]
+    if case == "a cell of window_size 9":
+        grid["cells"][0]["context"]["window_size"] = 9
+    else:
+        del grid["cells"][0]["context"]["context_type"]
     return {"not JSON": "{ nope", "a list": "[]", "null": "null"}.get(case, json.dumps(grid))
 
 
-@pytest.mark.parametrize("case", ["not JSON", "a list", "null", "a cell without context_type"])
+@pytest.mark.parametrize("case", [
+    "not JSON", "a list", "null", "a cell without context_type", "a cell of window_size 9",
+])
 def test_report_with_malformed_grid_exits_three(flow, tmp_path, capsys, case):
     grid = tmp_path / "grid.json"
     grid.write_text(_malformed_grid(case), encoding="utf-8")

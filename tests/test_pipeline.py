@@ -1,6 +1,7 @@
 """Grid search, final evaluation, manifests, end-to-end determinism."""
 
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -296,6 +297,11 @@ def test_manifest_build_save_load(language_files, tmp_path):
         RunManifest.from_dict({**d, "context": {**d["context"], "window_size": "one"}})
     path.write_text("{ nope", encoding="utf-8")
     with pytest.raises(DataError):
+        load_manifest(path)
+    # a well-typed but out-of-range value is the file's fault, not the options'
+    path.write_text(json.dumps({**d, "context": {**d["context"], "window_size": 9}}),
+                    encoding="utf-8")
+    with pytest.raises(DataError, match="window_size 9 exceeds"):
         load_manifest(path)
 
 
