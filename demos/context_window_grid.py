@@ -14,7 +14,7 @@ from pathlib import Path
 from gendervec import lexicon, synthetic
 from gendervec.classifier import TrainConfig
 from gendervec.embedding import EmbeddingConfig
-from gendervec.pipeline import default_grid, grid_search
+from gendervec.pipeline import RunOptions, default_grid, grid_search
 
 spec = synthetic.SyntheticSpec(
     noun_count=1000, sentence_count=100_000, seed=1, filler_count=6,
@@ -38,7 +38,7 @@ result = grid_search(
     grid,
     EmbeddingConfig(k=50, seed=0),
     TrainConfig(),
-    split_seed=0,
+    RunOptions(split_seed=0),
 )
 
 print("dev accuracy by cell:")

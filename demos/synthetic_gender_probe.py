@@ -16,7 +16,7 @@ from gendervec import lexicon, report, synthetic
 from gendervec.classifier import TrainConfig, errors_by_entropy
 from gendervec.cooccurrence import ContextConfig
 from gendervec.embedding import EmbeddingConfig
-from gendervec.pipeline import project_2d, run_experiment
+from gendervec.pipeline import RunOptions, project_2d, run_experiment
 
 # A light dose of agreement noise and a few ambiguous nouns keep the
 # problem from being trivially separable, like real text.
@@ -45,9 +45,7 @@ result = run_experiment(
     ContextConfig(context_type="asymmetric_backward", window_size=1),
     EmbeddingConfig(k=50, seed=0),
     TrainConfig(),
-    split_seed=0,
-    n_perm=2_000,
-    stats_seed=0,
+    RunOptions(split_seed=0, n_perm=2_000, stats_seed=0),
 )
 
 rep = result.evaluation.report

@@ -63,6 +63,7 @@ from .metrics import (
 from .pipeline import (
     GridResult,
     RunManifest,
+    RunOptions,
     final_evaluate,
     grid_search,
     run_experiment,
@@ -90,6 +91,7 @@ __all__ = [
     "NumericalError",
     "Predictions",
     "RunManifest",
+    "RunOptions",
     "SplitBundle",
     "SyntheticSpec",
     "TrainConfig",

@@ -209,31 +209,28 @@ def output_entropy(distribution: Sequence[float]) -> float:
     return float(-(nonzero * np.log(nonzero)).sum())
 
 
-def gradient_check(
-    model: MLPModel,
-    x: np.ndarray,
-    y: np.ndarray,
-    epsilon: float = 1e-5,
-) -> float:
+# Central-difference step of gradient_check.
+GRADIENT_EPSILON = 1e-5
+
+
+def gradient_check(model: MLPModel, x: np.ndarray, y: np.ndarray) -> float:
     """Largest relative gap between backprop and central differences.
 
-    Perturbs every parameter component by ``+-epsilon`` and compares the
-    two-sided slope with the analytic gradient; the return value is
+    Perturbs every parameter component by ``+-GRADIENT_EPSILON`` and
+    compares the two-sided slope with the analytic gradient; the return value is
     ``max |g_a - g_n| / max(|g_a| + |g_n|, 1e-8)`` over all components.
     """
-    if epsilon <= 0:
-        raise ConfigurationError(f"epsilon must be > 0, got {epsilon}")
     _, analytic = model.loss_and_gradients(x, y)
     flat = model.flat
     worst = 0.0
     for i in range(flat.size):
         original = flat[i]
-        flat[i] = original + epsilon
+        flat[i] = original + GRADIENT_EPSILON
         up = model.loss(x, y)
-        flat[i] = original - epsilon
+        flat[i] = original - GRADIENT_EPSILON
         down = model.loss(x, y)
         flat[i] = original
-        numeric = (up - down) / (2.0 * epsilon)
+        numeric = (up - down) / (2.0 * GRADIENT_EPSILON)
         gap = abs(analytic[i] - numeric) / max(abs(analytic[i]) + abs(numeric), 1e-8)
         worst = max(worst, gap)
     return worst

@@ -11,6 +11,7 @@ numerical failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -23,12 +24,15 @@ from .errors import ConfigurationError, DataError, GendervecError
 
 logger = logging.getLogger(__name__)
 
-# The config fields, plus a manifest's run-level options (its fields with defaults).
+# The fields of the three configs and of the run options.
 CONFIG_KEYS = {
     k
-    for cls in (cooccurrence.ContextConfig, embedding.EmbeddingConfig, classifier.TrainConfig)
+    for cls in (
+        cooccurrence.ContextConfig, embedding.EmbeddingConfig, classifier.TrainConfig,
+        pipeline.RunOptions,
+    )
     for _, k in records.json_fields(cls)
-} | {k for f, k in records.json_fields(pipeline.RunManifest) if not records.required(f)}
+}
 
 
 def _load_config(path) -> dict:
@@ -54,9 +58,9 @@ class Options:
         self.args = args
         self.config = _load_config(args.config) if getattr(args, "config", None) else {}
 
-    def get(self, name: str, default=None):
+    def get(self, name: str):
         value = getattr(self.args, name, None)
-        return self.config.get(name, default) if value is None else value
+        return self.config.get(name) if value is None else value
 
     def build(self, cls):
         """A config record from flags over the config file over field defaults."""
@@ -72,38 +76,20 @@ class Options:
         except DataError as exc:
             raise ConfigurationError(str(exc)) from None
 
-    def integer(self, name: str, default: int = 0) -> int:
-        value = self.get(name, default)
-        try:
-            return records.integer(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
 
-    def ratios(self) -> tuple[float, ...]:
-        value = self.get("ratios", dataset.DEFAULT_RATIOS)
-        try:
-            return tuple(float(x) for x in (value.split(",") if isinstance(value, str) else value))
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"malformed ratios {value!r}") from None
-
-
-def _load_embedding(path) -> embedding.EmbeddingMatrix:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(embedding.EMBEDDING_MAGIC))
-    if magic == embedding.EMBEDDING_MAGIC:
-        return embedding.load_embedding_binary(path)
-    return embedding.load_embedding_text(path)
+def _comma_list(text: str) -> list[str]:
+    return text.split(",")
 
 
 def _labeled_set(embedding_path, dataset_path) -> dataset.LabeledSet:
-    emb = _load_embedding(embedding_path)
+    emb = embedding.load_embedding(embedding_path)
     return dataset.join_with_embedding(dataset.load_dataset_table(dataset_path), emb)
 
 
 def cmd_ingest(args) -> int:
-    opts = Options(args)
+    run = Options(args).build(pipeline.RunOptions)
     vocab = corpus.build_vocabulary(corpus.read_sentences(args.corpus))
-    vocab = corpus.filter_by_frequency(vocab, opts.integer("vocab_min_freq"))
+    vocab = corpus.filter_by_frequency(vocab, run.vocab_min_freq)
     if len(vocab) == 0:
         raise DataError(f"{args.corpus}: no vocabulary entries survive the frequency filter")
     corpus.save_vocabulary(vocab, args.out)
@@ -138,11 +124,11 @@ def cmd_embed(args) -> int:
 
 
 def cmd_label(args) -> int:
-    opts = Options(args)
-    emb = _load_embedding(args.embedding)
+    run = Options(args).build(pipeline.RunOptions)
+    emb = embedding.load_embedding(args.embedding)
     vocab = corpus.load_vocabulary(args.vocab)
     lex = lexicon.parse_lexicon(args.lexicon).restrict_to_core_genders()
-    data = dataset.build_dataset(emb, lex, vocab, opts.integer("min_freq"))
+    data = dataset.build_dataset(emb, lex, vocab, run.min_freq)
     dataset.save_dataset_table(data, args.out)
     logger.info("wrote %d labeled words to %s", len(data), args.out)
     if args.summary:
@@ -154,12 +140,11 @@ def cmd_label(args) -> int:
 
 
 def cmd_split(args) -> int:
-    opts = Options(args)
+    run = Options(args).build(pipeline.RunOptions)
     words_by_class = dataset.load_dataset_table(args.dataset).words_by_class()
-    ratios = opts.ratios()
-    seed = opts.integer("split_seed")
-    parts = dataset.split_words_by_class(words_by_class, ratios, seed)
-    dataset.save_split_manifest(dataset.split_manifest(parts, seed, ratios), args.out)
+    parts = dataset.split_words_by_class(words_by_class, run.ratios, run.split_seed)
+    manifest = dataset.split_manifest(parts, run.split_seed, run.ratios)
+    dataset.save_split_manifest(manifest, args.out)
     sizes = {name: len(words) for name, words in parts.items()}
     logger.info("wrote split %s to %s", sizes, args.out)
     return 0
@@ -179,25 +164,21 @@ def cmd_train(args) -> int:
 
 def cmd_tune(args) -> int:
     opts = Options(args)
-    types = args.context_types.split(",") if args.context_types else cooccurrence.CONTEXT_TYPES
+    axes = {}
+    if args.context_types:
+        axes["context_types"] = args.context_types.split(",")
     if args.window_sizes:
         try:
-            windows = [int(w) for w in args.window_sizes.split(",")]
+            axes["window_sizes"] = [int(w) for w in args.window_sizes.split(",")]
         except ValueError:
             raise ConfigurationError(f"malformed --window-sizes {args.window_sizes!r}") from None
-    else:
-        windows = [1, 2, 3, 4, 5]
-    grid = pipeline.default_grid(types, windows)
     result = pipeline.grid_search(
         args.corpus,
         args.lexicon,
-        grid,
+        pipeline.default_grid(**axes),
         opts.build(embedding.EmbeddingConfig),
         opts.build(classifier.TrainConfig),
-        min_freq=opts.integer("min_freq"),
-        vocab_min_freq=opts.integer("vocab_min_freq"),
-        split_seed=opts.integer("split_seed"),
-        ratios=opts.ratios(),
+        opts.build(pipeline.RunOptions),
     )
     os.makedirs(args.out, exist_ok=True)
     grid_path = os.path.join(args.out, "grid.json")
@@ -219,7 +200,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    opts = Options(args)
+    run = Options(args).build(pipeline.RunOptions)
     data = _labeled_set(args.embedding, args.dataset)
     manifest = dataset.load_split_manifest(args.split)
     bundle = dataset.bundle_from_manifest(manifest, data)
@@ -229,8 +210,8 @@ def cmd_eval(args) -> int:
         model,
         bundle.test,
         expected_test_digest=expected,
-        n_perm=opts.integer("n_perm", 10_000),
-        stats_seed=opts.integer("stats_seed"),
+        n_perm=run.n_perm,
+        stats_seed=run.stats_seed,
     )
     pipeline.save_evaluation(evaluation, args.out)
     logger.info(
@@ -247,7 +228,7 @@ def cmd_report(args) -> int:
     predictions = classifier.load_prediction_records(os.path.join(args.eval_dir, "records.csv"))
     projection = None
     if args.embedding:
-        emb = _load_embedding(args.embedding)
+        emb = embedding.load_embedding(args.embedding)
         projection = pipeline.project_2d(emb.matrix[emb.rows(predictions.words)])
     decile_report = None
     if args.dataset:
@@ -269,16 +250,12 @@ def cmd_report(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = synthetic.SyntheticSpec(
-        noun_count=args.nouns,
-        filler_count=args.fillers,
-        sentence_count=args.sentences,
-        seed=args.seed,
-        agreement_noise=args.agreement_noise,
-        ambiguous_fraction=args.ambiguous_fraction,
-        ambiguous_flip=args.ambiguous_flip,
-        zipf_exponent=args.zipf_exponent,
-    )
+    # flags left out keep SyntheticSpec's defaults
+    spec = synthetic.SyntheticSpec(**{
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(synthetic.SyntheticSpec)
+        if getattr(args, f.name, None) is not None
+    })
     language = synthetic.generate_synthetic_language(spec)
     synthetic.write_corpus(language, args.out_corpus)
     lexicon.save_lexicon(language.lexicon, args.out_lexicon)
@@ -357,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split-seed", dest="split_seed", type=int)
-    p.add_argument("--ratios", dest="ratios")
+    p.add_argument("--ratios", type=_comma_list, help="comma-separated train,dev,test ratios")
     add_config(p)
     p.set_defaults(func=cmd_split)
 
@@ -380,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-freq", dest="min_freq", type=int)
     p.add_argument("--vocab-min-freq", dest="vocab_min_freq", type=int)
     p.add_argument("--split-seed", dest="split_seed", type=int)
-    p.add_argument("--ratios", dest="ratios")
+    p.add_argument("--ratios", type=_comma_list, help="comma-separated train,dev,test ratios")
     add_embedding_opts(p)
     add_train_opts(p)
     add_config(p)
@@ -409,14 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic agreement language")
     p.add_argument("--out-corpus", dest="out_corpus", required=True)
     p.add_argument("--out-lexicon", dest="out_lexicon", required=True)
-    p.add_argument("--nouns", type=int, default=1000)
-    p.add_argument("--fillers", type=int, default=40)
-    p.add_argument("--sentences", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--agreement-noise", dest="agreement_noise", type=float, default=0.0)
-    p.add_argument("--ambiguous-fraction", dest="ambiguous_fraction", type=float, default=0.0)
-    p.add_argument("--ambiguous-flip", dest="ambiguous_flip", type=float, default=0.45)
-    p.add_argument("--zipf-exponent", dest="zipf_exponent", type=float, default=1.0)
+    p.add_argument("--nouns", dest="noun_count", type=int)
+    p.add_argument("--fillers", dest="filler_count", type=int)
+    p.add_argument("--sentences", dest="sentence_count", type=int)
+    p.add_argument("--seed", dest="seed", type=int)
+    p.add_argument("--agreement-noise", dest="agreement_noise", type=float)
+    p.add_argument("--ambiguous-fraction", dest="ambiguous_fraction", type=float)
+    p.add_argument("--ambiguous-flip", dest="ambiguous_flip", type=float)
+    p.add_argument("--zipf-exponent", dest="zipf_exponent", type=float)
     p.set_defaults(func=cmd_synth)
 
     return parser

@@ -9,6 +9,7 @@ nor as target.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
@@ -196,6 +197,8 @@ def load_cooccurrence(path) -> CoocMatrix:
                 raise DataError(f"{path}:{lineno}: malformed triplet") from None
             if not (0 <= row < n and 0 <= col < n):
                 raise DataError(f"{path}:{lineno}: index out of range")
+            if not 0 <= value < math.inf:
+                raise DataError(f"{path}:{lineno}: count {parts[2]} is not finite and >= 0")
             rows.append(row)
             cols.append(col)
             values.append(value)

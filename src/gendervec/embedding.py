@@ -231,9 +231,14 @@ def load_embedding_text(path) -> EmbeddingMatrix:
         header = fh.readline().split()
         try:
             n, k = (int(x) for x in header)
-            rows = np.empty((n, k), dtype=np.float64)
         except ValueError:
             raise DataError(f"{path}: malformed header line") from None
+        if n < 0 or k < 0:
+            raise DataError(f"{path}: malformed header line")
+        # every row takes a word, K space-led values and a newline
+        if n * (2 * k + 2) > os.fstat(fh.fileno()).st_size:
+            raise DataError(f"{path}: header promises {n} vectors of dim {k}, past the file end")
+        rows = np.empty((n, k), dtype=np.float64)
         words: list[str] = []
         for i in range(n):
             parts = fh.readline().split()
@@ -283,3 +288,12 @@ def load_embedding_binary(path) -> EmbeddingMatrix:
             words.append(_read(fh, length, path).decode("utf-8"))
             rows[i] = np.frombuffer(_read(fh, 8 * k, path), dtype="<f8")
     return EmbeddingMatrix(words, rows)
+
+
+def load_embedding(path) -> EmbeddingMatrix:
+    """The embedding at ``path``: binary if it starts with the magic, text otherwise."""
+    with open(path, "rb") as fh:
+        magic = fh.read(len(EMBEDDING_MAGIC))
+    if magic == EMBEDDING_MAGIC:
+        return load_embedding_binary(path)
+    return load_embedding_text(path)

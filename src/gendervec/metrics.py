@@ -29,6 +29,10 @@ logger = logging.getLogger(__name__)
 # stays at or below this, otherwise sample.
 EXHAUSTIVE_LIMIT = 100_000
 
+# The entropy/frequency analysis reruns tau on words with ln(frequency)
+# below this.
+LOG_FREQ_THRESHOLD = 8.0
+
 
 def confusion_matrix(predictions: Predictions) -> np.ndarray:
     """Counts indexed ``[gold, predicted]`` over the classes."""
@@ -209,10 +213,10 @@ def fisher_pitman_permutation(
         # the observed statistic through the same arithmetic, so the
         # >= comparison is exact.
         if n_a <= n_b:
-            pick, observed_sum = n_a, None
+            pick = n_a
             to_a_sum = lambda s: s
         else:
-            pick, observed_sum = n_b, None
+            pick = n_b
             to_a_sum = lambda s: total - s
         sums = np.fromiter(
             (pooled[np.fromiter(idx, dtype=np.int64, count=pick)].sum()
@@ -276,14 +280,13 @@ def entropy_frequency_analysis(
     predictions: Predictions,
     n_perm: int = 10_000,
     seed: int = 0,
-    log_freq_threshold: float = 8.0,
 ) -> EntropyFrequencyReport:
     """Correlate output entropy with log frequency, overall and per
     correctness group, plus a permutation test on the two entropy groups.
 
-    The low-frequency reruns keep words with ``ln(frequency)`` below the
-    threshold.  The permutation statistic is mean(errors) - mean(correct),
-    so a positive value means errors carry more entropy.
+    The low-frequency reruns keep words with ``ln(frequency)`` below
+    ``LOG_FREQ_THRESHOLD``.  The permutation statistic is mean(errors) -
+    mean(correct), so a positive value means errors carry more entropy.
     """
     if not predictions:
         raise DataError("no prediction records to analyze")
@@ -295,7 +298,7 @@ def entropy_frequency_analysis(
     entropy, ln_freq = predictions.entropy, np.log(predictions.frequencies)
     correct = predictions.correct
     has_correct, has_errors = bool(correct.any()), not correct.all()
-    low = ln_freq < log_freq_threshold
+    low = ln_freq < LOG_FREQ_THRESHOLD
     warnings: list[str] = []
 
     def guarded_tau(name: str, mask: np.ndarray):
@@ -318,7 +321,7 @@ def entropy_frequency_analysis(
         warnings.append(f"entropy permutation skipped: no {empty} predictions")
 
     return EntropyFrequencyReport(
-        log_freq_threshold=log_freq_threshold,
+        log_freq_threshold=LOG_FREQ_THRESHOLD,
         low_freq_share=int(np.count_nonzero(low)) / len(predictions),
         mean_entropy_correct=float(entropy[correct].mean()) if has_correct else None,
         mean_entropy_errors=float(entropy[~correct].mean()) if has_errors else None,

@@ -1,12 +1,12 @@
 """End-to-end orchestration: single runs, the context grid, manifests.
 
 A run is fully determined by (corpus, lexicon, context config, embedding
-config, training config, frequency filters, split seed, stats seed), and
-the RunManifest captures exactly that plus input digests, so a run can
-be replayed byte for byte.  The context grid trains one model per
-(context type, window size) cell on a word partition fixed before the
-grid starts; the held-out test list is digest-pinned so the final
-evaluation can prove it never leaked into tuning.
+config, training config, RunOptions), and the RunManifest captures
+exactly that plus input digests, so a run can be replayed byte for
+byte.  The context grid trains one model per (context type, window
+size) cell on a word partition fixed before the grid starts; the
+held-out test list is digest-pinned so the final evaluation can prove
+it never leaked into tuning.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .dataset import (
     stratified_split,
     word_list_digest,
 )
-from .embedding import EmbeddingConfig, EmbeddingMatrix, _fix_signs, embed, embed_counts
+from .embedding import EmbeddingConfig, _fix_signs, embed, embed_counts
 from .errors import ConfigurationError, DataError, GendervecError
 from .lexicon import GenderLexicon, parse_lexicon
 from .metrics import (
@@ -61,8 +61,21 @@ from .records import OMIT, Record, load_record
 _TYPE_RANK = {"asymmetric_backward": 0, "symmetric": 1, "asymmetric_forward": 2}
 
 
+@dataclass(frozen=True)
+class RunOptions(Record):
+    """The run-level options beside the three configs: frequency filters,
+    the split, and the permutation test of the final evaluation."""
+
+    min_freq: int = 0
+    vocab_min_freq: int = 0
+    split_seed: int = 0
+    ratios: tuple[float, float, float] = DEFAULT_RATIOS
+    n_perm: int = 10_000
+    stats_seed: int = 0
+
+
 def prepare_inputs(
-    corpus_path, lexicon_path, vocab_min_freq: int = 0
+    corpus_path, lexicon_path, vocab_min_freq: int = RunOptions.vocab_min_freq
 ) -> tuple[Vocabulary, GenderLexicon]:
     """Vocabulary from the corpus, core-gender lexicon from the TSV."""
     vocab = build_vocabulary(read_sentences(corpus_path))
@@ -106,8 +119,8 @@ def final_evaluate(
     model: MLPModel,
     test_set: LabeledSet,
     expected_test_digest: str | None = None,
-    n_perm: int = 10_000,
-    stats_seed: int = 0,
+    n_perm: int = RunOptions.n_perm,
+    stats_seed: int = RunOptions.stats_seed,
 ) -> FinalEvaluation:
     """Evaluate the chosen model exactly once on the held-out words.
 
@@ -193,11 +206,7 @@ def grid_search(
     grid: Sequence[ContextConfig] | None = None,
     embedding_config: EmbeddingConfig = EmbeddingConfig(),
     train_config: TrainConfig = TrainConfig(),
-    *,
-    min_freq: int = 0,
-    vocab_min_freq: int = 0,
-    split_seed: int = 0,
-    ratios: Sequence[float] = DEFAULT_RATIOS,
+    options: RunOptions = RunOptions(),
 ) -> GridResult:
     """Train one model per grid cell and pick the best dev accuracy.
 
@@ -215,10 +224,10 @@ def grid_search(
         raise ConfigurationError("empty tuning grid")
     if len({(c.context_type, c.window_size) for c in cells}) != len(cells):
         raise ConfigurationError("duplicate grid cells")
-    vocab, lexicon = prepare_inputs(corpus_path, lexicon_path, vocab_min_freq)
-    words_by_class = labeled_rows(vocab, lexicon, min_freq).words_by_class()
-    partitions = split_words_by_class(words_by_class, ratios, split_seed)
-    manifest = split_manifest(partitions, split_seed, ratios)
+    vocab, lexicon = prepare_inputs(corpus_path, lexicon_path, options.vocab_min_freq)
+    words_by_class = labeled_rows(vocab, lexicon, options.min_freq).words_by_class()
+    partitions = split_words_by_class(words_by_class, options.ratios, options.split_seed)
+    manifest = split_manifest(partitions, options.split_seed, options.ratios)
     by_distance = count_by_distance(
         read_sentences(corpus_path), vocab, max(c.window_size for c in cells)
     )
@@ -226,7 +235,7 @@ def grid_search(
     def run_cell(context: ContextConfig) -> CellResult:
         try:
             emb = embed_counts(combine(by_distance, context), vocab, embedding_config)
-            data = build_dataset(emb, lexicon, vocab, min_freq)
+            data = build_dataset(emb, lexicon, vocab, options.min_freq)
             bundle = bundle_from_manifest(manifest, data)
             model = train(bundle.train, bundle.dev, train_config)
             hits, labels = correct_predictions(model, bundle.dev), bundle.dev.labels
@@ -248,7 +257,7 @@ def grid_search(
     return GridResult(
         cells=tuple(results),
         best=best.context,
-        split_seed=split_seed,
+        split_seed=options.split_seed,
         test_digest=manifest["test_digest"],
         split_manifest=manifest,
     )
@@ -256,9 +265,6 @@ def grid_search(
 
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
-    vocab: Vocabulary
-    lexicon: GenderLexicon
-    embedding: EmbeddingMatrix
     dataset: LabeledSet
     bundle: SplitBundle
     model: MLPModel
@@ -272,28 +278,19 @@ def run_experiment(
     context: ContextConfig,
     embedding_config: EmbeddingConfig = EmbeddingConfig(),
     train_config: TrainConfig = TrainConfig(),
-    *,
-    min_freq: int = 0,
-    vocab_min_freq: int = 0,
-    split_seed: int = 0,
-    ratios: Sequence[float] = DEFAULT_RATIOS,
-    n_perm: int = 10_000,
-    stats_seed: int = 0,
+    options: RunOptions = RunOptions(),
 ) -> ExperimentResult:
     """One full pass: ingest, embed, label, split, train, evaluate."""
-    vocab, lexicon = prepare_inputs(corpus_path, lexicon_path, vocab_min_freq)
+    vocab, lexicon = prepare_inputs(corpus_path, lexicon_path, options.vocab_min_freq)
     embedding = embed(read_sentences(corpus_path), vocab, context, embedding_config)
-    data = build_dataset(embedding, lexicon, vocab, min_freq)
-    bundle = stratified_split(data, ratios, split_seed)
+    data = build_dataset(embedding, lexicon, vocab, options.min_freq)
+    bundle = stratified_split(data, options.ratios, options.split_seed)
     model = train(bundle.train, bundle.dev, train_config)
     evaluation = final_evaluate(
-        model, bundle.test, n_perm=n_perm, stats_seed=stats_seed
+        model, bundle.test, n_perm=options.n_perm, stats_seed=options.stats_seed
     )
     decile = class_ratio_by_decile(data) if len(data) >= 10 else None
     return ExperimentResult(
-        vocab=vocab,
-        lexicon=lexicon,
-        embedding=embedding,
         dataset=data,
         bundle=bundle,
         model=model,
@@ -310,9 +307,10 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest(Record):
-    """Everything needed to replay a run byte for byte."""
+@dataclass(frozen=True, kw_only=True)
+class RunManifest(RunOptions):
+    """Everything needed to replay a run byte for byte: the inputs and
+    their digests, the three configs, and the run options it inherits."""
 
     corpus_path: str
     corpus_sha256: str
@@ -321,12 +319,6 @@ class RunManifest(Record):
     context: ContextConfig
     embedding: EmbeddingConfig
     training: TrainConfig
-    min_freq: int = 0
-    vocab_min_freq: int = 0
-    split_seed: int = 0
-    ratios: tuple[float, float, float] = DEFAULT_RATIOS
-    n_perm: int = 10_000
-    stats_seed: int = 0
 
 
 def build_manifest(
@@ -359,34 +351,29 @@ def load_manifest(path) -> RunManifest:
     return load_record(RunManifest, path)
 
 
-def run_from_manifest(manifest: RunManifest, out_dir, check_digests: bool = True) -> dict:
+def run_from_manifest(manifest: RunManifest, out_dir) -> dict:
     """Replay a manifest and write the core artifacts into ``out_dir``.
 
-    Returns a name -> path map.  Identical manifests write identical
-    bytes for the eval report and split manifest.
+    Both input files must still hash to the manifest's digests.  Returns
+    a name -> path map.  Identical manifests write identical bytes for
+    the eval report and split manifest.
     """
-    if check_digests:
-        for label, path, expected in (
-            ("corpus", manifest.corpus_path, manifest.corpus_sha256),
-            ("lexicon", manifest.lexicon_path, manifest.lexicon_sha256),
-        ):
-            actual = file_sha256(path)
-            if actual != expected:
-                raise DataError(
-                    f"{label} digest mismatch for {path}: manifest has {expected}, file has {actual}"
-                )
+    for label, path, expected in (
+        ("corpus", manifest.corpus_path, manifest.corpus_sha256),
+        ("lexicon", manifest.lexicon_path, manifest.lexicon_sha256),
+    ):
+        actual = file_sha256(path)
+        if actual != expected:
+            raise DataError(
+                f"{label} digest mismatch for {path}: manifest has {expected}, file has {actual}"
+            )
     result = run_experiment(
         manifest.corpus_path,
         manifest.lexicon_path,
         manifest.context,
         manifest.embedding,
         manifest.training,
-        min_freq=manifest.min_freq,
-        vocab_min_freq=manifest.vocab_min_freq,
-        split_seed=manifest.split_seed,
-        ratios=manifest.ratios,
-        n_perm=manifest.n_perm,
-        stats_seed=manifest.stats_seed,
+        manifest,
     )
     paths = save_evaluation(result.evaluation, out_dir)
     for name in ("manifest.json", "split_manifest.json", "model.bin"):

@@ -62,6 +62,8 @@ def _cast(tp, value):
     if origin is tuple:
         if args[-1] is Ellipsis:
             return tuple(_cast(args[0], v) for v in value)
+        if len(value) != len(args):
+            raise ValueError(f"expected {len(args)} values, got {len(value)}")
         return tuple(_cast(a, v) for a, v in zip(args, value))
     if isinstance(tp, type) and issubclass(tp, Record):
         return tp.from_dict(value)

@@ -13,6 +13,7 @@ import numpy as np
 
 WIDTH, HEIGHT = 640, 420
 MARGIN = {"left": 64, "right": 20, "top": 36, "bottom": 48}
+HISTOGRAM_BINS = 20
 
 PALETTE = ("#1f6fb2", "#d1495b", "#3a9e6e", "#8e6cb8", "#c98a2d", "#5b5b5b")
 
@@ -144,20 +145,19 @@ def histogram_svg(
     path,
     title: str,
     xlabel: str,
-    bins: int = 20,
 ) -> None:
-    """Overlaid per-group histograms with shared bins."""
+    """Overlaid per-group histograms with HISTOGRAM_BINS shared bins."""
     values_all = [v for vs in groups.values() for v in vs]
     lo, hi = _limits(values_all)
     if hi <= lo:
         hi = lo + 1.0
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
     heights = {label: np.histogram(vs, bins=edges)[0] for label, vs in groups.items() if len(vs)}
     top = max((h.max() for h in heights.values()), default=1)
     canvas = _Canvas(title, xlabel, "count", (lo, hi), (0.0, float(top)))
     for i, (label, hist) in enumerate(heights.items()):
         color = PALETTE[i % len(PALETTE)]
-        for b in range(bins):
+        for b in range(HISTOGRAM_BINS):
             if hist[b] == 0:
                 continue
             x_left = canvas.sx(edges[b])

@@ -106,9 +106,7 @@ def synthetic_study(tmp_path_factory):
             ContextConfig(context_type=context_type, window_size=window),
             EmbeddingConfig(k=50, seed=0),
             TrainConfig(),
-            split_seed=0,
-            n_perm=10_000,
-            stats_seed=0,
+            pipeline.RunOptions(split_seed=0, n_perm=10_000, stats_seed=0),
         )
         cells[name] = result.evaluation
     elapsed = time.perf_counter() - started
@@ -255,11 +253,9 @@ def test_full_scale_swedish_inputs():
         ContextConfig(context_type="asymmetric_backward", window_size=1),
         EmbeddingConfig(k=50, seed=0),
         TrainConfig(),
-        min_freq=100,
-        vocab_min_freq=100,
-        split_seed=0,
-        n_perm=10_000,
-        stats_seed=0,
+        pipeline.RunOptions(
+            min_freq=100, vocab_min_freq=100, split_seed=0, n_perm=10_000, stats_seed=0
+        ),
     )
     n = len(result.dataset)
     assert abs(n - 21_162) <= 0.01 * 21_162

@@ -123,12 +123,6 @@ def test_gradient_check_flags_corrupted_backprop():
     assert gradient_check(broken, x, y) > 1e-4
 
 
-def test_gradient_check_rejects_bad_epsilon():
-    model = _toy_model()
-    with pytest.raises(ConfigurationError):
-        gradient_check(model, np.zeros((1, 3)), np.array([0]), epsilon=0.0)
-
-
 def test_zero_weight_model_is_uniform():
     model = MLPModel(np.zeros((3, 4)), np.zeros(4), np.zeros((4, 2)), np.zeros(2))
     assert predict(model, np.array([1.0, -2.0, 0.5])) == (0.5, 0.5)

@@ -11,11 +11,12 @@ import struct
 
 import pytest
 
-from gendervec import cli, embedding, pipeline
+from gendervec import cli, embedding, pipeline, synthetic
 from gendervec.classifier import TrainConfig
 from gendervec.cli import main
 from gendervec.cooccurrence import ContextConfig
 from gendervec.embedding import EmbeddingConfig
+from gendervec.errors import DataError
 
 
 REPORT_FILES = {
@@ -309,6 +310,7 @@ def test_missing_config_file_exits_two(flow, tmp_path, capsys):
     ("label", {"min_freq": 2.5}),
     ("split", {"split_seed": True}),
     ("cooc", {"window_size": 9}),
+    ("split", {"ratios": [0.8, 0.1, 0.1, 0.0]}),
 ])
 def test_config_value_of_wrong_type_exits_two(flow, tmp_path, capsys, stage, config):
     cfg = tmp_path / "cfg.json"
@@ -325,6 +327,66 @@ def test_config_value_of_wrong_type_exits_two(flow, tmp_path, capsys, stage, con
     rc = main([stage, *argv, "--out", out, "--config", str(cfg)])
     assert rc == 2
     assert next(iter(config)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ratios", ["0.8,0.1,0.1,0.0", "a,b,c"])
+def test_ratios_flag_of_wrong_length_or_type_exits_two(flow, tmp_path, capsys, ratios):
+    out = tmp_path / "split.json"
+    rc = main(["split", "--dataset", flow["dataset.tsv"], "--out", str(out), "--ratios", ratios])
+    assert rc == 2
+    assert "ratios" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tune_passes_given_axes_and_run_options(flow, tmp_path, monkeypatch):
+    seen = []
+
+    def capture(corpus, lexicon, grid, embedding_config, train_config, options):
+        seen.append((grid, options))
+        raise DataError("stop")
+
+    monkeypatch.setattr(pipeline, "grid_search", capture)
+    base = ["tune", "--corpus", flow["corpus.txt"], "--lexicon", flow["lexicon.tsv"],
+            "--out", str(tmp_path / "t")]
+    assert main(base) == 3
+    assert main([*base, "--window-sizes", "2", "--ratios", "0.6,0.2,0.2",
+                 "--split-seed", "4"]) == 3
+    assert seen == [
+        (pipeline.default_grid(), pipeline.RunOptions()),
+        (pipeline.default_grid(window_sizes=[2]),
+         pipeline.RunOptions(split_seed=4, ratios=(0.6, 0.2, 0.2))),
+    ]
+
+
+def test_synth_flags_left_out_keep_the_spec_defaults(tmp_path, monkeypatch):
+    seen = []
+
+    def capture(spec):
+        seen.append(spec)
+        raise DataError("stop")
+
+    monkeypatch.setattr(synthetic, "generate_synthetic_language", capture)
+    base = ["synth", "--out-corpus", str(tmp_path / "c"), "--out-lexicon", str(tmp_path / "l")]
+    assert main(base) == 3
+    assert main([*base, "--nouns", "60", "--agreement-noise", "0.1"]) == 3
+    assert seen == [
+        synthetic.SyntheticSpec(),
+        synthetic.SyntheticSpec(noun_count=60, agreement_noise=0.1),
+    ]
+
+
+@pytest.mark.parametrize("count", ["-4", "nan", "inf"])
+def test_cooc_count_negative_or_not_finite_exits_three(flow, tmp_path, capsys, count):
+    with open(flow["cooc.bin"], encoding="utf-8") as fh:
+        header, first, *rest = fh.read().splitlines()
+    row, col, _ = first.split("\t")
+    cooc = tmp_path / "cooc.txt"
+    cooc.write_text("\n".join([header, f"{row}\t{col}\t{count}", *rest]) + "\n",
+                    encoding="utf-8")
+    rc = main(["embed", "--cooc", str(cooc), "--vocab", flow["vocab.tsv"],
+               "--out", str(tmp_path / "e.txt")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(f"error: {cooc}:2: count {count} ")
 
 
 def test_cooc_header_value_of_wrong_type_exits_three(flow, tmp_path, capsys):
@@ -379,11 +441,16 @@ def _malformed_embedding(flow, case) -> bytes:
         return blob[:8] + struct.pack("<QQ", 10**9, 8) + blob[24:]
     if case == "not UTF-8":
         return b"2 2\n\xff\xfe 0.5 0.5\n"
+    if case == "text rows beyond the file":
+        return b"10000000000000 5\nhund 0.5 0.5 0.5 0.5 0.5\n"
     return b"1 2\nhund 0.5 half\n"  # a text embedding with a non-float value
 
 
 @pytest.mark.parametrize(
-    "case", ["short header", "rows beyond the file", "non-float value", "not UTF-8"]
+    "case", [
+        "short header", "rows beyond the file", "non-float value", "not UTF-8",
+        "text rows beyond the file",
+    ]
 )
 def test_malformed_embedding_exits_three(flow, tmp_path, capsys, case):
     emb = tmp_path / "emb"

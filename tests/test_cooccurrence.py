@@ -262,6 +262,11 @@ def test_load_rejects_garbage(tmp_path):
     path.write_text(json.dumps(header) + "\n0\t1\t2\n1\t2\t1\n0\t1\t5\n", encoding="utf-8")
     with pytest.raises(DataError, match="more than one line"):
         load_cooccurrence(path)
+    # counts must be finite and non-negative
+    for count in ("-4", "nan", "inf"):
+        path.write_text(json.dumps(header) + f"\n0\t1\t2\n1\t2\t{count}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"{path}:3: count {count} "):
+            load_cooccurrence(path)
 
 
 def test_context_types_constant():

@@ -272,6 +272,10 @@ def test_text_malformed(tmp_path):
     path.write_text("-1 2\n", encoding="utf-8")
     with pytest.raises(DataError, match="header"):
         load_embedding_text(path)
+    # a header promising more rows than the file holds fails before allocating
+    path.write_text("10000000000000 5\nw1 0.5 0.5 0.5 0.5 0.5\n", encoding="utf-8")
+    with pytest.raises(DataError, match="past the file end"):
+        load_embedding_text(path)
 
 
 def test_binary_roundtrip(tmp_path):

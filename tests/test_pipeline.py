@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import os
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from gendervec.pipeline import (
     CellResult,
     GridResult,
     RunManifest,
+    RunOptions,
     build_manifest,
     default_grid,
     file_sha256,
@@ -130,7 +130,7 @@ def test_grid_search_single_cell(language_files):
 def test_grid_search_shares_one_split_across_cells(language_files):
     corpus, lexicon = language_files
     grid = [ContextConfig("asymmetric_backward", 1), ContextConfig("symmetric", 3)]
-    result = grid_search(corpus, lexicon, grid, EMB_CFG, TRAIN_CFG, split_seed=7)
+    result = grid_search(corpus, lexicon, grid, EMB_CFG, TRAIN_CFG, RunOptions(split_seed=7))
     manifest = result.split_manifest
     assert manifest["seed"] == 7
     parts = manifest["partitions"]
@@ -303,6 +303,10 @@ def test_manifest_build_save_load(language_files, tmp_path):
                     encoding="utf-8")
     with pytest.raises(DataError, match="window_size 9 exceeds"):
         load_manifest(path)
+    # a fixed-length tuple of another length is rejected, not cut to size
+    path.write_text(json.dumps({**d, "ratios": [0.8, 0.1, 0.1, 0.5]}), encoding="utf-8")
+    with pytest.raises(DataError, match="ratios"):
+        load_manifest(path)
 
 
 def test_run_from_manifest_is_byte_identical(language_files, tmp_path):
@@ -333,16 +337,13 @@ def test_run_from_manifest_checks_input_digests(language_files, tmp_path):
     bad = RunManifest.from_dict(data)
     with pytest.raises(DataError, match="digest mismatch"):
         run_from_manifest(bad, tmp_path / "run")
-    # the guard can be bypassed explicitly
-    paths = run_from_manifest(bad, tmp_path / "run", check_digests=False)
-    assert os.path.exists(paths["eval_report.json"])
 
 
 def test_run_experiment_end_to_end(language_files):
     corpus, lexicon = language_files
     result = run_experiment(
         corpus, lexicon, ContextConfig("asymmetric_backward", 1), EMB_CFG, TRAIN_CFG,
-        n_perm=500,
+        RunOptions(n_perm=500),
     )
     assert result.evaluation.report.n == len(result.bundle.test)
     assert result.evaluation.report.accuracy >= 0.9

@@ -33,7 +33,7 @@ def test_scatter_has_one_circle_per_point(tmp_path):
 
 def test_histogram_draws_bars(tmp_path):
     path = tmp_path / "hist.svg"
-    histogram_svg({"a": [0.1] * 5 + [0.9] * 3}, path, "entropies", "entropy", bins=4)
+    histogram_svg({"a": [0.1] * 5 + [0.9] * 3}, path, "entropies", "entropy")
     root = _parse(path)
     # background rect + legend swatch + at least the two occupied bins
     assert _count(root, "rect") >= 4
