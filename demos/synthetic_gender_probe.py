@@ -16,7 +16,7 @@ from gendervec import lexicon, report, synthetic
 from gendervec.classifier import TrainConfig, errors_by_entropy
 from gendervec.cooccurrence import ContextConfig
 from gendervec.embedding import EmbeddingConfig
-from gendervec.pipeline import RunOptions, project_2d, run_experiment
+from gendervec.pipeline import RunOptions, project_2d, run_experiment, save_evaluation
 
 # A light dose of agreement noise and a few ambiguous nouns keep the
 # problem from being trivially separable, like real text.
@@ -62,11 +62,13 @@ if analysis.mean_entropy_errors is not None:
 if analysis.entropy_permutation is not None:
     print(f"permutation p   {analysis.entropy_permutation.p:.4f}")
 
-# Everything worth looking at is emitted as CSV + standalone SVG.
+# Everything worth looking at is emitted as CSV + standalone SVG, next
+# to the evaluation's own three files.
 out = workdir / "report"
-paths = report.emit_report(
+save_evaluation(result.evaluation, out)
+report.emit_report(
     out,
-    result.evaluation,
+    result.evaluation.predictions,
     projection=project_2d(result.bundle.test.vectors),
     decile_report=result.decile_report,
 )

@@ -376,4 +376,7 @@ def load_model(path) -> MLPModel:
     expected = (k * h + h + h * out + out) * 8
     if len(blob) != expected:
         raise DataError(f"{path}: parameter block is {len(blob)} bytes, expected {expected}")
-    return MLPModel(*_split_params(np.frombuffer(blob, dtype="<f8"), k, h), seed=seed)
+    flat = np.frombuffer(blob, dtype="<f8")
+    if not np.all(np.isfinite(flat)):
+        raise DataError(f"{path}: parameter block has a non-finite value")
+    return MLPModel(*_split_params(flat, k, h), seed=seed)

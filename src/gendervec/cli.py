@@ -141,8 +141,8 @@ def cmd_label(args) -> int:
 
 def cmd_split(args) -> int:
     run = Options(args).build(pipeline.RunOptions)
-    words_by_class = dataset.load_dataset_table(args.dataset).words_by_class()
-    parts = dataset.split_words_by_class(words_by_class, run.ratios, run.split_seed)
+    data = dataset.load_dataset_table(args.dataset)
+    parts = dataset.split_words_by_class(data, run.ratios, run.split_seed)
     manifest = dataset.split_manifest(parts, run.split_seed, run.ratios)
     dataset.save_split_manifest(manifest, args.out)
     sizes = {name: len(words) for name, words in parts.items()}
@@ -241,7 +241,7 @@ def cmd_report(args) -> int:
         paths.append(shutil.copyfile(
             os.path.join(args.eval_dir, name), os.path.join(args.out, name)
         ))
-    paths += report.emit_charts(
+    paths += report.emit_report(
         args.out, predictions,
         projection=projection, decile_report=decile_report, grid=grid,
     )

@@ -94,7 +94,7 @@ def count_by_distance(
     pair crosses a sentence.
     """
     n = len(vocab)
-    ids_of = {word: word_id for word, word_id, _ in vocab.entries()}.get
+    ids_of = vocab.ids.get
     gap = [-1] * max_window
     counts = [sparse.csr_array((n, n), dtype=np.float64) for _ in range(max_window)]
     block: list[int] = []
@@ -173,10 +173,10 @@ def load_cooccurrence(path) -> CoocMatrix:
             header = json.loads(fh.readline())
         except json.JSONDecodeError:
             raise DataError(f"{path}: missing or malformed JSON header") from None
-        try:
-            n, n_cols = int(header["rows"]), int(header["cols"])
-        except (KeyError, TypeError, ValueError):
-            raise DataError(f"{path}: header lacks integer rows and cols") from None
+        n, n_cols = (header.get(k) if isinstance(header, dict) else None for k in ("rows", "cols"))
+        # type(v) is int: JSON gives a bool or a float its own type
+        if type(n) is not int or type(n_cols) is not int or n < 0:
+            raise DataError(f"{path}: header lacks non-negative integer rows and cols")
         if n_cols != n:
             raise DataError(f"{path}: non-square dims in header")
         try:

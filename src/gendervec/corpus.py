@@ -16,7 +16,11 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from itertools import compress
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ConfigurationError, DataError
 
@@ -74,56 +78,45 @@ def read_sentences(path) -> Iterator[Sentence]:
             yield sentence
 
 
-class Vocabulary:
-    """Word <-> dense-id map with corpus frequencies."""
+def word_index(words: Sequence[str], source: str) -> dict[str, int]:
+    """Row of each word in ``words``; a repeated word is a DataError naming ``source``."""
+    index = {word: i for i, word in enumerate(words)}
+    if len(index) != len(words):
+        repeated = next(word for word, n in Counter(words).items() if n > 1)
+        raise DataError(f"duplicate word in {source}: {repeated!r}")
+    return index
 
-    def __init__(self, ordered: Sequence[tuple[str, int]]):
-        """Build from ``(word, frequency)`` pairs already in id order."""
-        self._words: list[str] = []
-        self._freqs: list[int] = []
-        self._ids: dict[str, int] = {}
-        for word, freq in ordered:
-            if word in self._ids:
-                raise DataError(f"duplicate vocabulary word: {word!r}")
-            if freq < 1:
-                raise DataError(f"non-positive frequency for {word!r}: {freq}")
-            self._ids[word] = len(self._words)
-            self._words.append(word)
-            self._freqs.append(int(freq))
+
+def row_lookup(index: Mapping[str, int], words: Iterable[str], source: str) -> np.ndarray:
+    """Row numbers of ``words`` in ``index``; a word it lacks is a DataError."""
+    try:
+        return np.array([index[word] for word in words], dtype=np.intp)
+    except KeyError as exc:
+        raise DataError(f"word {exc.args[0]!r} is missing from {source}") from None
+
+
+@dataclass(frozen=True, eq=False)
+class Vocabulary:
+    """Words in id order with their corpus frequencies; ``ids`` maps word -> id."""
+
+    words: tuple[str, ...]
+    frequencies: np.ndarray
+    ids: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if len(self.words) != len(self.frequencies):
+            raise DataError("words and frequencies do not match in length")
+        low = np.flatnonzero(self.frequencies < 1)
+        if low.size:
+            word, freq = self.words[low[0]], self.frequencies[low[0]]
+            raise DataError(f"non-positive frequency for {word!r}: {freq}")
+        object.__setattr__(self, "ids", word_index(self.words, "the vocabulary"))
 
     def __len__(self) -> int:
-        return len(self._words)
+        return len(self.words)
 
     def __contains__(self, word: str) -> bool:
-        return word in self._ids
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Vocabulary):
-            return NotImplemented
-        return self._words == other._words and self._freqs == other._freqs
-
-    def id_of(self, word: str) -> int:
-        try:
-            return self._ids[word]
-        except KeyError:
-            raise KeyError(f"word not in vocabulary: {word!r}") from None
-
-    def frequency_of(self, word: str) -> int:
-        return self._freqs[self.id_of(word)]
-
-    @property
-    def words(self) -> tuple[str, ...]:
-        """All words in id order."""
-        return tuple(self._words)
-
-    @property
-    def total_tokens(self) -> int:
-        return sum(self._freqs)
-
-    def entries(self) -> Iterator[tuple[str, int, int]]:
-        """Yield ``(word, id, frequency)`` sorted by id."""
-        for word_id, (word, freq) in enumerate(zip(self._words, self._freqs)):
-            yield word, word_id, freq
+        return word in self.ids
 
 
 def build_vocabulary(corpus: Iterable[Sentence]) -> Vocabulary:
@@ -132,7 +125,8 @@ def build_vocabulary(corpus: Iterable[Sentence]) -> Vocabulary:
     for sentence in corpus:
         counts.update(sentence)
     ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return Vocabulary(ordered)
+    words = tuple(word for word, _ in ordered)
+    return Vocabulary(words, np.array([freq for _, freq in ordered], dtype=np.int64))
 
 
 def filter_by_frequency(vocab: Vocabulary, min_freq: int) -> Vocabulary:
@@ -143,14 +137,14 @@ def filter_by_frequency(vocab: Vocabulary, min_freq: int) -> Vocabulary:
     """
     if min_freq < 0:
         raise ConfigurationError(f"min_freq must be >= 0, got {min_freq}")
-    kept = [(w, f) for w, _, f in vocab.entries() if f > min_freq]
-    return Vocabulary(kept)
+    keep = vocab.frequencies > min_freq
+    return Vocabulary(tuple(compress(vocab.words, keep)), vocab.frequencies[keep])
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
     """Write ``word<TAB>id<TAB>frequency`` rows sorted by id."""
     with open(path, "w", encoding="utf-8") as fh:
-        for word, word_id, freq in vocab.entries():
+        for word_id, (word, freq) in enumerate(zip(vocab.words, vocab.frequencies.tolist())):
             fh.write(f"{word}\t{word_id}\t{freq}\n")
 
 
@@ -174,4 +168,8 @@ def load_vocabulary(path) -> Vocabulary:
     ids = [row[1] for row in rows]
     if ids != list(range(len(rows))):
         raise DataError(f"{path}: ids are not dense 0..{len(rows) - 1}")
-    return Vocabulary([(word, freq) for word, _, freq in rows])
+    try:
+        frequencies = np.array([freq for _, _, freq in rows], dtype=np.int64)
+        return Vocabulary(tuple(word for word, _, _ in rows), frequencies)
+    except (DataError, OverflowError) as exc:
+        raise DataError(f"{path}: {exc}") from None

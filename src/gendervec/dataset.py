@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Vocabulary
-from .embedding import EmbeddingMatrix, row_lookup
+from .corpus import Vocabulary, row_lookup, word_index
+from .embedding import EmbeddingMatrix
 from .errors import ConfigurationError, DataError
 from .lexicon import CODE_TO_CLASS, CORE_CODES, GenderLexicon
 from .records import Record, integer
@@ -51,16 +51,13 @@ class LabeledSet:
     vectors: np.ndarray
     labels: np.ndarray
     frequencies: np.ndarray
+    _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         lengths = {len(self.words), len(self.vectors), len(self.labels), len(self.frequencies)}
         if self.vectors.ndim != 2 or len(lengths) != 1:
             raise DataError("words, vectors, labels and frequencies do not match in length")
-        index: dict[str, int] = {}
-        for i, word in enumerate(self.words):
-            if index.setdefault(word, i) != i:
-                raise DataError(f"duplicate word in dataset: {word!r}")
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_index", word_index(self.words, "the dataset"))
 
     def __len__(self) -> int:
         return len(self.words)
@@ -77,13 +74,6 @@ class LabeledSet:
         words = tuple(self.words[i] for i in rows)
         return LabeledSet(words, self.vectors[rows], self.labels[rows], self.frequencies[rows])
 
-    def words_by_class(self) -> dict[str, list[str]]:
-        """The words of each class present, in row order."""
-        return {
-            CLASSES[c]: [self.words[i] for i in np.flatnonzero(self.labels == c)]
-            for c in np.unique(self.labels)
-        }
-
 
 def _unjoined(words: list[str], labels: list[int], frequencies: list[int]) -> LabeledSet:
     return LabeledSet(
@@ -94,15 +84,12 @@ def _unjoined(words: list[str], labels: list[int], frequencies: list[int]) -> La
 
 @dataclass(frozen=True, eq=False)
 class SplitBundle:
+    """The three partitions and the split manifest they were cut from."""
+
     train: LabeledSet
     dev: LabeledSet
     test: LabeledSet
-    seed: int
-    ratios: tuple[float, float, float]
-
-    def manifest(self) -> dict:
-        partitions = {name: getattr(self, name).words for name in PARTITION_NAMES}
-        return split_manifest(partitions, self.seed, self.ratios)
+    manifest: dict
 
 
 def labeled_rows(vocab: Vocabulary, lexicon: GenderLexicon, min_freq: int = 0) -> LabeledSet:
@@ -114,7 +101,7 @@ def labeled_rows(vocab: Vocabulary, lexicon: GenderLexicon, min_freq: int = 0) -
     if min_freq < 0:
         raise ConfigurationError(f"min_freq must be >= 0, got {min_freq}")
     words, labels, freqs = [], [], []
-    for word, _, freq in vocab.entries():
+    for word, freq in zip(vocab.words, vocab.frequencies.tolist()):
         if freq <= min_freq or word not in lexicon:
             continue
         code = lexicon.code_of(word)
@@ -171,33 +158,31 @@ def _validate_ratios(ratios: Sequence[float]) -> tuple[float, float, float]:
 
 
 def split_words_by_class(
-    words_by_class: Mapping[str, Sequence[str]],
+    labeled: LabeledSet,
     ratios: Sequence[float] = DEFAULT_RATIOS,
     seed: int = 0,
 ) -> dict[str, list[str]]:
-    """Partition words per class into train/dev/test word lists.
+    """Partition each class's words into train/dev/test word lists.
 
-    This is the seed-deterministic core shared by every caller: classes
-    are processed in sorted name order, each class list is shuffled by
-    one generator seeded with ``seed``, and counts come from
-    ``apportion``.  Identical inputs therefore give identical partitions.
+    This is the seed-deterministic core shared by every caller: the
+    classes present are processed in sorted name order, each class's
+    rows (in row order) are shuffled by one generator seeded with
+    ``seed``, and counts come from ``apportion``.  Identical inputs
+    therefore give identical partitions.
     """
     ratios = _validate_ratios(ratios)
     rng = np.random.default_rng(seed)
     parts: dict[str, list[str]] = {name: [] for name in PARTITION_NAMES}
-    for cls in sorted(words_by_class):
-        words = list(words_by_class[cls])
-        if len(words) < 3:
+    for c in sorted(np.unique(labeled.labels), key=lambda c: CLASSES[c]):
+        rows = np.flatnonzero(labeled.labels == c)
+        if len(rows) < 3:
             raise DataError(
-                f"class {cls!r} has only {len(words)} members; need at least 3 to split"
+                f"class {CLASSES[c]!r} has only {len(rows)} members; need at least 3 to split"
             )
-        order = rng.permutation(len(words))
-        shuffled = [words[i] for i in order]
-        counts = apportion(len(words), ratios)
-        start = 0
-        for name, count in zip(PARTITION_NAMES, counts):
-            parts[name].extend(shuffled[start : start + count])
-            start += count
+        rows = rows[rng.permutation(len(rows))]
+        ends = np.cumsum(apportion(len(rows), ratios))[:-1]
+        for name, part in zip(PARTITION_NAMES, np.split(rows, ends)):
+            parts[name].extend(labeled.words[i] for i in part)
     return parts
 
 
@@ -207,7 +192,7 @@ def stratified_split(
     seed: int = 0,
 ) -> SplitBundle:
     """Stratified 80/10/10 split (or custom ratios) of a labeled set."""
-    parts = split_words_by_class(data.words_by_class(), ratios, seed)
+    parts = split_words_by_class(data, ratios, seed)
     return bundle_from_manifest(split_manifest(parts, seed, ratios), data)
 
 
@@ -264,11 +249,7 @@ def bundle_from_manifest(manifest: dict, data: LabeledSet) -> SplitBundle:
     parts = {
         name: data.take(data.rows(manifest["partitions"][name])) for name in PARTITION_NAMES
     }
-    return SplitBundle(
-        **parts,
-        seed=int(manifest["seed"]),
-        ratios=_validate_ratios(manifest["ratios"]),
-    )
+    return SplitBundle(**parts, manifest=manifest)
 
 
 def save_dataset_table(data: LabeledSet, path) -> None:
@@ -299,11 +280,16 @@ def load_dataset_table(path) -> LabeledSet:
                 freqs.append(int(freq_text))
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-integer frequency") from None
+            if freqs[-1] < 1:
+                raise DataError(f"{path}:{lineno}: frequency must be >= 1, got {freq_text}")
             words.append(word)
             labels.append(CLASSES.index(gender))
     if not words:
         raise DataError(f"{path}: empty dataset table")
-    return _unjoined(words, labels, freqs)
+    try:
+        return _unjoined(words, labels, freqs)
+    except (DataError, OverflowError) as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def join_with_embedding(table: LabeledSet, embedding: EmbeddingMatrix) -> LabeledSet:

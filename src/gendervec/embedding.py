@@ -11,13 +11,13 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy import sparse
 
 from .cooccurrence import ContextConfig, CoocMatrix, count_cooccurrences
-from .corpus import Sentence, Vocabulary
+from .corpus import Sentence, Vocabulary, row_lookup, word_index
 from .errors import ConfigurationError, DataError, NumericalError
 from .records import Record, key
 
@@ -50,15 +50,16 @@ def power_transform(cooc: CoocMatrix, alpha: float) -> sparse.csr_array:
     return out
 
 
-def truncated_svd(
-    matrix,
-    k: int,
-    *,
-    seed: int = 0,
-    oversample: int = 10,
-    max_iter: int = 500,
-    convergence_tol: float = 1e-10,
-) -> tuple[np.ndarray, np.ndarray]:
+# Subspace iteration in truncated_svd: extra subspace columns carried,
+# the cap on iterations before giving up, and the largest relative
+# residual ``|M^T u - sigma v| / sigma_1`` over the kept triplets at
+# which iteration stops.
+SVD_OVERSAMPLE = 10
+SVD_MAX_ITER = 500
+SVD_CONVERGENCE_TOL = 1e-10
+
+
+def truncated_svd(matrix, k: int, *, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Top-``k`` singular values and right singular vectors of ``matrix``.
 
     Parameters
@@ -67,11 +68,6 @@ def truncated_svd(
     k : number of singular triplets to keep, ``1 <= k <= min(m, n)``
     seed : seeds the random range finder; fixed seed means bitwise
         reproducible output on one platform
-    oversample : extra subspace columns carried during iteration
-    max_iter : cap on subspace iterations before giving up
-    convergence_tol : iteration stops once the largest relative residual
-        ``|M^T u - sigma v| / sigma_1`` over the kept triplets drops
-        below this
 
     Returns
     -------
@@ -83,7 +79,7 @@ def truncated_svd(
     ------
     ConfigurationError : ``k`` outside ``1..min(m, n)`` (an empty matrix
         therefore always fails)
-    NumericalError : no convergence within ``max_iter``; the message
+    NumericalError : no convergence within ``SVD_MAX_ITER``; the message
         reports the residual actually achieved
     """
     m, n = matrix.shape
@@ -91,7 +87,7 @@ def truncated_svd(
     if k < 1 or k > rank_cap:
         raise ConfigurationError(f"k must be in 1..{rank_cap} for shape {(m, n)}, got {k}")
     rng = np.random.default_rng(seed)
-    width = min(k + oversample, rank_cap)
+    width = min(k + SVD_OVERSAMPLE, rank_cap)
     gauss = rng.standard_normal((n, width))
     q_basis, _ = np.linalg.qr(matrix @ gauss)
 
@@ -104,7 +100,7 @@ def truncated_svd(
 
     ritz = None
     achieved = np.inf
-    for _ in range(max_iter):
+    for _ in range(SVD_MAX_ITER):
         t = matrix.T @ q_basis
         if ritz is not None:
             p_prev, w_r, s_prev, u_r = ritz
@@ -113,15 +109,15 @@ def truncated_svd(
             resid = t @ u_r[:, :k] - (p_prev @ w_r[:, :k]) * s_prev[:k]
             scale = max(s_prev[0], np.finfo(float).tiny)
             achieved = float(np.linalg.norm(resid, axis=0).max() / scale)
-            if achieved <= convergence_tol:
+            if achieved <= SVD_CONVERGENCE_TOL:
                 return _fix_signs(s_prev[:k].copy(), p_prev @ w_r[:, :k])
         p_basis, _ = np.linalg.qr(t)
         q_basis, r = np.linalg.qr(matrix @ p_basis)
         u_r, s, w_rt = np.linalg.svd(r)
         ritz = (p_basis, w_rt.T, s, u_r)
     raise NumericalError(
-        f"truncated SVD did not converge in {max_iter} iterations; "
-        f"max relative residual {achieved:.3e} (tol {convergence_tol:.1e})"
+        f"truncated SVD did not converge in {SVD_MAX_ITER} iterations; "
+        f"max relative residual {achieved:.3e} (tol {SVD_CONVERGENCE_TOL:.1e})"
     )
 
 
@@ -135,33 +131,28 @@ def _fix_signs(sigma: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return sigma, v
 
 
+@dataclass(frozen=True, eq=False)
 class EmbeddingMatrix:
     """Per-word dense vectors plus the configs that produced them."""
 
-    def __init__(
-        self,
-        words: Sequence[str],
-        vectors: np.ndarray,
-        context: ContextConfig | None = None,
-        config: EmbeddingConfig | None = None,
-    ):
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2:
-            raise ConfigurationError(f"vectors must be 2-D, got shape {vectors.shape}")
-        if len(words) != vectors.shape[0]:
-            raise ConfigurationError(
-                f"{len(words)} words but {vectors.shape[0]} vector rows"
-            )
-        self._words = tuple(words)
-        self._index = {w: i for i, w in enumerate(self._words)}
-        if len(self._index) != len(self._words):
-            raise DataError("duplicate words in embedding")
-        self.matrix = vectors
-        self.context = context
-        self.config = config
+    words: tuple[str, ...]
+    matrix: np.ndarray
+    context: ContextConfig | None = None
+    config: EmbeddingConfig | None = None
+    _index: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        matrix = np.asarray(self.matrix, dtype=np.float64)
+        if matrix.ndim != 2:
+            raise ConfigurationError(f"vectors must be 2-D, got shape {matrix.shape}")
+        if len(self.words) != matrix.shape[0]:
+            raise ConfigurationError(f"{len(self.words)} words but {matrix.shape[0]} vector rows")
+        object.__setattr__(self, "words", tuple(self.words))
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_index", word_index(self.words, "the embedding"))
 
     def __len__(self) -> int:
-        return len(self._words)
+        return len(self.words)
 
     def __contains__(self, word: str) -> bool:
         return word in self._index
@@ -169,10 +160,6 @@ class EmbeddingMatrix:
     @property
     def k(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def words(self) -> tuple[str, ...]:
-        return self._words
 
     def vector(self, word: str) -> np.ndarray:
         try:
@@ -182,14 +169,6 @@ class EmbeddingMatrix:
 
     def rows(self, words: Iterable[str]) -> np.ndarray:
         return row_lookup(self._index, words, "the embedding")
-
-
-def row_lookup(index: Mapping[str, int], words: Iterable[str], source: str) -> np.ndarray:
-    """Row numbers of ``words`` in ``index``; a word it lacks is a DataError."""
-    try:
-        return np.array([index[word] for word in words], dtype=np.intp)
-    except KeyError as exc:
-        raise DataError(f"word {exc.args[0]!r} is missing from {source}") from None
 
 
 def embed_counts(cooc: CoocMatrix, vocab: Vocabulary, config: EmbeddingConfig) -> EmbeddingMatrix:
@@ -226,6 +205,14 @@ def save_embedding_text(emb: EmbeddingMatrix, path) -> None:
             fh.write(f"{word} {values}\n")
 
 
+def _finite_embedding(words: list[str], rows: np.ndarray, path) -> EmbeddingMatrix:
+    """The loaded rows as an embedding; a NaN or infinite value is a DataError."""
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}: the vector of {words[bad[0]]!r} has a non-finite value")
+    return EmbeddingMatrix(words, rows)
+
+
 def load_embedding_text(path) -> EmbeddingMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -249,7 +236,7 @@ def load_embedding_text(path) -> EmbeddingMatrix:
                 rows[i] = [float(x) for x in parts[1:]]
             except ValueError:
                 raise DataError(f"{path}: row {i} has a non-numeric value") from None
-    return EmbeddingMatrix(words, rows)
+    return _finite_embedding(words, rows, path)
 
 
 def save_embedding_binary(emb: EmbeddingMatrix, path) -> None:
@@ -287,7 +274,7 @@ def load_embedding_binary(path) -> EmbeddingMatrix:
             (length,) = struct.unpack("<I", _read(fh, 4, path))
             words.append(_read(fh, length, path).decode("utf-8"))
             rows[i] = np.frombuffer(_read(fh, 8 * k, path), dtype="<f8")
-    return EmbeddingMatrix(words, rows)
+    return _finite_embedding(words, rows, path)
 
 
 def load_embedding(path) -> EmbeddingMatrix:

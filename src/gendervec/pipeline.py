@@ -225,8 +225,8 @@ def grid_search(
     if len({(c.context_type, c.window_size) for c in cells}) != len(cells):
         raise ConfigurationError("duplicate grid cells")
     vocab, lexicon = prepare_inputs(corpus_path, lexicon_path, options.vocab_min_freq)
-    words_by_class = labeled_rows(vocab, lexicon, options.min_freq).words_by_class()
-    partitions = split_words_by_class(words_by_class, options.ratios, options.split_seed)
+    labeled = labeled_rows(vocab, lexicon, options.min_freq)
+    partitions = split_words_by_class(labeled, options.ratios, options.split_seed)
     manifest = split_manifest(partitions, options.split_seed, options.ratios)
     by_distance = count_by_distance(
         read_sentences(corpus_path), vocab, max(c.window_size for c in cells)
@@ -379,6 +379,6 @@ def run_from_manifest(manifest: RunManifest, out_dir) -> dict:
     for name in ("manifest.json", "split_manifest.json", "model.bin"):
         paths[name] = os.path.join(out_dir, name)
     save_manifest(manifest, paths["manifest.json"])
-    save_split_manifest(result.bundle.manifest(), paths["split_manifest.json"])
+    save_split_manifest(result.bundle.manifest, paths["split_manifest.json"])
     save_model(result.model, paths["model.bin"])
     return paths

@@ -15,7 +15,7 @@ import numpy as np
 from .classifier import Predictions, errors_by_entropy, save_prediction_records
 from .dataset import CLASSES, DecileReport
 from .errors import DataError
-from .pipeline import FinalEvaluation, GridResult, save_evaluation
+from .pipeline import GridResult
 from .svgplot import bars_svg, histogram_svg, lines_svg, scatter_svg
 
 
@@ -150,7 +150,7 @@ def emit_errors(out_dir, predictions: Predictions) -> list[str]:
     return [csv_path]
 
 
-def emit_charts(
+def emit_report(
     out_dir,
     predictions: Predictions,
     projection: np.ndarray | None = None,
@@ -169,15 +169,3 @@ def emit_charts(
     if grid is not None:
         paths.extend(emit_grid(out_dir, grid))
     return paths
-
-
-def emit_report(
-    out_dir,
-    evaluation: FinalEvaluation,
-    projection: np.ndarray | None = None,
-    decile_report: DecileReport | None = None,
-    grid: GridResult | None = None,
-) -> list[str]:
-    """Write eval's three files and every chart; returns every path written."""
-    paths = list(save_evaluation(evaluation, out_dir).values())
-    return paths + emit_charts(out_dir, evaluation.predictions, projection, decile_report, grid)

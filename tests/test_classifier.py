@@ -363,3 +363,7 @@ def test_model_load_validation(tmp_path):
         path.write_bytes(json.dumps(bad).encode("utf-8") + b"\n" + blob)
         with pytest.raises(DataError, match="model header|layer_sizes|seed"):
             load_model(path)
+    # a NaN parameter is bad data, not a model that predicts NaN
+    path.write_bytes(data[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+    with pytest.raises(DataError, match="non-finite"):
+        load_model(path)

@@ -443,13 +443,22 @@ def _malformed_embedding(flow, case) -> bytes:
         return b"2 2\n\xff\xfe 0.5 0.5\n"
     if case == "text rows beyond the file":
         return b"10000000000000 5\nhund 0.5 0.5 0.5 0.5 0.5\n"
+    if case == "NaN row":
+        # the first value of the first row, past the magic, the counts and the word
+        (length,) = struct.unpack("<I", blob[24:28])
+        start = 28 + length
+        return blob[:start] + struct.pack("<d", float("nan")) + blob[start + 8:]
+    if case == "text NaN row":
+        with open(flow["dataset.tsv"], encoding="utf-8") as fh:
+            first, second = (line.split("\t")[0] for line in fh.readlines()[:2])
+        return f"2 2\n{first} 0.5 0.5\n{second} nan 0.5\n".encode("utf-8")
     return b"1 2\nhund 0.5 half\n"  # a text embedding with a non-float value
 
 
 @pytest.mark.parametrize(
     "case", [
         "short header", "rows beyond the file", "non-float value", "not UTF-8",
-        "text rows beyond the file",
+        "text rows beyond the file", "NaN row", "text NaN row",
     ]
 )
 def test_malformed_embedding_exits_three(flow, tmp_path, capsys, case):
@@ -459,6 +468,62 @@ def test_malformed_embedding_exits_three(flow, tmp_path, capsys, case):
                "--vocab", flow["vocab.tsv"], "--out", str(tmp_path / "d.tsv")])
     assert rc == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("stage, bad_file", [
+    ("train", "embedding"), ("eval", "embedding"), ("eval", "model"),
+])
+def test_non_finite_embedding_or_model_exits_three(flow, tmp_path, capsys, stage, bad_file):
+    with open(flow["split.json"], encoding="utf-8") as fh:
+        word = json.load(fh)["partitions"][stage if stage == "train" else "test"][0]
+    paths = {"embedding": flow["emb.bin"], "model": flow["model.bin"]}
+    bad = paths[bad_file] = str(tmp_path / bad_file)
+    if bad_file == "embedding":
+        # a NaN row for a word the stage reads
+        emb = embedding.load_embedding_binary(flow["emb.bin"])
+        emb.matrix[emb.rows([word])[0], 0] = float("nan")
+        embedding.save_embedding_binary(emb, bad)
+    else:
+        with open(flow["model.bin"], "rb") as fh:
+            header, blob = fh.read().split(b"\n", 1)
+        with open(bad, "wb") as fh:
+            fh.write(header + b"\n" + struct.pack("<d", float("nan")) * (len(blob) // 8))
+    argv = [stage, "--embedding", paths["embedding"], "--dataset", flow["dataset.tsv"],
+            "--split", flow["split.json"], "--out", str(tmp_path / "out")]
+    rc = main(argv + (["--model", paths["model"]] if stage == "eval" else []))
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
+    assert bad_file == "model" or repr(word) in err
+
+
+@pytest.mark.parametrize("case", [
+    "dataset frequency 0", "dataset frequency -3",
+    "cooc rows fractional", "cooc rows a string", "cooc rows and cols true",
+])
+def test_out_of_range_number_exits_three(flow, tmp_path, capsys, case):
+    bad = tmp_path / "bad"
+    if case.startswith("dataset"):
+        with open(flow["dataset.tsv"], encoding="utf-8") as fh:
+            first, *rest = fh.read().splitlines()
+        word, gender, _ = first.split("\t")
+        bad.write_text("\n".join([f"{word}\t{gender}\t{case.split()[-1]}", *rest]) + "\n",
+                       encoding="utf-8")
+        argv, where = ["split", "--dataset", str(bad)], f"{bad}:1: "
+    else:
+        with open(flow["cooc.bin"], encoding="utf-8") as fh:
+            header, body = json.loads(fh.readline()), fh.read()
+        n = header["rows"]
+        edit = {
+            "cooc rows fractional": {"rows": n + 0.7},
+            "cooc rows a string": {"rows": str(n)},
+            "cooc rows and cols true": {"rows": True, "cols": True},
+        }[case]
+        bad.write_text(json.dumps(header | edit) + "\n" + body, encoding="utf-8")
+        argv, where = ["embed", "--cooc", str(bad), "--vocab", flow["vocab.tsv"]], f"{bad}: "
+    rc = main([*argv, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(f"error: {where}")
 
 
 def test_report_with_embedding_lacking_a_test_word_exits_three(flow, tmp_path, capsys):

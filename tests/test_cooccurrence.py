@@ -26,7 +26,7 @@ def _vocab_and_corpus():
 
 
 def _pair_count(cooc, vocab, ctx, tgt):
-    return cooc.count(vocab.id_of(ctx), vocab.id_of(tgt))
+    return cooc.count(vocab.ids[ctx], vocab.ids[tgt])
 
 
 def _reference_counts(corpus, vocab, config):
@@ -36,7 +36,7 @@ def _reference_counts(corpus, vocab, config):
     w = config.window_size
     counts = {}
     for sentence in corpus:
-        ids = [vocab.id_of(tok) if tok in vocab else -1 for tok in sentence]
+        ids = [vocab.ids[tok] if tok in vocab else -1 for tok in sentence]
         for i, target in enumerate(ids):
             if target < 0:
                 continue
@@ -70,8 +70,8 @@ def _random_corpus(seed, n_sentences=80, n_words=15):
     ]
     corpus += [[words[0]], [words[-1]]]
     vocab = build_vocabulary(corpus)
-    kept = [(w, vocab.frequency_of(w)) for w in vocab.words if w not in ("w3", "w7")]
-    return corpus, Vocabulary(kept)
+    kept = [i for i, w in enumerate(vocab.words) if w not in ("w3", "w7")]
+    return corpus, Vocabulary(tuple(vocab.words[i] for i in kept), vocab.frequencies[kept])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -103,12 +103,12 @@ def test_count_by_distance_counts_exact_offsets():
     corpus = [["a", "b", "c"], ["c", "a"]]
     vocab = build_vocabulary(corpus)
     d1, d2 = count_by_distance(corpus, vocab, 2)
-    ids = vocab.id_of
-    assert d1[ids("a"), ids("b")] == 1 and d1[ids("b"), ids("c")] == 1
-    assert d1[ids("c"), ids("a")] == 1
+    ids = vocab.ids
+    assert d1[ids["a"], ids["b"]] == 1 and d1[ids["b"], ids["c"]] == 1
+    assert d1[ids["c"], ids["a"]] == 1
     assert d1.sum() == 3
     # only a..c is two apart; nothing pairs across the sentence break
-    assert d2[ids("a"), ids("c")] == 1
+    assert d2[ids["a"], ids["c"]] == 1
     assert d2.sum() == 1
 
 
@@ -253,7 +253,10 @@ def test_load_rejects_garbage(tmp_path):
     path.write_text("not json\n", encoding="utf-8")
     with pytest.raises(DataError):
         load_cooccurrence(path)
-    for header in ({"cols": 3, "context_type": "symmetric", "window_size": 1}, [3]):
+    for header in ({"cols": 3, "context_type": "symmetric", "window_size": 1}, [3]) + tuple(
+        {"rows": rows, "cols": 444, "context_type": "symmetric", "window_size": 1}
+        for rows in (444.7, "444", True)
+    ):
         path.write_text(json.dumps(header) + "\n", encoding="utf-8")
         with pytest.raises(DataError, match="rows and cols"):
             load_cooccurrence(path)

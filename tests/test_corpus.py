@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from gendervec.corpus import (
@@ -12,6 +13,7 @@ from gendervec.corpus import (
     normalize_line,
     read_sentences,
     save_vocabulary,
+    word_index,
 )
 from gendervec.errors import ConfigurationError, DataError
 
@@ -92,17 +94,17 @@ def test_build_vocabulary_orders_by_frequency_then_word():
     corpus = [["b", "a", "b"], ["a", "c", "b"]]
     vocab = build_vocabulary(corpus)
     # b:3, a:2, c:1
-    assert vocab.id_of("b") == 0
-    assert vocab.id_of("a") == 1
-    assert vocab.id_of("c") == 2
-    assert vocab.frequency_of("b") == 3
-    assert vocab.total_tokens == 6
+    assert vocab.ids["b"] == 0
+    assert vocab.ids["a"] == 1
+    assert vocab.ids["c"] == 2
+    assert vocab.frequencies[vocab.ids["b"]] == 3
+    assert vocab.frequencies.sum() == 6
 
 
 def test_build_vocabulary_breaks_frequency_ties_alphabetically():
     vocab = build_vocabulary([["d", "c", "c", "d"]])
-    assert vocab.id_of("c") == 0
-    assert vocab.id_of("d") == 1
+    assert vocab.ids["c"] == 0
+    assert vocab.ids["d"] == 1
 
 
 def test_filter_by_frequency_is_strict():
@@ -111,7 +113,7 @@ def test_filter_by_frequency_is_strict():
     assert "a" in kept
     assert "b" not in kept and "c" not in kept and "d" not in kept
     # ids are re-densified after filtering
-    assert kept.id_of("a") == 0
+    assert kept.ids["a"] == 0
 
 
 def test_filter_by_frequency_zero_keeps_all():
@@ -127,9 +129,15 @@ def test_filter_by_frequency_negative():
 
 def test_vocabulary_rejects_duplicates_and_bad_freq():
     with pytest.raises(DataError):
-        Vocabulary([("a", 1), ("a", 2)])
+        Vocabulary(("a", "a"), np.array([1, 2]))
     with pytest.raises(DataError):
-        Vocabulary([("a", 0)])
+        Vocabulary(("a",), np.array([0]))
+
+
+def test_word_index_rejects_a_repeat_naming_the_source():
+    assert word_index(("x", "y"), "the table") == {"x": 0, "y": 1}
+    with pytest.raises(DataError, match="duplicate word in the table: 'y'"):
+        word_index(("x", "y", "z", "y"), "the table")
 
 
 def test_vocabulary_roundtrip(tmp_path):
@@ -137,8 +145,8 @@ def test_vocabulary_roundtrip(tmp_path):
     path = tmp_path / "vocab.tsv"
     save_vocabulary(vocab, path)
     loaded = load_vocabulary(path)
-    assert loaded == vocab
-    assert [w for w, _, _ in loaded.entries()] == [w for w, _, _ in vocab.entries()]
+    assert loaded.words == vocab.words
+    assert np.array_equal(loaded.frequencies, vocab.frequencies)
 
 
 def test_load_vocabulary_validates_dense_ids(tmp_path):
@@ -153,3 +161,12 @@ def test_load_vocabulary_rejects_malformed_row(tmp_path):
     path.write_text("word\tid\tfreq\na\t0\n", encoding="utf-8")
     with pytest.raises(DataError):
         load_vocabulary(path)
+    # a well-formed row of a bad value is an error naming the file
+    for rows, message in (
+        ("a\t0\t5\nb\t1\t0\n", "non-positive frequency for 'b'"),
+        ("a\t0\t5\na\t1\t3\n", "duplicate word"),
+        (f"a\t0\t{2**70}\n", "too large"),
+    ):
+        path.write_text(rows, encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{path}: .*{message}"):
+            load_vocabulary(path)

@@ -128,9 +128,10 @@ def test_labeled_set_rows_are_parallel():
         LabeledSet(("a", "b"), np.zeros((3, 1)), np.array([0, 1]), np.array([2, 1]))
     data = _examples(3, 2)
     assert [(ex.word, ex.gender, ex.frequency) for ex in data][3] == ("n00000", "neuter", 9997)
-    assert data.words_by_class() == {
-        "uter": ["u00000", "u00001", "u00002"], "neuter": ["n00000", "n00001"],
-    }
+    assert [data.words[i] for i in np.flatnonzero(data.labels == 0)] == [
+        "u00000", "u00001", "u00002",
+    ]
+    assert [data.words[i] for i in np.flatnonzero(data.labels == 1)] == ["n00000", "n00001"]
     sub = data.take(data.rows(["n00001", "u00000"]))
     assert sub.words == ("n00001", "u00000")
     assert np.array_equal(sub.vectors, data.vectors[[4, 0]])
@@ -151,9 +152,25 @@ def test_ratio_validation():
 
 
 def test_split_words_by_class_is_word_level():
-    parts = split_words_by_class({"uter": ["a", "b", "c", "d"], "neuter": ["x", "y", "z"]}, seed=2)
+    labeled = LabeledSet(
+        ("a", "b", "c", "d", "x", "y", "z"), np.empty((7, 0)),
+        np.array([0, 0, 0, 0, 1, 1, 1]), np.arange(7, 0, -1),
+    )
+    parts = split_words_by_class(labeled, seed=2)
     every = parts["train"] + parts["dev"] + parts["test"]
     assert sorted(every) == ["a", "b", "c", "d", "x", "y", "z"]
+
+
+def test_split_words_by_class_pins_the_partition():
+    # classes in name order (neuter first), each class's rows shuffled by
+    # one generator seeded once; split manifests on disk were cut this way,
+    # so the partition for a seed must not move
+    words = tuple("abcdefghijkl") + tuple("stuvwxyz")
+    labels = np.repeat([0, 1], [12, 8])
+    labeled = LabeledSet(words, np.empty((20, 0)), labels, np.arange(20, 0, -1))
+    assert split_words_by_class(labeled, seed=5) == {
+        "train": list("twuvzxhidbajlgce"), "dev": ["y", "f"], "test": ["s", "k"],
+    }
 
 
 def _joined_fixture():
@@ -203,7 +220,7 @@ def test_manifest_roundtrip(tmp_path):
     data = _examples(8, 6)
     bundle = stratified_split(data, seed=13)
     path = tmp_path / "split.json"
-    save_split_manifest(bundle.manifest(), path)
+    save_split_manifest(bundle.manifest, path)
     manifest = load_split_manifest(path)
     assert manifest["seed"] == 13
     assert manifest["test_digest"] == word_list_digest(ex.word for ex in bundle.test)
@@ -233,7 +250,7 @@ def test_manifest_validation(tmp_path):
 def test_bundle_from_manifest_missing_word():
     data = _examples(4, 4)
     bundle = stratified_split(data, seed=0)
-    manifest = bundle.manifest()
+    manifest = bundle.manifest
     with pytest.raises(DataError, match="missing"):
         bundle_from_manifest(manifest, data.take(np.arange(len(data) - 1)))
 
@@ -259,10 +276,17 @@ def test_dataset_table_validation(tmp_path):
     with pytest.raises(DataError, match="gender"):
         load_dataset_table(path)
     path.write_text("w\tuter\t5\nw\tuter\t5\n", encoding="utf-8")
-    with pytest.raises(DataError, match="duplicate"):
+    with pytest.raises(DataError, match=f"^{path}: duplicate"):
         load_dataset_table(path)
     path.write_text("w\tuter\tmany\n", encoding="utf-8")
     with pytest.raises(DataError, match="frequency"):
+        load_dataset_table(path)
+    for freq in ("0", "-3"):
+        path.write_text(f"v\tneuter\t4\nw\tuter\t{freq}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"{path}:2: frequency must be >= 1, got {freq}"):
+            load_dataset_table(path)
+    path.write_text(f"w\tuter\t{2**70}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{path}: .*too large"):
         load_dataset_table(path)
     path.write_text("", encoding="utf-8")
     with pytest.raises(DataError, match="empty"):

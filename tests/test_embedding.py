@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import gendervec.embedding as embedding
 from gendervec.cooccurrence import ContextConfig, count_cooccurrences
 from gendervec.corpus import build_vocabulary
 from gendervec.embedding import (
@@ -125,11 +126,12 @@ def test_k_out_of_range():
         truncated_svd(np.empty((0, 5)), 1)
 
 
-def test_non_convergence_reports_residual():
+def test_non_convergence_reports_residual(monkeypatch):
+    monkeypatch.setattr(embedding, "SVD_MAX_ITER", 1)
     rng = np.random.default_rng(3)
     mat = rng.standard_normal((40, 30))
     with pytest.raises(NumericalError, match="residual"):
-        truncated_svd(mat, 5, max_iter=1)
+        truncated_svd(mat, 5)
 
 
 def _toy_cooc(alpha_counts=None):
