@@ -37,15 +37,16 @@ print(f"co-occurrence matrix: {cooc.matrix.shape}, {cooc.nnz} nonzero counts")
 
 # Factor the (power-transformed) counts.  Two dimensions suffice here.
 emb = embed(sentences, vocab, context, EmbeddingConfig(k=2, alpha=0.5, seed=0))
-for word in ("hund", "katt", "bil", "hus", "tak", "barn"):
-    x, y = emb.vector(word)
+nouns = ("hund", "katt", "bil", "hus", "tak", "barn")
+vectors = dict(zip(nouns, emb.matrix[emb.rows(nouns)]))
+for word, (x, y) in vectors.items():
     print(f"  {word:6s} [{x:+.3f} {y:+.3f}]")
 
 # Cosine similarity splits cleanly along group lines.
 def cosine(a, b):
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
-same = cosine(emb.vector("hund"), emb.vector("katt"))
-cross = cosine(emb.vector("hund"), emb.vector("hus"))
+same = cosine(vectors["hund"], vectors["katt"])
+cross = cosine(vectors["hund"], vectors["hus"])
 print(f"within-group cosine  {same:+.3f}")
 print(f"across-group cosine  {cross:+.3f}")

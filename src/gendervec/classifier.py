@@ -45,6 +45,8 @@ class TrainConfig(Record):
             raise ConfigurationError(f"patience must be >= 1, got {self.patience}")
         if self.hidden_size < 1:
             raise ConfigurationError(f"hidden_size must be >= 1, got {self.hidden_size}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -178,17 +180,6 @@ def train(
                 break
     model.flat[...] = best
     return model
-
-
-def predict(model: MLPModel, vector: np.ndarray) -> tuple[float, float]:
-    """Class probabilities ``(p_uter, p_neuter)`` for one vector."""
-    vector = np.asarray(vector, dtype=np.float64)
-    if vector.ndim != 1 or vector.shape[0] != model.input_dim:
-        raise DataError(
-            f"expected a vector of dim {model.input_dim}, got shape {vector.shape}"
-        )
-    proba = model.forward(vector[None, :])[0]
-    return (float(proba[0]), float(proba[1]))
 
 
 def output_entropy(distribution: Sequence[float]) -> float:

@@ -127,7 +127,7 @@ def cmd_label(args) -> int:
     run = Options(args).build(pipeline.RunOptions)
     emb = embedding.load_embedding(args.embedding)
     vocab = corpus.load_vocabulary(args.vocab)
-    lex = lexicon.parse_lexicon(args.lexicon).restrict_to_core_genders()
+    lex = lexicon.parse_lexicon(args.lexicon)
     data = dataset.build_dataset(emb, lex, vocab, run.min_freq)
     dataset.save_dataset_table(data, args.out)
     logger.info("wrote %d labeled words to %s", len(data), args.out)
@@ -205,7 +205,7 @@ def cmd_eval(args) -> int:
     manifest = dataset.load_split_manifest(args.split)
     bundle = dataset.bundle_from_manifest(manifest, data)
     model = classifier.load_model(args.model)
-    expected = args.expected_test_digest or manifest.get("test_digest")
+    expected = args.expected_test_digest or manifest["test_digest"]
     evaluation = pipeline.final_evaluate(
         model,
         bundle.test,

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -69,16 +69,6 @@ class CoocMatrix:
     @property
     def total(self) -> float:
         return float(self.matrix.sum())
-
-    def count(self, context_id: int, target_id: int) -> float:
-        return float(self.matrix[context_id, target_id])
-
-    def entries(self) -> Iterator[tuple[int, int, float]]:
-        """Yield ``(context_id, target_id, count)`` sorted by (row, col)."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        for i in order:
-            yield int(coo.row[i]), int(coo.col[i]), float(coo.data[i])
 
 
 def count_by_distance(
@@ -158,13 +148,16 @@ def count_cooccurrences(
 
 
 def save_cooccurrence(cooc: CoocMatrix, path) -> None:
-    """Write a JSON header line, then ``context_id<TAB>target_id<TAB>count`` triplets."""
+    """Write a JSON header line, then ``context_id<TAB>target_id<TAB>count``
+    triplets sorted by (context, target)."""
     header = {"rows": cooc.shape[0], "cols": cooc.shape[1], **cooc.config.to_dict()}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for row, col, value in cooc.entries():
+        coo = cooc.matrix.tocoo()
+        for i in np.lexsort((coo.col, coo.row)):
+            value = float(coo.data[i])
             text = str(int(value)) if value == int(value) else repr(value)
-            fh.write(f"{row}\t{col}\t{text}\n")
+            fh.write(f"{int(coo.row[i])}\t{int(coo.col[i])}\t{text}\n")
 
 
 def load_cooccurrence(path) -> CoocMatrix:

@@ -115,9 +115,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.ids
-
 
 def build_vocabulary(corpus: Iterable[Sentence]) -> Vocabulary:
     """Count tokens and assign ids by descending frequency, ties lexicographic."""

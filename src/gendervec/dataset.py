@@ -19,7 +19,7 @@ import numpy as np
 from .corpus import Vocabulary, row_lookup, word_index
 from .embedding import EmbeddingMatrix
 from .errors import ConfigurationError, DataError
-from .lexicon import CODE_TO_CLASS, CORE_CODES, GenderLexicon
+from .lexicon import CODE_TO_CLASS, GenderLexicon
 from .records import Record, integer
 
 CLASSES = ("uter", "neuter")
@@ -93,26 +93,21 @@ class SplitBundle:
 
 
 def labeled_rows(vocab: Vocabulary, lexicon: GenderLexicon, min_freq: int = 0) -> LabeledSet:
-    """The words of both vocabulary and core-gender lexicon with corpus
+    """The vocabulary words the lexicon codes ``u`` or ``n`` with corpus
     frequency strictly above ``min_freq``, with zero-width vectors, in
     vocabulary-id order (descending frequency), which split seeding
-    relies on.  It fixes a grid's split before any embedding exists.
+    relies on.  Words with any other code are not labeled.  It fixes a
+    grid's split before any embedding exists.
     """
     if min_freq < 0:
         raise ConfigurationError(f"min_freq must be >= 0, got {min_freq}")
     words, labels, freqs = [], [], []
     for word, freq in zip(vocab.words, vocab.frequencies.tolist()):
-        if freq <= min_freq or word not in lexicon:
-            continue
-        code = lexicon.code_of(word)
-        if code not in CORE_CODES:
-            raise ConfigurationError(
-                f"lexicon contains non-core code {code!r} for {word!r}; "
-                "call restrict_to_core_genders first"
-            )
-        words.append(word)
-        labels.append(CLASSES.index(CODE_TO_CLASS[code]))
-        freqs.append(freq)
+        gender = CODE_TO_CLASS.get(lexicon.code_of(word)) if word in lexicon else None
+        if freq > min_freq and gender is not None:
+            words.append(word)
+            labels.append(CLASSES.index(gender))
+            freqs.append(freq)
     return _unjoined(words, labels, freqs)
 
 
@@ -221,6 +216,8 @@ def save_split_manifest(manifest: dict, path) -> None:
 
 
 def load_split_manifest(path) -> dict:
+    """A split manifest whose partitions are disjoint and whose
+    ``test_digest`` is the digest of its test words."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -241,6 +238,12 @@ def load_split_manifest(path) -> dict:
         _validate_ratios(manifest["ratios"])
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad split manifest seed or ratios: {exc}") from None
+    try:
+        word_index([w for name in PARTITION_NAMES for w in partitions[name]], "the partitions")
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if manifest.get("test_digest") != word_list_digest(partitions["test"]):
+        raise DataError(f"{path}: test_digest is missing or does not match the test partition")
     return manifest
 
 

@@ -36,6 +36,8 @@ class EmbeddingConfig(Record):
             raise ConfigurationError(f"K must be >= 1, got {self.k}")
         if self.alpha <= 0:
             raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 def power_transform(cooc: CoocMatrix, alpha: float) -> sparse.csr_array:
@@ -160,12 +162,6 @@ class EmbeddingMatrix:
     @property
     def k(self) -> int:
         return self.matrix.shape[1]
-
-    def vector(self, word: str) -> np.ndarray:
-        try:
-            return self.matrix[self._index[word]]
-        except KeyError:
-            raise KeyError(f"word not in embedding: {word!r}") from None
 
     def rows(self, words: Iterable[str]) -> np.ndarray:
         return row_lookup(self._index, words, "the embedding")

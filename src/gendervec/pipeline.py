@@ -48,7 +48,7 @@ from .dataset import (
 )
 from .embedding import EmbeddingConfig, _fix_signs, embed, embed_counts
 from .errors import ConfigurationError, DataError, GendervecError
-from .lexicon import GenderLexicon, parse_lexicon
+from .lexicon import CORE_CODES, GenderLexicon, parse_lexicon
 from .metrics import (
     EntropyFrequencyReport,
     EvalReport,
@@ -73,17 +73,22 @@ class RunOptions(Record):
     n_perm: int = 10_000
     stats_seed: int = 0
 
+    def __post_init__(self):
+        for name in ("split_seed", "stats_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 def prepare_inputs(
     corpus_path, lexicon_path, vocab_min_freq: int = RunOptions.vocab_min_freq
 ) -> tuple[Vocabulary, GenderLexicon]:
-    """Vocabulary from the corpus, core-gender lexicon from the TSV."""
+    """Vocabulary from the corpus, lexicon as parsed from the TSV."""
     vocab = build_vocabulary(read_sentences(corpus_path))
     vocab = filter_by_frequency(vocab, vocab_min_freq)
     if len(vocab) == 0:
         raise DataError(f"{corpus_path}: no vocabulary entries survive the frequency filter")
-    lexicon = parse_lexicon(lexicon_path).restrict_to_core_genders()
-    if len(lexicon) == 0:
+    lexicon = parse_lexicon(lexicon_path)
+    if not any(lexicon.counts_by_code()[code] for code in CORE_CODES):
         raise DataError(f"{lexicon_path}: no u/n entries in lexicon")
     return vocab, lexicon
 

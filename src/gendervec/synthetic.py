@@ -77,6 +77,8 @@ class SyntheticSpec:
             raise ConfigurationError("need at least one filler word")
         if self.sentence_count < 1:
             raise ConfigurationError("sentence_count must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         for name in ("agreement_noise", "ambiguous_fraction", "ambiguous_flip"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

@@ -14,7 +14,6 @@ from gendervec.classifier import (
     load_model,
     load_prediction_records,
     output_entropy,
-    predict,
     predict_records,
     save_model,
     save_prediction_records,
@@ -125,14 +124,14 @@ def test_gradient_check_flags_corrupted_backprop():
 
 def test_zero_weight_model_is_uniform():
     model = MLPModel(np.zeros((3, 4)), np.zeros(4), np.zeros((4, 2)), np.zeros(2))
-    assert predict(model, np.array([1.0, -2.0, 0.5])) == (0.5, 0.5)
+    assert model.forward(np.array([[1.0, -2.0, 0.5]]))[0].tolist() == [0.5, 0.5]
 
 
 def test_predictions_are_valid_distributions():
     rng = np.random.default_rng(4)
     model = _toy_model(seed=7)
     for _ in range(20):
-        p_u, p_n = predict(model, rng.standard_normal(3) * 10)
+        p_u, p_n = model.forward(rng.standard_normal((1, 3)) * 10)[0]
         assert 0.0 < p_u < 1.0 and 0.0 < p_n < 1.0
         assert abs(p_u + p_n - 1.0) <= 1e-9
         assert 0.0 <= output_entropy((p_u, p_n)) <= math.log(2.0) + 1e-12
@@ -141,9 +140,7 @@ def test_predictions_are_valid_distributions():
 def test_predict_dimension_checks():
     model = _toy_model()
     with pytest.raises(DataError):
-        predict(model, np.zeros(5))
-    with pytest.raises(DataError):
-        predict(model, np.zeros((2, 3)))
+        model.forward(np.zeros(5))
     with pytest.raises(DataError):
         model.forward(np.zeros((2, 7)))
 
@@ -168,7 +165,7 @@ def test_separable_toy_reaches_perfect_dev_accuracy():
     model = train(data, data, TrainConfig(max_epochs=50, hidden_size=8))
     assert dev_accuracy(model, data) == 1.0
     # a training point classifies as its own label
-    p_u, p_n = predict(model, data.vectors[0])
+    p_u, p_n = model.forward(data.vectors[:1])[0]
     assert (p_u > p_n) == (data.labels[0] == 0)
 
 

@@ -79,6 +79,27 @@ def test_flow_label_summary_counts_lexicon_codes(flow):
     assert summary["total"] == 60
 
 
+def test_label_summary_counts_every_code_and_labels_only_u_n(flow, tmp_path):
+    # four vocabulary words outside the lexicon, coded p, p, v and unspecified
+    with open(flow["lexicon.tsv"], encoding="utf-8") as fh:
+        rows = fh.read()
+    nouns = {line.split("\t")[0] for line in rows.splitlines()}
+    with open(flow["vocab.tsv"], encoding="utf-8") as fh:
+        others = [line.split("\t")[0] for line in fh if line.split("\t")[0] not in nouns]
+    lexicon = tmp_path / "lexicon.tsv"
+    extra = zip(others, ("p", "p", "v", ""))
+    lexicon.write_text(rows + "".join(f"{w}\t{c}\n" for w, c in extra), encoding="utf-8")
+    out, summary = tmp_path / "dataset.tsv", tmp_path / "summary.json"
+    assert main(["label", "--embedding", flow["emb.bin"], "--lexicon", str(lexicon),
+                 "--vocab", flow["vocab.tsv"], "--out", str(out),
+                 "--summary", str(summary)]) == 0
+    assert json.loads(summary.read_text(encoding="utf-8")) == {
+        "u": 42, "n": 18, "p": 2, "v": 1, "unspecified": 1, "total": 64,
+    }
+    with open(flow["dataset.tsv"], encoding="utf-8") as fh:
+        assert out.read_text(encoding="utf-8") == fh.read()
+
+
 def test_flow_label_deciles_cover_the_dataset(flow):
     with open(flow["deciles.json"], encoding="utf-8") as fh:
         deciles = json.load(fh)
@@ -301,6 +322,23 @@ def test_missing_config_file_exits_two(flow, tmp_path, capsys):
     assert "config file not found" in capsys.readouterr().err
 
 
+def _stage_inputs(flow, stage) -> list[str]:
+    """The flow's input flags for ``stage``, all but ``--out``."""
+    return {
+        "cooc": ["--corpus", flow["corpus.txt"], "--vocab", flow["vocab.tsv"],
+                 "--context-type", "symmetric"],
+        "embed": ["--cooc", flow["cooc.bin"], "--vocab", flow["vocab.tsv"]],
+        "label": ["--embedding", flow["emb.bin"], "--lexicon", flow["lexicon.tsv"],
+                  "--vocab", flow["vocab.tsv"]],
+        "split": ["--dataset", flow["dataset.tsv"]],
+        "train": ["--embedding", flow["emb.bin"], "--dataset", flow["dataset.tsv"],
+                  "--split", flow["split.json"]],
+        "eval": ["--embedding", flow["emb.bin"], "--dataset", flow["dataset.tsv"],
+                 "--split", flow["split.json"], "--model", flow["model.bin"]],
+        "tune": ["--corpus", flow["corpus.txt"], "--lexicon", flow["lexicon.tsv"]],
+    }[stage]
+
+
 @pytest.mark.parametrize("stage, config", [
     ("cooc", {"window_size": "x"}),
     ("embed", {"K": [1]}),
@@ -311,22 +349,34 @@ def test_missing_config_file_exits_two(flow, tmp_path, capsys):
     ("split", {"split_seed": True}),
     ("cooc", {"window_size": 9}),
     ("split", {"ratios": [0.8, 0.1, 0.1, 0.0]}),
+    ("embed", {"seed": -1}),
+    ("train", {"seed": -1}),
+    ("split", {"split_seed": -1}),
+    ("eval", {"stats_seed": -1}),
 ])
 def test_config_value_of_wrong_type_exits_two(flow, tmp_path, capsys, stage, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")
     out = str(tmp_path / "out")
-    argv = {
-        "cooc": ["--corpus", flow["corpus.txt"], "--vocab", flow["vocab.tsv"],
-                 "--context-type", "symmetric"],
-        "embed": ["--cooc", flow["cooc.bin"], "--vocab", flow["vocab.tsv"]],
-        "label": ["--embedding", flow["emb.bin"], "--lexicon", flow["lexicon.tsv"],
-                  "--vocab", flow["vocab.tsv"]],
-        "split": ["--dataset", flow["dataset.tsv"]],
-    }[stage]
-    rc = main([stage, *argv, "--out", out, "--config", str(cfg)])
+    rc = main([stage, *_stage_inputs(flow, stage), "--out", out, "--config", str(cfg)])
     assert rc == 2
     assert next(iter(config)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage, flag", [
+    ("embed", "--seed"), ("train", "--seed"), ("split", "--split-seed"),
+    ("eval", "--stats-seed"), ("tune", "--split-seed"), ("synth", "--seed"),
+])
+def test_negative_seed_flag_exits_two(flow, tmp_path, capsys, stage, flag):
+    out = tmp_path / "out"
+    if stage == "synth":
+        argv = ["--out-corpus", str(tmp_path / "c.txt"), "--out-lexicon", str(out)]
+    else:
+        argv = [*_stage_inputs(flow, stage), "--out", str(out)]
+    rc = main([stage, *argv, flag, "-1"])
+    assert rc == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("ratios", ["0.8,0.1,0.1,0.0", "a,b,c"])
@@ -412,8 +462,16 @@ def _out_of_range_input(flow, case, bad) -> list[str]:
         return ["embed", "--cooc", str(bad), "--vocab", flow["vocab.tsv"]]
     with open(flow["split.json"], encoding="utf-8") as fh:
         split = json.load(fh)
+    parts = split["partitions"]
     if case == "split partition not a list":
-        split["partitions"]["test"] = 5
+        parts["test"] = 5
+    elif case == "split test word also in train":
+        parts["train"].append(parts["test"][0])
+    elif case == "split test_digest missing":
+        del split["test_digest"]
+        parts["test"].pop()
+    elif case == "split test_digest mismatch":
+        parts["test"].pop()
     else:
         split["ratios"] = "x"
     bad.write_text(json.dumps(split), encoding="utf-8")
@@ -421,9 +479,10 @@ def _out_of_range_input(flow, case, bad) -> list[str]:
             "--split", str(bad), "--model", flow["model.bin"]]
 
 
-@pytest.mark.parametrize(
-    "case", ["cooc header window_size 9", "split partition not a list", "split ratios not a list"]
-)
+@pytest.mark.parametrize("case", [
+    "cooc header window_size 9", "split partition not a list", "split ratios not a list",
+    "split test word also in train", "split test_digest missing", "split test_digest mismatch",
+])
 def test_out_of_range_data_file_value_exits_three(flow, tmp_path, capsys, case):
     bad, out = tmp_path / "bad.json", tmp_path / "out"
     rc = main([*_out_of_range_input(flow, case, bad), "--out", str(out)])

@@ -26,7 +26,7 @@ def _vocab_and_corpus():
 
 
 def _pair_count(cooc, vocab, ctx, tgt):
-    return cooc.count(vocab.ids[ctx], vocab.ids[tgt])
+    return float(cooc.matrix[vocab.ids[ctx], vocab.ids[tgt]])
 
 
 def _reference_counts(corpus, vocab, config):
@@ -36,7 +36,7 @@ def _reference_counts(corpus, vocab, config):
     w = config.window_size
     counts = {}
     for sentence in corpus:
-        ids = [vocab.ids[tok] if tok in vocab else -1 for tok in sentence]
+        ids = [vocab.ids[tok] if tok in vocab.ids else -1 for tok in sentence]
         for i, target in enumerate(ids):
             if target < 0:
                 continue
@@ -80,7 +80,7 @@ def test_counts_match_reference_loop(seed, monkeypatch):
     # so block boundaries must not lose or invent pairs
     monkeypatch.setattr(cooccurrence, "BLOCK_TOKENS", 16)
     corpus, vocab = _random_corpus(seed)
-    assert any(tok not in vocab for sentence in corpus for tok in sentence)
+    assert any(tok not in vocab.ids for sentence in corpus for tok in sentence)
     by_distance = count_by_distance(corpus, vocab, 5)
     for weighting in (False, True):
         for context_type in CONTEXT_TYPES:
@@ -227,12 +227,17 @@ def test_distance_weighting():
     assert _pair_count(cooc, vocab, "a", "b") == pytest.approx(1.0)
 
 
-def test_entries_sorted_and_complete():
+def test_entries_sorted_and_complete(tmp_path):
+    # the saved file lists every stored triplet once, in (row, col) order
     vocab, corpus = _vocab_and_corpus()
     cooc = count_cooccurrences(corpus, vocab, ContextConfig("symmetric", 2))
-    entries = list(cooc.entries())
+    path = tmp_path / "cooc.txt"
+    save_cooccurrence(cooc, path)
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    entries = [(int(r), int(c), float(v)) for r, c, v in (line.split("\t") for line in lines)]
     assert entries == sorted(entries, key=lambda e: (e[0], e[1]))
     assert len(entries) == cooc.nnz
+    assert all(cooc.matrix[r, c] == v for r, c, v in entries)
     assert sum(v for _, _, v in entries) == pytest.approx(cooc.total)
 
 

@@ -110,8 +110,8 @@ def test_build_vocabulary_breaks_frequency_ties_alphabetically():
 def test_filter_by_frequency_is_strict():
     vocab = build_vocabulary([["a"] * 5 + ["b"] * 3 + ["c"] * 3 + ["d"]])
     kept = filter_by_frequency(vocab, 3)
-    assert "a" in kept
-    assert "b" not in kept and "c" not in kept and "d" not in kept
+    assert "a" in kept.ids
+    assert "b" not in kept.ids and "c" not in kept.ids and "d" not in kept.ids
     # ids are re-densified after filtering
     assert kept.ids["a"] == 0
 

@@ -1,6 +1,7 @@
 """Dataset assembly, apportionment, stratified splitting, deciles."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -188,7 +189,7 @@ def test_build_dataset_intersects_and_orders():
         ("hund", "uter", 5),
         ("hus", "neuter", 3),
     ]
-    assert np.array_equal(data.vectors[0], emb.vector("hund"))
+    assert np.array_equal(data.vectors[0], emb.matrix[emb.rows(["hund"])[0]])
 
 
 def test_build_dataset_min_freq_is_strict():
@@ -200,9 +201,13 @@ def test_build_dataset_min_freq_is_strict():
 
 
 def test_build_dataset_requires_core_lexicon():
+    # words coded other than u/n are not labeled
     vocab, emb, _ = _joined_fixture()
-    with pytest.raises(ConfigurationError, match="restrict_to_core_genders"):
-        build_dataset(emb, GenderLexicon({"hund": "p"}), vocab)
+    data = build_dataset(emb, GenderLexicon({"hund": "u", "hus": "p", "bil": "v"}), vocab)
+    assert [ex.word for ex in data] == ["hund"]
+    for entries in ({"hund": "p"}, {"hund": "p", "hus": "v", "bil": ""}):
+        with pytest.raises(DataError):
+            build_dataset(emb, GenderLexicon(entries), vocab)
 
 
 def test_build_dataset_empty_intersection():
@@ -244,6 +249,23 @@ def test_manifest_validation(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(DataError, match="test"):
+        load_split_manifest(path)
+    # partitions must be disjoint, and test_digest must be the test words' digest
+    parts = {"train": ["a", "b"], "dev": ["c"], "test": ["d"]}
+    good = {"seed": 0, "ratios": [0.8, 0.1, 0.1], "partitions": parts,
+            "test_digest": word_list_digest(["d"])}
+    for bad, message in (
+        ({"partitions": {**parts, "train": ["a", "d"]}}, "duplicate word in the partitions: 'd'"),
+        ({"partitions": {**parts, "dev": ["c", "c"]}}, "duplicate word in the partitions: 'c'"),
+        ({"test_digest": word_list_digest(["e"])}, "test_digest"),
+        ({"test_digest": None}, "test_digest is missing"),
+    ):
+        path.write_text(json.dumps({**good, **bad}), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            load_split_manifest(path)
+    del good["test_digest"]
+    path.write_text(json.dumps(good), encoding="utf-8")
+    with pytest.raises(DataError, match="test_digest is missing"):
         load_split_manifest(path)
 
 

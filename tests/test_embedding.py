@@ -190,9 +190,7 @@ def test_embedding_matrix_accessors_and_validation():
     assert len(emb) == 3
     assert emb.k == 2
     assert "b" in emb and "z" not in emb
-    assert np.array_equal(emb.vector("c"), [4.0, 5.0])
-    with pytest.raises(KeyError):
-        emb.vector("z")
+    assert np.array_equal(emb.matrix[emb.rows(["c"])[0]], [4.0, 5.0])
     with pytest.raises(DataError):
         EmbeddingMatrix(["a", "a"], vecs[:2])
     with pytest.raises(ConfigurationError):
@@ -213,8 +211,8 @@ def test_embed_counts_gram_reproduces_full_rank_product():
 def test_embed_separates_article_groups_in_two_dims():
     corpus, vocab, _ = _toy_cooc()
     emb = embed(corpus, vocab, ContextConfig("asymmetric_backward", 1), EmbeddingConfig(k=2, alpha=0.5))
-    en_nouns = np.array([emb.vector(w) for w in ("hund", "katt")])
-    ett_nouns = np.array([emb.vector(w) for w in ("hus", "barn")])
+    en_nouns = emb.matrix[emb.rows(["hund", "katt"])]
+    ett_nouns = emb.matrix[emb.rows(["hus", "barn"])]
     direction = en_nouns.mean(axis=0) - ett_nouns.mean(axis=0)
     lo = (en_nouns @ direction).min()
     hi = (ett_nouns @ direction).max()

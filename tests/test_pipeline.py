@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -307,6 +308,13 @@ def test_manifest_build_save_load(language_files, tmp_path):
     path.write_text(json.dumps({**d, "ratios": [0.8, 0.1, 0.1, 0.5]}), encoding="utf-8")
     with pytest.raises(DataError, match="ratios"):
         load_manifest(path)
+    # a negative seed, top-level or nested, is the file's fault too
+    for bad in ({"split_seed": -1}, {"stats_seed": -2},
+                {"embedding": {**d["embedding"], "seed": -1}},
+                {"training": {**d["training"], "seed": -1}}):
+        path.write_text(json.dumps({**d, **bad}), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: ") + ".*seed must be >= 0"):
+            load_manifest(path)
 
 
 def test_run_from_manifest_is_byte_identical(language_files, tmp_path):
