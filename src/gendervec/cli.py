@@ -98,9 +98,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_cooc(args) -> int:
-    opts = Options(args)
+    config = Options(args).build(cooccurrence.ContextConfig)
     vocab = corpus.load_vocabulary(args.vocab)
-    config = opts.build(cooccurrence.ContextConfig)
     cooc = cooccurrence.count_cooccurrences(
         corpus.read_sentences(args.corpus), vocab, config
     )
@@ -110,8 +109,7 @@ def cmd_cooc(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    opts = Options(args)
-    emb_config = opts.build(embedding.EmbeddingConfig)
+    emb_config = Options(args).build(embedding.EmbeddingConfig)
     cooc = cooccurrence.load_cooccurrence(args.cooc)
     vocab = corpus.load_vocabulary(args.vocab)
     emb = embedding.embed_counts(cooc, vocab, emb_config)
@@ -151,11 +149,11 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    opts = Options(args)
+    config = Options(args).build(classifier.TrainConfig)
     data = _labeled_set(args.embedding, args.dataset)
     manifest = dataset.load_split_manifest(args.split)
     bundle = dataset.bundle_from_manifest(manifest, data)
-    model = classifier.train(bundle.train, bundle.dev, opts.build(classifier.TrainConfig))
+    model = classifier.train(bundle.train, bundle.dev, config)
     classifier.save_model(model, args.out)
     acc = classifier.dev_accuracy(model, bundle.dev)
     logger.info("trained model (dev accuracy %.4f), wrote %s", acc, args.out)

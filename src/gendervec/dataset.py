@@ -234,7 +234,8 @@ def load_split_manifest(path) -> dict:
         if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
             raise DataError(f"{path}: split manifest partition {name!r} must be a list of words")
     try:
-        integer(manifest["seed"])
+        if integer(manifest["seed"]) < 0:
+            raise ValueError(f"seed must be >= 0, got {manifest['seed']}")
         _validate_ratios(manifest["ratios"])
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad split manifest seed or ratios: {exc}") from None

@@ -15,6 +15,7 @@ from typing import Iterable
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import ArpackNoConvergence, svds
 
 from .cooccurrence import ContextConfig, CoocMatrix, count_cooccurrences
 from .corpus import Sentence, Vocabulary, row_lookup, word_index
@@ -52,23 +53,18 @@ def power_transform(cooc: CoocMatrix, alpha: float) -> sparse.csr_array:
     return out
 
 
-# Subspace iteration in truncated_svd: extra subspace columns carried,
-# the cap on iterations before giving up, and the largest relative
-# residual ``|M^T u - sigma v| / sigma_1`` over the kept triplets at
-# which iteration stops.
-SVD_OVERSAMPLE = 10
-SVD_MAX_ITER = 500
-SVD_CONVERGENCE_TOL = 1e-10
-
-
 def truncated_svd(matrix, k: int, *, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Top-``k`` singular values and right singular vectors of ``matrix``.
+
+    ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.svds``)
+    finds them; when ``k >= min(m, n) - 1``, past what ARPACK accepts,
+    a dense LAPACK SVD does.
 
     Parameters
     ----------
     matrix : (m, n) ndarray or scipy sparse array
     k : number of singular triplets to keep, ``1 <= k <= min(m, n)``
-    seed : seeds the random range finder; fixed seed means bitwise
+    seed : seeds ARPACK's start vector; fixed seed means bitwise
         reproducible output on one platform
 
     Returns
@@ -81,46 +77,23 @@ def truncated_svd(matrix, k: int, *, seed: int = 0) -> tuple[np.ndarray, np.ndar
     ------
     ConfigurationError : ``k`` outside ``1..min(m, n)`` (an empty matrix
         therefore always fails)
-    NumericalError : no convergence within ``SVD_MAX_ITER``; the message
-        reports the residual actually achieved
+    NumericalError : ARPACK did not converge; the message is ARPACK's
     """
     m, n = matrix.shape
     rank_cap = min(m, n)
     if k < 1 or k > rank_cap:
         raise ConfigurationError(f"k must be in 1..{rank_cap} for shape {(m, n)}, got {k}")
-    rng = np.random.default_rng(seed)
-    width = min(k + SVD_OVERSAMPLE, rank_cap)
-    gauss = rng.standard_normal((n, width))
-    q_basis, _ = np.linalg.qr(matrix @ gauss)
-
-    if width == rank_cap:
-        # The sketch spans the whole column space, so the projected
-        # problem is the exact one.
-        b = (matrix.T @ q_basis).T
-        _, s, vt = np.linalg.svd(b, full_matrices=False)
-        return _fix_signs(s[:k].copy(), vt[:k].T.copy())
-
-    ritz = None
-    achieved = np.inf
-    for _ in range(SVD_MAX_ITER):
-        t = matrix.T @ q_basis
-        if ritz is not None:
-            p_prev, w_r, s_prev, u_r = ritz
-            # One-sided residual: the M v - sigma u side vanishes by
-            # construction, so this alone certifies the triplets.
-            resid = t @ u_r[:, :k] - (p_prev @ w_r[:, :k]) * s_prev[:k]
-            scale = max(s_prev[0], np.finfo(float).tiny)
-            achieved = float(np.linalg.norm(resid, axis=0).max() / scale)
-            if achieved <= SVD_CONVERGENCE_TOL:
-                return _fix_signs(s_prev[:k].copy(), p_prev @ w_r[:, :k])
-        p_basis, _ = np.linalg.qr(t)
-        q_basis, r = np.linalg.qr(matrix @ p_basis)
-        u_r, s, w_rt = np.linalg.svd(r)
-        ritz = (p_basis, w_rt.T, s, u_r)
-    raise NumericalError(
-        f"truncated SVD did not converge in {SVD_MAX_ITER} iterations; "
-        f"max relative residual {achieved:.3e} (tol {SVD_CONVERGENCE_TOL:.1e})"
-    )
+    if k >= rank_cap - 1:
+        dense = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, dtype=float)
+        _, s, vt = np.linalg.svd(dense, full_matrices=False)
+    else:
+        v0 = np.random.default_rng(seed).standard_normal(rank_cap)
+        try:
+            _, s, vt = svds(matrix, k=k, v0=v0, return_singular_vectors="vh")
+        except ArpackNoConvergence as exc:
+            raise NumericalError(f"truncated SVD did not converge: {exc}") from None
+    order = np.argsort(-s, kind="stable")[:k]
+    return _fix_signs(s[order], vt[order].T)
 
 
 def _fix_signs(sigma: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

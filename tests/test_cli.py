@@ -379,6 +379,28 @@ def test_negative_seed_flag_exits_two(flow, tmp_path, capsys, stage, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stage, option", [
+    ("cooc", ["--window-size", "0"]),
+    ("embed", ["--seed", "-1"]),
+    ("label", {"min_freq": 2.5}),
+    ("split", ["--split-seed", "-1"]),
+    ("train", ["--seed", "-1"]),
+    ("tune", ["--split-seed", "-1"]),
+    ("eval", ["--stats-seed", "-1"]),
+], ids=lambda value: value if isinstance(value, str) else json.dumps(value))
+def test_bad_option_exits_two_before_a_missing_input(flow, tmp_path, capsys, stage, option):
+    absent = str(tmp_path / "absent")
+    if isinstance(option, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(option), encoding="utf-8")
+        option = ["--config", str(cfg)]
+    inputs = [absent if arg in flow.values() else arg for arg in _stage_inputs(flow, stage)]
+    assert absent in inputs
+    rc = main([stage, *inputs, "--out", str(tmp_path / "out"), *option])
+    assert rc == 2
+    assert absent not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ratios", ["0.8,0.1,0.1,0.0", "a,b,c"])
 def test_ratios_flag_of_wrong_length_or_type_exits_two(flow, tmp_path, capsys, ratios):
     out = tmp_path / "split.json"
@@ -472,6 +494,8 @@ def _out_of_range_input(flow, case, bad) -> list[str]:
         parts["test"].pop()
     elif case == "split test_digest mismatch":
         parts["test"].pop()
+    elif case == "split seed -1":
+        split["seed"] = -1
     else:
         split["ratios"] = "x"
     bad.write_text(json.dumps(split), encoding="utf-8")
@@ -482,6 +506,7 @@ def _out_of_range_input(flow, case, bad) -> list[str]:
 @pytest.mark.parametrize("case", [
     "cooc header window_size 9", "split partition not a list", "split ratios not a list",
     "split test word also in train", "split test_digest missing", "split test_digest mismatch",
+    "split seed -1",
 ])
 def test_out_of_range_data_file_value_exits_three(flow, tmp_path, capsys, case):
     bad, out = tmp_path / "bad.json", tmp_path / "out"

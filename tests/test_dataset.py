@@ -259,6 +259,8 @@ def test_manifest_validation(tmp_path):
         ({"partitions": {**parts, "dev": ["c", "c"]}}, "duplicate word in the partitions: 'c'"),
         ({"test_digest": word_list_digest(["e"])}, "test_digest"),
         ({"test_digest": None}, "test_digest is missing"),
+        ({"seed": -1}, "bad split manifest seed or ratios: seed must be >= 0, got -1"),
+        ({"seed": 1.5}, "bad split manifest seed or ratios"),
     ):
         path.write_text(json.dumps({**good, **bad}), encoding="utf-8")
         with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):

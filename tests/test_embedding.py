@@ -1,10 +1,12 @@
 """Truncated SVD against a dense oracle, plus embedding plumbing."""
 
+import functools
 import struct
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import svds
 
 import gendervec.embedding as embedding
 from gendervec.cooccurrence import ContextConfig, count_cooccurrences
@@ -25,8 +27,8 @@ from gendervec.errors import ConfigurationError, DataError, NumericalError
 
 
 # Oracle: full dense SVD via LAPACK, truncated after the fact.  Written
-# before looking at the randomized implementation; the only shared piece
-# is the sign convention, which both sides need for comparability.
+# before looking at the implementation; the only shared piece is the
+# sign convention, which both sides need for comparability.
 def dense_svd_oracle(matrix, k):
     dense = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, dtype=float)
     _, s, vt = np.linalg.svd(dense, full_matrices=False)
@@ -63,9 +65,12 @@ def test_matches_dense_oracle_random():
         m = int(rng.integers(2, 65))
         n = int(rng.integers(2, 65))
         cap = min(m, n)
-        # Alternate between the sketch-exact path (wide sketch covers the
-        # rank) and the subspace-iteration path.
-        if trial % 2 == 0:
+        # Alternate between the dense path (k >= cap - 1, past what ARPACK
+        # takes) and the ARPACK path; the first two trials pin both ends
+        # of the dense path.
+        if trial < 2:
+            k = cap - trial
+        elif trial % 2 == 0:
             k = int(rng.integers(max(1, cap - 5), cap + 1))
         else:
             k = int(rng.integers(1, max(2, cap - 10)))
@@ -126,12 +131,28 @@ def test_k_out_of_range():
         truncated_svd(np.empty((0, 5)), 1)
 
 
-def test_non_convergence_reports_residual(monkeypatch):
-    monkeypatch.setattr(embedding, "SVD_MAX_ITER", 1)
+def test_non_convergence_is_numerical_error(monkeypatch):
+    monkeypatch.setattr(embedding, "svds", functools.partial(svds, maxiter=1))
     rng = np.random.default_rng(3)
     mat = rng.standard_normal((40, 30))
-    with pytest.raises(NumericalError, match="residual"):
+    with pytest.raises(NumericalError, match="converge"):
         truncated_svd(mat, 5)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_flat_tail_spectrum_converges(seed):
+    # Five leading values over a tail of 150 values within 1e-4 of 1:
+    # k=10 cuts through the flat tail, so the 10th singular value is
+    # barely separated from the 11th.
+    rng = np.random.default_rng(seed)
+    spectrum = np.concatenate([np.linspace(10, 5, 5), 1 + 1e-4 * rng.random(150)])
+    left, _ = np.linalg.qr(rng.standard_normal((300, spectrum.size)))
+    right, _ = np.linalg.qr(rng.standard_normal((300, spectrum.size)))
+    mat = (left * spectrum) @ right.T
+    sigma, v = truncated_svd(mat, 10, seed=seed)
+    ref_sigma, _ = dense_svd_oracle(mat, 10)
+    assert np.max(np.abs(sigma - ref_sigma)) <= 1e-12
+    assert np.max(np.abs(v.T @ v - np.eye(10))) <= 1e-8
 
 
 def _toy_cooc(alpha_counts=None):
