@@ -7,6 +7,15 @@ tokens, and every standalone digit run (optionally with internal ``.``,
 the literal token ``NUMBER``.  Mixed alphanumerics such as ``3d`` are
 left intact.
 
+``read_sentences`` reads the file in chunks of whole lines (about
+``READ_BYTES`` bytes each) and decodes each chunk once.  It splits every
+line on whitespace and normalizes each distinct piece once per read,
+through a cache bounded at ``PIECE_CACHE_SIZE`` pieces.  This equals
+normalizing the whole line because no token spans whitespace: no token
+alternative matches it, the number lookahead sees a non-word character
+at a piece's end just as at a space, and ``str.split()`` splits on
+exactly the code points that the regex class for whitespace matches.
+
 The vocabulary maps words to dense ids ``0..|V|-1`` assigned by
 descending corpus frequency, ties broken lexicographically, so two
 ingestions of the same corpus agree bit for bit.
@@ -17,7 +26,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
+from functools import lru_cache
+from itertools import chain, compress
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -28,6 +38,13 @@ from .errors import ConfigurationError, DataError
 Sentence = list
 
 NUMBER_TOKEN = "NUMBER"
+
+# Bytes of whole lines read and decoded at a time; larger chunks read no
+# faster and hold more memory.
+READ_BYTES = 1 << 14
+
+# Distinct whitespace-delimited pieces kept normalized during one read.
+PIECE_CACHE_SIZE = 1 << 16
 
 # Number runs first so "3.5" survives as one token; the lookahead stops a
 # digit prefix of a mixed token ("3d") from matching, which then falls
@@ -55,27 +72,29 @@ def normalize_line(line: str) -> Sentence:
     return tokens
 
 
-def iter_corpus_lines(path) -> Iterator[str]:
-    """Yield raw text lines, rejecting invalid UTF-8 with its byte offset."""
+def read_sentences(path) -> Iterator[Sentence]:
+    """Stream normalized sentences from a one-sentence-per-line file.
+
+    Blank lines yield nothing; invalid UTF-8 is a DataError giving the
+    bad byte's offset in the file.  Every sentence is a new list.
+    """
+    normalize_piece = lru_cache(maxsize=PIECE_CACHE_SIZE)(normalize_line)
     offset = 0
     with open(path, "rb") as fh:
-        for raw in fh:
+        while lines := fh.readlines(READ_BYTES):
+            chunk = b"".join(lines)
             try:
-                line = raw.decode("utf-8")
+                text = chunk.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise DataError(
                     f"{path}: invalid UTF-8 at byte offset {offset + exc.start}"
                 ) from None
-            offset += len(raw)
-            yield line.rstrip("\n").rstrip("\r")
-
-
-def read_sentences(path) -> Iterator[Sentence]:
-    """Stream normalized sentences from a one-sentence-per-line file."""
-    for line in iter_corpus_lines(path):
-        sentence = normalize_line(line)
-        if sentence:
-            yield sentence
+            offset += len(chunk)
+            for line in text.split("\n"):
+                # The cached piece lists are shared, so the sentence must be a copy.
+                sentence = list(chain.from_iterable(map(normalize_piece, line.split())))
+                if sentence:
+                    yield sentence
 
 
 def word_index(words: Sequence[str], source: str) -> dict[str, int]:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from gendervec.corpus import (
     Vocabulary,
     build_vocabulary,
     filter_by_frequency,
-    iter_corpus_lines,
     load_vocabulary,
     normalize_line,
     read_sentences,
@@ -74,20 +75,79 @@ def test_read_sentences_skips_blank_lines(tmp_path):
     assert sentences == [["en", "hund", "."], ["ett", "hus", "."]]
 
 
-def test_iter_corpus_lines_handles_crlf(tmp_path):
+def test_read_sentences_handles_crlf(tmp_path):
     path = tmp_path / "c.txt"
     path.write_bytes(b"rad ett\r\nrad tv\xc3\xa5\n")
-    assert list(iter_corpus_lines(path)) == ["rad ett", "rad två"]
+    assert list(read_sentences(path)) == [["rad", "ett"], ["rad", "två"]]
 
 
-def test_iter_corpus_lines_invalid_utf8(tmp_path):
+def test_read_sentences_invalid_utf8(tmp_path):
     path = tmp_path / "c.txt"
     path.write_bytes(b"bra rad\nd\xe5lig rad\n")
     with pytest.raises(DataError) as err:
-        list(iter_corpus_lines(path))
+        list(read_sentences(path))
     assert "byte offset" in str(err.value)
     # offset of the bad byte: len("bra rad\n") + 1
     assert "9" in str(err.value)
+
+
+def test_read_sentences_invalid_utf8_offset_counts_earlier_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr("gendervec.corpus.READ_BYTES", 16)
+    good = "en katt sover här\n".encode("utf-8")
+    path = tmp_path / "c.txt"
+    path.write_bytes(good * 5 + b"d\xe5lig rad\n" + good)
+    with pytest.raises(DataError, match=f"invalid UTF-8 at byte offset {5 * len(good) + 1}$"):
+        list(read_sentences(path))
+
+
+# Whitespace that str.split() and the token regex both separate on,
+# including \x1c, \x85 and \u2028, which str.splitlines() would take as
+# line ends although the corpus format ends lines only at "\n".
+_SPACES = ["\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2002", "\u2028", "\u3000", " ", "  "]
+_PIECES = ["NUMBER", "number", "3d", "3.5d", "1.024,", "12:30.", "å", "ä", "ö", "İ", "²",
+           "Han", "HUND", "3", "(x)", "a.b", "x²y", "٠١"]
+
+
+def _random_line(rng: random.Random) -> str:
+    parts = []
+    for _ in range(rng.randrange(7)):
+        parts.append(rng.choice(_SPACES) if rng.random() < 0.4 else "")
+        parts.append("".join(rng.choice(_PIECES) for _ in range(rng.randrange(1, 3))))
+    parts.append(rng.choice(_SPACES) if rng.random() < 0.3 else "")
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_read_sentences_equals_normalizing_whole_lines(tmp_path, monkeypatch, seed):
+    # Small chunks and a tiny cache, so a file spans many chunks and
+    # cached pieces are evicted and normalized again.
+    monkeypatch.setattr("gendervec.corpus.READ_BYTES", 40)
+    monkeypatch.setattr("gendervec.corpus.PIECE_CACHE_SIZE", 4)
+    rng = random.Random(seed)
+    lines = [_random_line(rng) for _ in range(300)]
+    endings = ["\r\n" if rng.random() < 0.3 else "\n" for _ in lines]
+    body = "".join(line + end for line, end in zip(lines, endings))
+    cases = {
+        "final newline": body,
+        "no final newline": body.rstrip("\n"),
+        "empty": "",
+        "all blank": "\n \t\n\x85\r\n\u3000",
+    }
+    for name, text in cases.items():
+        path = tmp_path / "c.txt"
+        path.write_bytes(text.encode("utf-8"))
+        # Split the way a binary line reader does: on "\n" only.
+        expected = [s for s in map(normalize_line, text.split("\n")) if s]
+        assert list(read_sentences(path)) == expected, name
+
+
+def test_read_sentences_yields_unshared_lists(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("en hund .\nen hund .\n", encoding="utf-8")
+    sentences = read_sentences(path)
+    first = next(sentences)
+    first.append("extra")
+    assert next(sentences) == ["en", "hund", "."]
 
 
 def test_build_vocabulary_orders_by_frequency_then_word():
