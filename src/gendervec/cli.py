@@ -88,7 +88,7 @@ def _labeled_set(embedding_path, dataset_path) -> dataset.LabeledSet:
 
 def cmd_ingest(args) -> int:
     run = Options(args).build(pipeline.RunOptions)
-    vocab = corpus.build_vocabulary(corpus.read_sentences(args.corpus))
+    vocab = corpus.build_vocabulary_from_file(args.corpus)
     vocab = corpus.filter_by_frequency(vocab, run.vocab_min_freq)
     if len(vocab) == 0:
         raise DataError(f"{args.corpus}: no vocabulary entries survive the frequency filter")
@@ -100,9 +100,8 @@ def cmd_ingest(args) -> int:
 def cmd_cooc(args) -> int:
     config = Options(args).build(cooccurrence.ContextConfig)
     vocab = corpus.load_vocabulary(args.vocab)
-    cooc = cooccurrence.count_cooccurrences(
-        corpus.read_sentences(args.corpus), vocab, config
-    )
+    by_distance = cooccurrence.count_by_distance_from_file(args.corpus, vocab, config.window_size)
+    cooc = cooccurrence.combine(by_distance, config)
     cooccurrence.save_cooccurrence(cooc, args.out)
     logger.info("wrote %d nonzero counts to %s", cooc.nnz, args.out)
     return 0

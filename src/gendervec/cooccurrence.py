@@ -4,20 +4,32 @@ Counts live in a sparse context-row by target-column matrix.  Windows
 are positional and truncate at sentence boundaries; out-of-vocabulary
 tokens keep their position but contribute nothing, neither as context
 nor as target.
+
+One numpy step counts every corpus: it takes a block of token ids (-1
+out of vocabulary) with the token count of each sentence, and counts the
+pairs at each distance whose ids are both known and whose sentence is
+the same.  ``count_by_distance`` feeds it an iterable of sentences in
+batches of ``BATCH_SENTENCES``.  ``count_by_distance_from_file`` feeds
+it the corpus file chunk by chunk, with no object per sentence: each
+chunk's whitespace pieces map through a per-call table to the token ids
+of the piece, normalized once per distinct piece, and each line's piece
+count gives its sentence.  Both give the same counts because no token
+spans whitespace (see ``corpus``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Sequence
+from itertools import chain, islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .corpus import Sentence, Vocabulary
+from .corpus import Sentence, Vocabulary, normalize_line, read_chunks
 from .errors import ConfigurationError, DataError
 from .records import Record
 
@@ -26,9 +38,15 @@ CONTEXT_TYPES = ("asymmetric_backward", "asymmetric_forward", "symmetric")
 # Largest supported window size.
 MAX_WINDOW = 5
 
-# Token slots flattened and counted at a time; bounds counting memory
-# whatever the corpus size.
-BLOCK_TOKENS = 1 << 18
+# Tokens counted at a time, in whole chunks or batches; bounds counting
+# memory whatever the corpus size.
+BLOCK_TOKENS = 1 << 16
+
+# Sentences of an iterable corpus turned into token ids at a time.
+BATCH_SENTENCES = 1 << 10
+
+# Count triplets formatted and written at a time by save_cooccurrence.
+WRITE_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -78,33 +96,103 @@ def count_by_distance(
 
     Returns ``[D_1, .., D_max_window]`` where ``D_d[c, t]`` counts how
     often context ``c`` sits exactly ``d`` positions before target ``t``
-    in the same sentence.  Token ids are flattened into blocks of about
-    ``BLOCK_TOKENS`` slots that end on sentence boundaries; each sentence
-    is followed by ``max_window`` out-of-vocabulary slots, so no counted
-    pair crosses a sentence.
+    in the same sentence.
     """
-    n = len(vocab)
     ids_of = vocab.ids.get
-    gap = [-1] * max_window
+    sentences = iter(corpus)
+
+    def batches() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        while batch := list(islice(sentences, BATCH_SENTENCES)):
+            sizes = np.fromiter(map(len, batch), np.intp, len(batch))
+            ids = np.fromiter(
+                map(ids_of, chain.from_iterable(batch), repeat(-1)), np.int64, int(sizes.sum())
+            )
+            yield ids, sizes
+
+    return _count_blocks(batches(), len(vocab), max_window)
+
+
+def count_by_distance_from_file(
+    path, vocab: Vocabulary, max_window: int
+) -> list[sparse.csr_array]:
+    """``count_by_distance(read_sentences(path), vocab, max_window)``, read
+    chunk by chunk as whitespace pieces."""
+    table = _PieceTable(vocab)
+
+    def chunks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for text in read_chunks(path):
+            rows = np.fromiter(map(table.__getitem__, text.split()), np.intp)
+            # Each line's list dies at once; keeping them would slow the
+            # split through garbage collection.
+            pieces = np.fromiter(map(len, map(str.split, text.split("\n"))), np.intp)
+            yield table.tokens(rows, pieces)
+
+    return _count_blocks(chunks(), len(vocab), max_window)
+
+
+class _PieceTable(dict):
+    """Row number of each whitespace piece, assigned when first looked up.
+
+    Row ``r`` holds the token ids of the piece, -1 for a token out of the
+    vocabulary, at ``ids[start[r]:start[r + 1]]``.
+    """
+
+    def __init__(self, vocab: Vocabulary):
+        super().__init__()
+        self.vocab_ids = vocab.ids
+        self.ids = array("q")
+        self.start = array("q", [0])
+
+    def __missing__(self, piece: str) -> int:
+        self.ids.extend(self.vocab_ids.get(token, -1) for token in normalize_line(piece))
+        self.start.append(len(self.ids))
+        row = self[piece] = len(self.start) - 2
+        return row
+
+    def tokens(self, rows: np.ndarray, pieces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Token ids of the pieces ``rows``, and the token count of each line
+        given its piece count ``pieces``."""
+        # frombuffer views stop the arrays from growing while they live;
+        # they go on return, before the next lookup can add a row.
+        start = np.frombuffer(self.start, dtype=np.int64)
+        first = start[rows]
+        widths = start[rows + 1] - first
+        ends = np.cumsum(widths)
+        ids = np.frombuffer(self.ids, dtype=np.int64)[
+            np.repeat(first - ends + widths, widths) + np.arange(widths.sum())
+        ]
+        line_ends = np.concatenate(([0], ends))[np.cumsum(pieces)]
+        return ids, np.diff(line_ends, prepend=0)
+
+
+def _count_blocks(
+    chunks: Iterable[tuple[np.ndarray, np.ndarray]], n: int, max_window: int
+) -> list[sparse.csr_array]:
+    """Sum the pairs of ``(token ids, tokens per sentence)`` chunks by
+    distance, a block of whole chunks of about ``BLOCK_TOKENS`` at a time."""
     counts = [sparse.csr_array((n, n), dtype=np.float64) for _ in range(max_window)]
-    block: list[int] = []
+    block: list[tuple[np.ndarray, np.ndarray]] = []
+    held = 0
 
     def add_block() -> None:
-        ids = np.array(block, dtype=np.int64)
+        ids = np.concatenate([chunk[0] for chunk in block])
+        sizes = np.concatenate([chunk[1] for chunk in block])
+        sentence = np.repeat(np.arange(len(sizes)), sizes)
         for d in range(1, max_window + 1):
             context, target = ids[:-d], ids[d:]
-            keep = (context >= 0) & (target >= 0)
+            keep = (context >= 0) & (target >= 0) & (sentence[:-d] == sentence[d:])
             pairs = sparse.coo_array(
                 (np.ones(np.count_nonzero(keep)), (context[keep], target[keep])), shape=(n, n)
             )
             counts[d - 1] = counts[d - 1] + pairs.tocsr()
         block.clear()
 
-    for sentence in corpus:
-        block.extend(map(ids_of, sentence, repeat(-1)))
-        block.extend(gap)
-        if len(block) >= BLOCK_TOKENS:
+    for chunk in chunks:
+        block.append(chunk)
+        held += len(chunk[0])
+        if held >= BLOCK_TOKENS:
             add_block()
+            held = 0
     if block:
         add_block()
     return counts
@@ -151,13 +239,16 @@ def save_cooccurrence(cooc: CoocMatrix, path) -> None:
     """Write a JSON header line, then ``context_id<TAB>target_id<TAB>count``
     triplets sorted by (context, target)."""
     header = {"rows": cooc.shape[0], "cols": cooc.shape[1], **cooc.config.to_dict()}
+    coo = cooc.matrix.tocoo()
+    order = np.lexsort((coo.col, coo.row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        coo = cooc.matrix.tocoo()
-        for i in np.lexsort((coo.col, coo.row)):
-            value = float(coo.data[i])
-            text = str(int(value)) if value == int(value) else repr(value)
-            fh.write(f"{int(coo.row[i])}\t{int(coo.col[i])}\t{text}\n")
+        for start in range(0, len(order), WRITE_ENTRIES):
+            part = order[start:start + WRITE_ENTRIES]
+            counts = [str(int(v)) if v.is_integer() else repr(v) for v in coo.data[part].tolist()]
+            fh.write("".join(map(
+                "{}\t{}\t{}\n".format, coo.row[part].tolist(), coo.col[part].tolist(), counts
+            )))
 
 
 def load_cooccurrence(path) -> CoocMatrix:

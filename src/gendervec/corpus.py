@@ -7,14 +7,20 @@ tokens, and every standalone digit run (optionally with internal ``.``,
 the literal token ``NUMBER``.  Mixed alphanumerics such as ``3d`` are
 left intact.
 
-``read_sentences`` reads the file in chunks of whole lines (about
-``READ_BYTES`` bytes each) and decodes each chunk once.  It splits every
-line on whitespace and normalizes each distinct piece once per read,
-through a cache bounded at ``PIECE_CACHE_SIZE`` pieces.  This equals
-normalizing the whole line because no token spans whitespace: no token
+``read_chunks`` is the one decoder: it reads the file in chunks of
+whole lines (about ``READ_BYTES`` bytes each) and decodes each chunk
+once.  Every reader normalizes whitespace pieces, the items of
+``str.split()``, not lines, and keeps the tokens of each distinct piece
+so that it is not normalized at every occurrence.  This equals
+normalizing whole lines because no token spans whitespace: no token
 alternative matches it, the number lookahead sees a non-word character
 at a piece's end just as at a space, and ``str.split()`` splits on
 exactly the code points that the regex class for whitespace matches.
+Since the line break is whitespace too, a chunk's ``split()`` is the
+concatenation of its lines' ``split()``, so ``build_vocabulary_from_file``
+counts the pieces of whole chunks and creates no object per sentence.
+``read_sentences`` yields one token list per line and keeps at most
+``PIECE_CACHE_SIZE`` pieces.
 
 The vocabulary maps words to dense ids ``0..|V|-1`` assigned by
 descending corpus frequency, ties broken lexicographically, so two
@@ -72,13 +78,11 @@ def normalize_line(line: str) -> Sentence:
     return tokens
 
 
-def read_sentences(path) -> Iterator[Sentence]:
-    """Stream normalized sentences from a one-sentence-per-line file.
+def read_chunks(path) -> Iterator[str]:
+    """Stream a one-sentence-per-line file as decoded chunks of whole lines.
 
-    Blank lines yield nothing; invalid UTF-8 is a DataError giving the
-    bad byte's offset in the file.  Every sentence is a new list.
+    Invalid UTF-8 is a DataError giving the bad byte's offset in the file.
     """
-    normalize_piece = lru_cache(maxsize=PIECE_CACHE_SIZE)(normalize_line)
     offset = 0
     with open(path, "rb") as fh:
         while lines := fh.readlines(READ_BYTES):
@@ -90,11 +94,21 @@ def read_sentences(path) -> Iterator[Sentence]:
                     f"{path}: invalid UTF-8 at byte offset {offset + exc.start}"
                 ) from None
             offset += len(chunk)
-            for line in text.split("\n"):
-                # The cached piece lists are shared, so the sentence must be a copy.
-                sentence = list(chain.from_iterable(map(normalize_piece, line.split())))
-                if sentence:
-                    yield sentence
+            yield text
+
+
+def read_sentences(path) -> Iterator[Sentence]:
+    """Stream normalized sentences from a one-sentence-per-line file.
+
+    Blank lines yield nothing.  Every sentence is a new list.
+    """
+    normalize_piece = lru_cache(maxsize=PIECE_CACHE_SIZE)(normalize_line)
+    for text in read_chunks(path):
+        for line in text.split("\n"):
+            # The cached piece lists are shared, so the sentence must be a copy.
+            sentence = list(chain.from_iterable(map(normalize_piece, line.split())))
+            if sentence:
+                yield sentence
 
 
 def word_index(words: Sequence[str], source: str) -> dict[str, int]:
@@ -140,6 +154,26 @@ def build_vocabulary(corpus: Iterable[Sentence]) -> Vocabulary:
     counts: Counter = Counter()
     for sentence in corpus:
         counts.update(sentence)
+    return _ranked(counts)
+
+
+def build_vocabulary_from_file(path) -> Vocabulary:
+    """``build_vocabulary(read_sentences(path))``, from whole-chunk piece counts.
+
+    Each distinct whitespace piece is normalized once and its count added
+    to every token it yields.
+    """
+    pieces: Counter = Counter()
+    for text in read_chunks(path):
+        pieces.update(text.split())
+    counts: Counter = Counter()
+    for piece, n in pieces.items():
+        for token in normalize_line(piece):
+            counts[token] += n
+    return _ranked(counts)
+
+
+def _ranked(counts: Counter) -> Vocabulary:
     ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     words = tuple(word for word, _ in ordered)
     return Vocabulary(words, np.array([freq for _, freq in ordered], dtype=np.int64))

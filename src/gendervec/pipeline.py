@@ -28,8 +28,8 @@ from .classifier import (
     save_prediction_records,
     train,
 )
-from .cooccurrence import CONTEXT_TYPES, ContextConfig, combine, count_by_distance
-from .corpus import Vocabulary, build_vocabulary, filter_by_frequency, read_sentences
+from .cooccurrence import CONTEXT_TYPES, ContextConfig, combine, count_by_distance_from_file
+from .corpus import Vocabulary, build_vocabulary_from_file, filter_by_frequency
 from .dataset import (
     CLASSES,
     DEFAULT_RATIOS,
@@ -46,7 +46,7 @@ from .dataset import (
     stratified_split,
     word_list_digest,
 )
-from .embedding import EmbeddingConfig, _fix_signs, embed, embed_counts
+from .embedding import EmbeddingConfig, _fix_signs, embed_counts
 from .errors import ConfigurationError, DataError, GendervecError
 from .lexicon import CORE_CODES, GenderLexicon, parse_lexicon
 from .metrics import (
@@ -56,6 +56,11 @@ from .metrics import (
     entropy_frequency_analysis,
 )
 from .records import OMIT, Record, load_record
+
+# The sentence-level forms stay reachable here: perfbench/ reads through
+# pipeline.read_sentences and wraps these names when it traces a run.
+from .corpus import build_vocabulary, read_sentences  # noqa: F401
+from .embedding import embed  # noqa: F401
 
 # Tie-break order across context types when dev accuracies are equal.
 _TYPE_RANK = {"asymmetric_backward": 0, "symmetric": 1, "asymmetric_forward": 2}
@@ -83,7 +88,7 @@ def prepare_inputs(
     corpus_path, lexicon_path, vocab_min_freq: int = RunOptions.vocab_min_freq
 ) -> tuple[Vocabulary, GenderLexicon]:
     """Vocabulary from the corpus, lexicon as parsed from the TSV."""
-    vocab = build_vocabulary(read_sentences(corpus_path))
+    vocab = build_vocabulary_from_file(corpus_path)
     vocab = filter_by_frequency(vocab, vocab_min_freq)
     if len(vocab) == 0:
         raise DataError(f"{corpus_path}: no vocabulary entries survive the frequency filter")
@@ -233,8 +238,8 @@ def grid_search(
     labeled = labeled_rows(vocab, lexicon, options.min_freq)
     partitions = split_words_by_class(labeled, options.ratios, options.split_seed)
     manifest = split_manifest(partitions, options.split_seed, options.ratios)
-    by_distance = count_by_distance(
-        read_sentences(corpus_path), vocab, max(c.window_size for c in cells)
+    by_distance = count_by_distance_from_file(
+        corpus_path, vocab, max(c.window_size for c in cells)
     )
 
     def run_cell(context: ContextConfig) -> CellResult:
@@ -287,7 +292,8 @@ def run_experiment(
 ) -> ExperimentResult:
     """One full pass: ingest, embed, label, split, train, evaluate."""
     vocab, lexicon = prepare_inputs(corpus_path, lexicon_path, options.vocab_min_freq)
-    embedding = embed(read_sentences(corpus_path), vocab, context, embedding_config)
+    by_distance = count_by_distance_from_file(corpus_path, vocab, context.window_size)
+    embedding = embed_counts(combine(by_distance, context), vocab, embedding_config)
     data = build_dataset(embedding, lexicon, vocab, options.min_freq)
     bundle = stratified_split(data, options.ratios, options.split_seed)
     model = train(bundle.train, bundle.dev, train_config)

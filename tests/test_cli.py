@@ -204,6 +204,16 @@ def test_embed_without_cooc_or_corpus_exits_two(flow, tmp_path):
     assert exc.value.code == 2
 
 
+def test_ingest_and_cooc_read_the_corpus_once_each(flow, tmp_path, chunk_reads):
+    vocab = str(tmp_path / "vocab.tsv")
+    assert main(["ingest", "--corpus", flow["corpus.txt"], "--out", vocab]) == 0
+    assert chunk_reads == [flow["corpus.txt"]]
+    assert main(["cooc", "--corpus", flow["corpus.txt"], "--vocab", vocab,
+                 "--out", str(tmp_path / "cooc.txt"), "--context-type", "symmetric",
+                 "--window-size", "3"]) == 0
+    assert chunk_reads == [flow["corpus.txt"]] * 2
+
+
 def test_cooc_without_context_exits_two(flow, tmp_path, capsys):
     rc = main(["cooc", "--corpus", flow["corpus.txt"], "--vocab", flow["vocab.tsv"],
                "--out", str(tmp_path / "cooc.txt")])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -10,13 +11,21 @@ import gendervec.cooccurrence as cooccurrence
 from gendervec.cooccurrence import (
     CONTEXT_TYPES,
     ContextConfig,
+    CoocMatrix,
     combine,
     count_by_distance,
+    count_by_distance_from_file,
     count_cooccurrences,
     load_cooccurrence,
     save_cooccurrence,
 )
-from gendervec.corpus import Vocabulary, build_vocabulary
+from gendervec.corpus import (
+    Vocabulary,
+    build_vocabulary,
+    build_vocabulary_from_file,
+    normalize_line,
+    read_sentences,
+)
 from gendervec.errors import ConfigurationError, DataError
 
 
@@ -279,3 +288,90 @@ def test_load_rejects_garbage(tmp_path):
 
 def test_context_types_constant():
     assert CONTEXT_TYPES == ("asymmetric_backward", "asymmetric_forward", "symmetric")
+
+
+def test_save_writes_exact_bytes(tmp_path):
+    # integral counts print as integers, even past 2**63; the rest as repr
+    values = np.array([2.0, 0.5, 1 / 3, 3.0, 1e20])
+    rows, cols = np.array([0, 0, 1, 2, 2]), np.array([1, 2, 0, 0, 2])
+    matrix = sparse.csr_array((values, (rows, cols)), shape=(3, 3))
+    path = tmp_path / "cooc.txt"
+    save_cooccurrence(CoocMatrix(matrix, ContextConfig("symmetric", 2, True)), path)
+    assert path.read_bytes() == (
+        b'{"cols": 3, "context_type": "symmetric", "distance_weighting": true, '
+        b'"rows": 3, "window_size": 2}\n'
+        b"0\t1\t2\n"
+        b"0\t2\t0.5\n"
+        b"1\t0\t0.3333333333333333\n"
+        b"2\t0\t3\n"
+        b"2\t2\t100000000000000000000\n"
+    )
+
+
+# Pieces that normalize to one token or several, with case, numbers,
+# punctuation and out-of-vocabulary words; and whitespace that str.split()
+# separates on but that ends no line.
+_FILE_PIECES = ["hund", "Hund", "hund.", "katt", "3d,", "12:30.", "3", "NUMBER", "?", "en",
+                "ett", "åsna", "oov", "oovx", "«ja»"]
+_FILE_SPACES = [" ", "  ", "\t", "\x1c", "\x85", "\xa0", "\u2003", "\u3000"]
+_DROPPED = ("oov", "oovx", "?")
+
+
+def _random_corpus_text(rng: random.Random) -> str:
+    lines = []
+    for _ in range(rng.randrange(60)):
+        roll = rng.random()
+        if roll < 0.15:
+            line = rng.choice(["", " ", "\u3000"])
+        elif roll < 0.3:
+            line = rng.choice(_FILE_PIECES)
+        else:
+            line = "".join(
+                rng.choice(_FILE_SPACES) + rng.choice(_FILE_PIECES)
+                for _ in range(rng.randrange(1, 12))
+            )
+        lines.append(line + ("\r\n" if rng.random() < 0.3 else "\n"))
+    text = "".join(lines)
+    return text.rstrip("\n") if rng.random() < 0.5 else text
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_file_path_matches_sentence_path(tmp_path, monkeypatch, seed):
+    # Tiny chunks, batches and blocks, so every block holds several chunks
+    # and a sentence path batch ends inside a block.
+    monkeypatch.setattr("gendervec.corpus.READ_BYTES", 24)
+    monkeypatch.setattr(cooccurrence, "BLOCK_TOKENS", 8)
+    monkeypatch.setattr(cooccurrence, "BATCH_SENTENCES", 3)
+    rng = random.Random(seed)
+    path = tmp_path / "c.txt"
+    for text in (_random_corpus_text(rng), ""):
+        path.write_bytes(text.encode("utf-8"))
+        sentences = [s for s in map(normalize_line, text.split("\n")) if s]
+        assert list(read_sentences(path)) == sentences
+        vocab = build_vocabulary_from_file(path)
+        expected = build_vocabulary(sentences)
+        assert vocab.words == expected.words
+        assert np.array_equal(vocab.frequencies, expected.frequencies)
+        keep = [i for i, word in enumerate(vocab.words) if word not in _DROPPED]
+        vocab = Vocabulary(tuple(vocab.words[i] for i in keep), vocab.frequencies[keep])
+        for max_window in range(1, 6):
+            got = count_by_distance_from_file(path, vocab, max_window)
+            want = count_by_distance(sentences, vocab, max_window)
+            assert len(got) == len(want) == max_window
+            for g, w in zip(got, want):
+                assert np.array_equal(g.indptr, w.indptr)
+                assert np.array_equal(g.indices, w.indices)
+                assert np.array_equal(g.data, w.data)
+
+
+def test_file_path_reports_the_bad_byte_offset(tmp_path, monkeypatch):
+    monkeypatch.setattr("gendervec.corpus.READ_BYTES", 16)
+    good = "en katt sover här\n".encode("utf-8")
+    path = tmp_path / "c.txt"
+    path.write_bytes(good * 5 + b"d\xe5lig rad\n" + good)
+    vocab = build_vocabulary([["en", "katt"]])
+    message = f"invalid UTF-8 at byte offset {5 * len(good) + 1}$"
+    with pytest.raises(DataError, match=message):
+        build_vocabulary_from_file(path)
+    with pytest.raises(DataError, match=message):
+        count_by_distance_from_file(path, vocab, 2)

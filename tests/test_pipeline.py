@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gendervec.pipeline as pipeline
+from gendervec import cooccurrence, embedding
 from gendervec.classifier import MLPModel, TrainConfig, errors_by_entropy
 from gendervec.cooccurrence import ContextConfig
 from gendervec.dataset import LabeledSet
@@ -148,20 +149,29 @@ def test_grid_search_shares_one_split_across_cells(language_files):
     assert set(d["cells"][0]) == {"context", "dev_accuracy", "per_class_dev_accuracy", "error"}
 
 
-def test_grid_search_reads_corpus_twice_for_the_full_grid(language_files, monkeypatch):
+def test_grid_search_reads_corpus_twice_for_the_full_grid(language_files, chunk_reads):
     corpus, lexicon = language_files
-    real_read = pipeline.read_sentences
-    reads = []
-
-    def counting_read(path):
-        reads.append(path)
-        return real_read(path)
-
-    monkeypatch.setattr(pipeline, "read_sentences", counting_read)
     result = grid_search(corpus, lexicon, default_grid(), EMB_CFG, TRAIN_CFG)
     assert len(result.cells) == 15
     # once for the vocabulary, once for the counts every cell shares
-    assert len(reads) == 2
+    assert chunk_reads == [corpus, corpus]
+
+
+@pytest.mark.parametrize("context", [
+    ContextConfig("asymmetric_backward", 1), ContextConfig("symmetric", 3),
+])
+def test_embedding_from_sentences_matches_the_grid_cell(language_files, context):
+    # perfbench's grid_small retrains the chosen cell through embed() on
+    # read_sentences and requires the grid's dev accuracy exactly.
+    corpus_path, lexicon = language_files
+    vocab, _ = pipeline.prepare_inputs(corpus_path, lexicon)
+    config = EmbeddingConfig()
+    retrained = embedding.embed(pipeline.read_sentences(corpus_path), vocab, context, config)
+    by_distance = cooccurrence.count_by_distance_from_file(corpus_path, vocab, 5)
+    cell = embedding.embed_counts(cooccurrence.combine(by_distance, context), vocab, config)
+    assert retrained.words == cell.words
+    assert retrained.matrix.dtype == cell.matrix.dtype
+    assert retrained.matrix.tobytes() == cell.matrix.tobytes()
 
 
 def test_grid_search_records_cell_failure_without_aborting(language_files, monkeypatch):
