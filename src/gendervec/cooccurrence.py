@@ -5,31 +5,23 @@ are positional and truncate at sentence boundaries; out-of-vocabulary
 tokens keep their position but contribute nothing, neither as context
 nor as target.
 
-One numpy step counts every corpus: it takes a block of token ids (-1
-out of vocabulary) with the token count of each sentence, and counts the
-pairs at each distance whose ids are both known and whose sentence is
-the same.  ``count_by_distance`` feeds it an iterable of sentences in
-batches of ``BATCH_SENTENCES``.  ``count_by_distance_from_file`` feeds
-it the corpus file chunk by chunk, with no object per sentence: each
-chunk's whitespace pieces map through a per-call table to the token ids
-of the piece, normalized once per distinct piece, and each line's piece
-count gives its sentence.  Both give the same counts because no token
-spans whitespace (see ``corpus``).
+Counting sees a corpus only as the chunks that ``corpus.token_ids`` and
+``corpus.read_token_ids`` yield: token ids (-1 out of vocabulary) with
+the token count of each sentence.  One numpy step counts the pairs at
+each distance whose ids are both known and whose sentence is the same.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .corpus import Sentence, Vocabulary, normalize_line, read_chunks
+from .corpus import Sentence, Vocabulary, read_token_ids, token_ids
 from .errors import ConfigurationError, DataError
 from .records import Record
 
@@ -41,9 +33,6 @@ MAX_WINDOW = 5
 # Tokens counted at a time, in whole chunks or batches; bounds counting
 # memory whatever the corpus size.
 BLOCK_TOKENS = 1 << 16
-
-# Sentences of an iterable corpus turned into token ids at a time.
-BATCH_SENTENCES = 1 << 10
 
 # Count triplets formatted and written at a time by save_cooccurrence.
 WRITE_ENTRIES = 1 << 16
@@ -98,71 +87,15 @@ def count_by_distance(
     often context ``c`` sits exactly ``d`` positions before target ``t``
     in the same sentence.
     """
-    ids_of = vocab.ids.get
-    sentences = iter(corpus)
-
-    def batches() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        while batch := list(islice(sentences, BATCH_SENTENCES)):
-            sizes = np.fromiter(map(len, batch), np.intp, len(batch))
-            ids = np.fromiter(
-                map(ids_of, chain.from_iterable(batch), repeat(-1)), np.int64, int(sizes.sum())
-            )
-            yield ids, sizes
-
-    return _count_blocks(batches(), len(vocab), max_window)
+    return _count_blocks(token_ids(corpus, vocab), len(vocab), max_window)
 
 
 def count_by_distance_from_file(
     path, vocab: Vocabulary, max_window: int
 ) -> list[sparse.csr_array]:
-    """``count_by_distance(read_sentences(path), vocab, max_window)``, read
-    chunk by chunk as whitespace pieces."""
-    table = _PieceTable(vocab)
-
-    def chunks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for text in read_chunks(path):
-            rows = np.fromiter(map(table.__getitem__, text.split()), np.intp)
-            # Each line's list dies at once; keeping them would slow the
-            # split through garbage collection.
-            pieces = np.fromiter(map(len, map(str.split, text.split("\n"))), np.intp)
-            yield table.tokens(rows, pieces)
-
-    return _count_blocks(chunks(), len(vocab), max_window)
-
-
-class _PieceTable(dict):
-    """Row number of each whitespace piece, assigned when first looked up.
-
-    Row ``r`` holds the token ids of the piece, -1 for a token out of the
-    vocabulary, at ``ids[start[r]:start[r + 1]]``.
-    """
-
-    def __init__(self, vocab: Vocabulary):
-        super().__init__()
-        self.vocab_ids = vocab.ids
-        self.ids = array("q")
-        self.start = array("q", [0])
-
-    def __missing__(self, piece: str) -> int:
-        self.ids.extend(self.vocab_ids.get(token, -1) for token in normalize_line(piece))
-        self.start.append(len(self.ids))
-        row = self[piece] = len(self.start) - 2
-        return row
-
-    def tokens(self, rows: np.ndarray, pieces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Token ids of the pieces ``rows``, and the token count of each line
-        given its piece count ``pieces``."""
-        # frombuffer views stop the arrays from growing while they live;
-        # they go on return, before the next lookup can add a row.
-        start = np.frombuffer(self.start, dtype=np.int64)
-        first = start[rows]
-        widths = start[rows + 1] - first
-        ends = np.cumsum(widths)
-        ids = np.frombuffer(self.ids, dtype=np.int64)[
-            np.repeat(first - ends + widths, widths) + np.arange(widths.sum())
-        ]
-        line_ends = np.concatenate(([0], ends))[np.cumsum(pieces)]
-        return ids, np.diff(line_ends, prepend=0)
+    """``count_by_distance(read_sentences(path), vocab, max_window)``, counted
+    from ``read_token_ids``."""
+    return _count_blocks(read_token_ids(path, vocab), len(vocab), max_window)
 
 
 def _count_blocks(

@@ -9,18 +9,18 @@ left intact.
 
 ``read_chunks`` is the one decoder: it reads the file in chunks of
 whole lines (about ``READ_BYTES`` bytes each) and decodes each chunk
-once.  Every reader normalizes whitespace pieces, the items of
-``str.split()``, not lines, and keeps the tokens of each distinct piece
-so that it is not normalized at every occurrence.  This equals
-normalizing whole lines because no token spans whitespace: no token
-alternative matches it, the number lookahead sees a non-word character
-at a piece's end just as at a space, and ``str.split()`` splits on
-exactly the code points that the regex class for whitespace matches.
-Since the line break is whitespace too, a chunk's ``split()`` is the
-concatenation of its lines' ``split()``, so ``build_vocabulary_from_file``
-counts the pieces of whole chunks and creates no object per sentence.
-``read_sentences`` yields one token list per line and keeps at most
-``PIECE_CACHE_SIZE`` pieces.
+once.  ``read_sentences`` normalizes each line.  The other file readers
+normalize each distinct whitespace piece, an item of ``str.split()``,
+once.  This equals normalizing whole lines because no token spans
+whitespace: no token alternative matches it, the number lookahead sees
+a non-word character at a piece's end just as at a space, and
+``str.split()`` splits on exactly the code points that the regex class
+for whitespace matches.  Since the line break is whitespace too, a
+chunk's ``split()`` is the concatenation of its lines' ``split()``, so
+the file readers take the pieces of whole chunks and create no object
+per sentence.  ``read_token_ids`` and ``token_ids`` (over an iterable of
+sentences) yield the ``(token ids, tokens per sentence)`` chunks that
+counting takes, with id -1 for a token out of the vocabulary.
 
 The vocabulary maps words to dense ids ``0..|V|-1`` assigned by
 descending corpus frequency, ties broken lexicographically, so two
@@ -30,10 +30,10 @@ ingestions of the same corpus agree bit for bit.
 from __future__ import annotations
 
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, islice, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -49,8 +49,8 @@ NUMBER_TOKEN = "NUMBER"
 # faster and hold more memory.
 READ_BYTES = 1 << 14
 
-# Distinct whitespace-delimited pieces kept normalized during one read.
-PIECE_CACHE_SIZE = 1 << 16
+# Sentences of an iterable corpus turned into token ids at a time.
+BATCH_SENTENCES = 1 << 10
 
 # Number runs first so "3.5" survives as one token; the lookahead stops a
 # digit prefix of a mixed token ("3d") from matching, which then falls
@@ -102,13 +102,72 @@ def read_sentences(path) -> Iterator[Sentence]:
 
     Blank lines yield nothing.  Every sentence is a new list.
     """
-    normalize_piece = lru_cache(maxsize=PIECE_CACHE_SIZE)(normalize_line)
     for text in read_chunks(path):
         for line in text.split("\n"):
-            # The cached piece lists are shared, so the sentence must be a copy.
-            sentence = list(chain.from_iterable(map(normalize_piece, line.split())))
-            if sentence:
+            if sentence := normalize_line(line):
                 yield sentence
+
+
+def token_ids(
+    sentences: Iterable[Sentence], vocab: Vocabulary
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Token ids (-1 out of ``vocab``) and tokens per sentence of ``sentences``,
+    ``BATCH_SENTENCES`` sentences at a time."""
+    ids_of = vocab.ids.get
+    sentences = iter(sentences)
+    while batch := list(islice(sentences, BATCH_SENTENCES)):
+        sizes = np.fromiter(map(len, batch), np.intp, len(batch))
+        ids = np.fromiter(
+            map(ids_of, chain.from_iterable(batch), repeat(-1)), np.int64, int(sizes.sum())
+        )
+        yield ids, sizes
+
+
+def read_token_ids(path, vocab: Vocabulary) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The chunks of ``token_ids(read_sentences(path), vocab)``, one per read
+    chunk; every line is a sentence, so a blank line has zero tokens."""
+    table = _PieceTable(vocab)
+    for text in read_chunks(path):
+        rows = np.fromiter(map(table.__getitem__, text.split()), np.intp)
+        # Each line's list dies at once; keeping them would slow the
+        # split through garbage collection.
+        pieces = np.fromiter(map(len, map(str.split, text.split("\n"))), np.intp)
+        yield table.tokens(rows, pieces)
+
+
+class _PieceTable(dict):
+    """Row number of each whitespace piece, assigned when first looked up.
+
+    Row ``r`` holds the token ids of the piece, -1 for a token out of the
+    vocabulary, at ``ids[start[r]:start[r + 1]]``.
+    """
+
+    def __init__(self, vocab: Vocabulary):
+        super().__init__()
+        self.vocab_ids = vocab.ids
+        self.ids = array("q")
+        self.start = array("q", [0])
+
+    def __missing__(self, piece: str) -> int:
+        self.ids.extend(self.vocab_ids.get(token, -1) for token in normalize_line(piece))
+        self.start.append(len(self.ids))
+        row = self[piece] = len(self.start) - 2
+        return row
+
+    def tokens(self, rows: np.ndarray, pieces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Token ids of the pieces ``rows``, and the token count of each line
+        given its piece count ``pieces``."""
+        # frombuffer views stop the arrays from growing while they live;
+        # they go on return, before the next lookup can add a row.
+        start = np.frombuffer(self.start, dtype=np.int64)
+        first = start[rows]
+        widths = start[rows + 1] - first
+        ends = np.cumsum(widths)
+        ids = np.frombuffer(self.ids, dtype=np.int64)[
+            np.repeat(first - ends + widths, widths) + np.arange(widths.sum())
+        ]
+        line_ends = np.concatenate(([0], ends))[np.cumsum(pieces)]
+        return ids, np.diff(line_ends, prepend=0)
 
 
 def word_index(words: Sequence[str], source: str) -> dict[str, int]:

@@ -142,7 +142,7 @@ def apportion(total: int, ratios: Sequence[float]) -> list[int]:
     return floors
 
 
-def _validate_ratios(ratios: Sequence[float]) -> tuple[float, float, float]:
+def validate_ratios(ratios: Sequence[float]) -> tuple[float, float, float]:
     if len(ratios) != 3:
         raise ConfigurationError(f"expected 3 ratios, got {len(ratios)}")
     if any(r <= 0 for r in ratios):
@@ -165,7 +165,7 @@ def split_words_by_class(
     ``seed``, and counts come from ``apportion``.  Identical inputs
     therefore give identical partitions.
     """
-    ratios = _validate_ratios(ratios)
+    ratios = validate_ratios(ratios)
     rng = np.random.default_rng(seed)
     parts: dict[str, list[str]] = {name: [] for name in PARTITION_NAMES}
     for c in sorted(np.unique(labeled.labels), key=lambda c: CLASSES[c]):
@@ -236,7 +236,7 @@ def load_split_manifest(path) -> dict:
     try:
         if integer(manifest["seed"]) < 0:
             raise ValueError(f"seed must be >= 0, got {manifest['seed']}")
-        _validate_ratios(manifest["ratios"])
+        validate_ratios(manifest["ratios"])
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad split manifest seed or ratios: {exc}") from None
     try:

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, svds
+from scipy.sparse.linalg import ArpackError, svds
 
 from .cooccurrence import ContextConfig, CoocMatrix, count_cooccurrences
 from .corpus import Sentence, Vocabulary, row_lookup, word_index
@@ -77,7 +77,7 @@ def truncated_svd(matrix, k: int, *, seed: int = 0) -> tuple[np.ndarray, np.ndar
     ------
     ConfigurationError : ``k`` outside ``1..min(m, n)`` (an empty matrix
         therefore always fails)
-    NumericalError : ARPACK did not converge; the message is ARPACK's
+    NumericalError : ARPACK failed, e.g. to converge; the message is ARPACK's
     """
     m, n = matrix.shape
     rank_cap = min(m, n)
@@ -90,8 +90,8 @@ def truncated_svd(matrix, k: int, *, seed: int = 0) -> tuple[np.ndarray, np.ndar
         v0 = np.random.default_rng(seed).standard_normal(rank_cap)
         try:
             _, s, vt = svds(matrix, k=k, v0=v0, return_singular_vectors="vh")
-        except ArpackNoConvergence as exc:
-            raise NumericalError(f"truncated SVD did not converge: {exc}") from None
+        except ArpackError as exc:
+            raise NumericalError(f"truncated SVD failed: {exc}") from None
     order = np.argsort(-s, kind="stable")[:k]
     return _fix_signs(s[order], vt[order].T)
 
@@ -141,11 +141,13 @@ class EmbeddingMatrix:
 
 
 def embed_counts(cooc: CoocMatrix, vocab: Vocabulary, config: EmbeddingConfig) -> EmbeddingMatrix:
-    """Transform counts and factor them into word vectors."""
+    """Transform counts and factor them into word vectors; all-zero counts are a DataError."""
     if len(vocab) != cooc.shape[1]:
         raise ConfigurationError(
             f"vocabulary size {len(vocab)} does not match matrix dims {cooc.shape}"
         )
+    if len(vocab) and not cooc.matrix.count_nonzero():
+        raise DataError("no nonzero count to factor: no two vocabulary words share a window")
     transformed = power_transform(cooc, config.alpha)
     sigma, v = truncated_svd(transformed, config.k, seed=config.seed)
     vectors = v * np.power(sigma, config.sigma_power)

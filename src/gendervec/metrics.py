@@ -227,32 +227,28 @@ def fisher_pitman_permutation(
         stats = stat_from_a_sum(to_a_sum(sums))
         side = pooled[:n_a] if n_a <= n_b else pooled[n_a:]
         observed = stat_from_a_sum(to_a_sum(side.sum()))
-        count = int(np.sum(np.abs(stats) >= abs(observed)))
-        p = count / n_comb
-        spread = float(stats.std())
-        z = 0.0 if spread == 0.0 else float((observed - stats.mean()) / spread)
-        return StatResult(name="fisher_pitman", statistic=float(observed), z=z, p=p,
-                          n=n, seed=seed, method=f"exhaustive[{n_comb}]")
-
-    observed = stat_from_a_sum(a.sum())
-    rng = np.random.default_rng(seed)
-    stats = np.empty(n_perm, dtype=np.float64)
-    chunk_rows = max(1, int(5_000_000 / n))
-    base = np.arange(n)
-    done = 0
-    while done < n_perm:
-        rows = min(chunk_rows, n_perm - done)
-        block = np.tile(base, (rows, 1))
-        rng.permuted(block, axis=1, out=block)
-        a_sums = pooled[block[:, :n_a]].sum(axis=1)
-        stats[done : done + rows] = stat_from_a_sum(a_sums)
-        done += rows
+        smoothing, method = 0, f"exhaustive[{n_comb}]"
+    else:
+        observed = stat_from_a_sum(a.sum())
+        rng = np.random.default_rng(seed)
+        stats = np.empty(n_perm, dtype=np.float64)
+        chunk_rows = max(1, int(5_000_000 / n))
+        base = np.arange(n)
+        done = 0
+        while done < n_perm:
+            rows = min(chunk_rows, n_perm - done)
+            block = np.tile(base, (rows, 1))
+            rng.permuted(block, axis=1, out=block)
+            a_sums = pooled[block[:, :n_a]].sum(axis=1)
+            stats[done : done + rows] = stat_from_a_sum(a_sums)
+            done += rows
+        smoothing, method = 1, f"monte_carlo[{n_perm}]"
     count = int(np.sum(np.abs(stats) >= abs(observed)))
-    p = (1 + count) / (1 + n_perm)
+    p = (smoothing + count) / (smoothing + stats.size)
     spread = float(stats.std())
     z = 0.0 if spread == 0.0 else float((observed - stats.mean()) / spread)
     return StatResult(name="fisher_pitman", statistic=float(observed), z=z, p=p,
-                      n=n, seed=seed, method=f"monte_carlo[{n_perm}]")
+                      n=n, seed=seed, method=method)
 
 
 @dataclass(frozen=True)

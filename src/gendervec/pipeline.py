@@ -44,6 +44,7 @@ from .dataset import (
     split_manifest,
     split_words_by_class,
     stratified_split,
+    validate_ratios,
     word_list_digest,
 )
 from .embedding import EmbeddingConfig, _fix_signs, embed_counts
@@ -79,9 +80,12 @@ class RunOptions(Record):
     stats_seed: int = 0
 
     def __post_init__(self):
-        for name in ("split_seed", "stats_seed"):
+        for name in ("min_freq", "vocab_min_freq", "split_seed", "stats_seed"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.n_perm < 1:
+            raise ConfigurationError(f"n_perm must be >= 1, got {self.n_perm}")
+        validate_ratios(self.ratios)
 
 
 def prepare_inputs(

@@ -1,6 +1,6 @@
 import pytest
 
-from gendervec import cooccurrence, corpus
+from gendervec import corpus
 
 
 @pytest.fixture
@@ -13,6 +13,5 @@ def chunk_reads(monkeypatch) -> list:
         reads.append(path)
         return real_read(path)
 
-    for module in (corpus, cooccurrence):
-        monkeypatch.setattr(module, "read_chunks", counting_read)
+    monkeypatch.setattr(corpus, "read_chunks", counting_read)
     return reads

@@ -204,6 +204,21 @@ def test_embed_without_cooc_or_corpus_exits_two(flow, tmp_path):
     assert exc.value.code == 2
 
 
+def test_embed_of_counts_without_pairs_exits_three(tmp_path, capsys):
+    # every sentence is one word, so cooc writes no count
+    corpus, vocab, cooc = (str(tmp_path / name) for name in ("c.txt", "vocab.tsv", "cooc.txt"))
+    with open(corpus, "w", encoding="utf-8") as fh:
+        fh.write("".join(f"w{i % 7}\n" for i in range(50)))
+    assert main(["ingest", "--corpus", corpus, "--out", vocab]) == 0
+    assert main(["cooc", "--corpus", corpus, "--vocab", vocab, "--out", cooc,
+                 "--context-type", "symmetric", "--window-size", "2"]) == 0
+    out = tmp_path / "emb.bin"
+    assert main(["embed", "--cooc", cooc, "--vocab", vocab, "--out", str(out),
+                 "--binary", "--dim", "2"]) == 3
+    assert "no nonzero count" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ingest_and_cooc_read_the_corpus_once_each(flow, tmp_path, chunk_reads):
     vocab = str(tmp_path / "vocab.tsv")
     assert main(["ingest", "--corpus", flow["corpus.txt"], "--out", vocab]) == 0
@@ -335,6 +350,7 @@ def test_missing_config_file_exits_two(flow, tmp_path, capsys):
 def _stage_inputs(flow, stage) -> list[str]:
     """The flow's input flags for ``stage``, all but ``--out``."""
     return {
+        "ingest": ["--corpus", flow["corpus.txt"]],
         "cooc": ["--corpus", flow["corpus.txt"], "--vocab", flow["vocab.tsv"],
                  "--context-type", "symmetric"],
         "embed": ["--cooc", flow["cooc.bin"], "--vocab", flow["vocab.tsv"]],
@@ -397,6 +413,10 @@ def test_negative_seed_flag_exits_two(flow, tmp_path, capsys, stage, flag):
     ("train", ["--seed", "-1"]),
     ("tune", ["--split-seed", "-1"]),
     ("eval", ["--stats-seed", "-1"]),
+    ("label", ["--min-freq", "-1"]),
+    ("ingest", ["--vocab-min-freq", "-1"]),
+    ("eval", ["--n-perm", "0"]),
+    ("tune", ["--min-freq", "-2"]),
 ], ids=lambda value: value if isinstance(value, str) else json.dumps(value))
 def test_bad_option_exits_two_before_a_missing_input(flow, tmp_path, capsys, stage, option):
     absent = str(tmp_path / "absent")

@@ -25,6 +25,8 @@ from gendervec.corpus import (
     build_vocabulary_from_file,
     normalize_line,
     read_sentences,
+    read_token_ids,
+    token_ids,
 )
 from gendervec.errors import ConfigurationError, DataError
 
@@ -335,13 +337,22 @@ def _random_corpus_text(rng: random.Random) -> str:
     return text.rstrip("\n") if rng.random() < 0.5 else text
 
 
+def _joined(chunks) -> tuple[np.ndarray, np.ndarray]:
+    """The ids and the sizes of ``(ids, sizes)`` chunks, each concatenated."""
+    ids, sizes = [np.empty(0, np.int64)], [np.empty(0, np.intp)]
+    for chunk_ids, chunk_sizes in chunks:
+        ids.append(chunk_ids)
+        sizes.append(chunk_sizes)
+    return np.concatenate(ids), np.concatenate(sizes)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_file_path_matches_sentence_path(tmp_path, monkeypatch, seed):
     # Tiny chunks, batches and blocks, so every block holds several chunks
     # and a sentence path batch ends inside a block.
     monkeypatch.setattr("gendervec.corpus.READ_BYTES", 24)
     monkeypatch.setattr(cooccurrence, "BLOCK_TOKENS", 8)
-    monkeypatch.setattr(cooccurrence, "BATCH_SENTENCES", 3)
+    monkeypatch.setattr("gendervec.corpus.BATCH_SENTENCES", 3)
     rng = random.Random(seed)
     path = tmp_path / "c.txt"
     for text in (_random_corpus_text(rng), ""):
@@ -354,6 +365,10 @@ def test_file_path_matches_sentence_path(tmp_path, monkeypatch, seed):
         assert np.array_equal(vocab.frequencies, expected.frequencies)
         keep = [i for i, word in enumerate(vocab.words) if word not in _DROPPED]
         vocab = Vocabulary(tuple(vocab.words[i] for i in keep), vocab.frequencies[keep])
+        got_ids, got_sizes = _joined(read_token_ids(path, vocab))
+        want_ids, want_sizes = _joined(token_ids(read_sentences(path), vocab))
+        assert np.array_equal(got_ids, want_ids)
+        assert np.array_equal(got_sizes[got_sizes > 0], want_sizes)
         for max_window in range(1, 6):
             got = count_by_distance_from_file(path, vocab, max_window)
             want = count_by_distance(sentences, vocab, max_window)

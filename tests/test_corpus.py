@@ -119,10 +119,8 @@ def _random_line(rng: random.Random) -> str:
 
 @pytest.mark.parametrize("seed", range(4))
 def test_read_sentences_equals_normalizing_whole_lines(tmp_path, monkeypatch, seed):
-    # Small chunks and a tiny cache, so a file spans many chunks and
-    # cached pieces are evicted and normalized again.
+    # Small chunks, so a file spans many chunks.
     monkeypatch.setattr("gendervec.corpus.READ_BYTES", 40)
-    monkeypatch.setattr("gendervec.corpus.PIECE_CACHE_SIZE", 4)
     rng = random.Random(seed)
     lines = [_random_line(rng) for _ in range(300)]
     endings = ["\r\n" if rng.random() < 0.3 else "\n" for _ in lines]

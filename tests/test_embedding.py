@@ -6,10 +6,10 @@ import struct
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse.linalg import svds
+from scipy.sparse.linalg import ArpackError, svds
 
 import gendervec.embedding as embedding
-from gendervec.cooccurrence import ContextConfig, count_cooccurrences
+from gendervec.cooccurrence import ContextConfig, CoocMatrix, count_cooccurrences
 from gendervec.corpus import build_vocabulary
 from gendervec.embedding import (
     EmbeddingConfig,
@@ -245,6 +245,32 @@ def test_embed_counts_vocab_mismatch():
     other = build_vocabulary([["x", "y"]])
     with pytest.raises(ConfigurationError):
         embed_counts(cooc, other, EmbeddingConfig(k=1))
+
+
+def test_arpack_error_is_numerical_error(monkeypatch):
+    def failing_svds(*args, **kwargs):
+        raise ArpackError(-9)
+
+    monkeypatch.setattr(embedding, "svds", failing_svds)
+    mat = np.random.default_rng(3).standard_normal((40, 30))
+    with pytest.raises(NumericalError, match="ARPACK error -9"):
+        truncated_svd(mat, 5)
+
+
+def test_embed_all_zero_matrix_is_a_data_error():
+    # one-word sentences share no window
+    corpus = [["hund"], ["katt"], ["hus"], ["barn"], ["en"], ["hund"]]
+    vocab = build_vocabulary(corpus)
+    config = ContextConfig("symmetric", 2)
+    cooc = count_cooccurrences(corpus, vocab, config)
+    assert cooc.shape == (5, 5) and cooc.nnz == 0
+    with pytest.raises(DataError, match="no nonzero count"):
+        embed_counts(cooc, vocab, EmbeddingConfig(k=2))
+    # explicitly stored zeros hold no count either
+    zeros = sparse.csr_array((np.zeros(2), ([0, 1], [1, 0])), shape=(5, 5))
+    assert zeros.nnz == 2
+    with pytest.raises(DataError, match="no nonzero count"):
+        embed_counts(CoocMatrix(zeros, config), vocab, EmbeddingConfig(k=2))
 
 
 def test_embed_empty_matrix_fails():

@@ -193,6 +193,39 @@ def test_grid_search_records_cell_failure_without_aborting(language_files, monke
     assert (result.best.context_type, result.best.window_size) == ("asymmetric_backward", 1)
 
 
+def test_grid_search_records_cells_without_counts(tmp_path):
+    # Each x<k> occurs once and is filtered out, so no two vocabulary
+    # words are adjacent: the w=1 cells have no count, the w=2 cells do.
+    corpus, lexicon = tmp_path / "corpus.txt", tmp_path / "lexicon.tsv"
+    nouns = [(f"{code}{i}", code) for i in range(20) for code in "un"]
+    lines = [f"{'en' if code == 'u' else 'ett'} x{k} {noun}"
+             for k, (noun, code) in enumerate(nouns * 3)]
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lexicon.write_text("".join(f"{noun}\t{code}\n" for noun, code in nouns), encoding="utf-8")
+    result = grid_search(corpus, lexicon, default_grid(window_sizes=[1, 2]), EMB_CFG, TRAIN_CFG,
+                         RunOptions(vocab_min_freq=1))
+    failed = [cell for cell in result.cells if not cell.ok]
+    assert {(cell.context.context_type, cell.context.window_size) for cell in failed} == {
+        (context_type, 1) for context_type in cooccurrence.CONTEXT_TYPES
+    }
+    assert all(cell.error.startswith("DataError: ") and "no nonzero count" in cell.error
+               for cell in failed)
+    assert len(result.cells) == 6
+    assert result.best.window_size == 2
+
+
+@pytest.mark.parametrize("bad", [
+    {"n_perm": 0}, {"min_freq": -1}, {"vocab_min_freq": -1}, {"ratios": [0.8, 0.1, 0.2]},
+], ids=json.dumps)
+def test_manifest_run_options_out_of_range_are_data_errors(language_files, tmp_path, bad):
+    corpus, lexicon = language_files
+    manifest = build_manifest(corpus, lexicon, ContextConfig("asymmetric_backward", 1))
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({**manifest.to_dict(), **bad}), encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}: ") + ".*" + next(iter(bad))):
+        load_manifest(path)
+
+
 def test_grid_result_round_trips_through_its_dict():
     ok = CellResult(ContextConfig("asymmetric_backward", 1), 0.9, {"uter": 1.0, "neuter": 0.5}, None)
     failed = CellResult(ContextConfig("symmetric", 2), None, None, "DataError: boom")
