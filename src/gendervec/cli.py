@@ -102,6 +102,8 @@ def cmd_cooc(args) -> int:
     vocab = corpus.load_vocabulary(args.vocab)
     by_distance = cooccurrence.count_by_distance_from_file(args.corpus, vocab, config.window_size)
     cooc = cooccurrence.combine(by_distance, config)
+    if cooc.nnz == 0:
+        raise DataError(f"{args.corpus}: no two vocabulary words share a window")
     cooccurrence.save_cooccurrence(cooc, args.out)
     logger.info("wrote %d nonzero counts to %s", cooc.nnz, args.out)
     return 0
@@ -126,13 +128,14 @@ def cmd_label(args) -> int:
     vocab = corpus.load_vocabulary(args.vocab)
     lex = lexicon.parse_lexicon(args.lexicon)
     data = dataset.build_dataset(emb, lex, vocab, run.min_freq)
+    deciles = dataset.class_ratio_by_decile(data) if args.deciles else None
     dataset.save_dataset_table(data, args.out)
     logger.info("wrote %d labeled words to %s", len(data), args.out)
     if args.summary:
         lexicon.save_code_summary(lex, args.summary)
-    if args.deciles:
+    if deciles is not None:
         with open(args.deciles, "w", encoding="utf-8") as fh:
-            fh.write(dataset.class_ratio_by_decile(data).to_json())
+            fh.write(deciles.to_json())
     return 0
 
 

@@ -99,10 +99,8 @@ def truncated_svd(matrix, k: int, *, seed: int = 0) -> tuple[np.ndarray, np.ndar
 def _fix_signs(sigma: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Deterministic orientation: largest-magnitude component of each
     # column is made non-negative (first index wins ties).
-    for j in range(v.shape[1]):
-        lead = int(np.argmax(np.abs(v[:, j])))
-        if v[lead, j] < 0:
-            v[:, j] = -v[:, j]
+    lead = np.argmax(np.abs(v), axis=0)
+    v *= np.where(v[lead, np.arange(v.shape[1])] < 0, -1.0, 1.0)
     return sigma, v
 
 

@@ -3,9 +3,12 @@
 Sentences follow ``filler* article noun filler*`` where the article
 agrees deterministically with the noun's class, so a backward window of
 one token carries the whole gender signal while the forward window sees
-only class-blind fillers.  Knobs exist for global agreement noise, a
-small share of "ambiguous" nouns whose article flips often (these play
-the role real polysemous nouns play), and a Zipf-like noun frequency
+only class-blind fillers.  The two classes are fixed (``NOUN_CLASSES``):
+``u`` marked by en/denna on 70 % of the noun types and ``n`` marked by
+ett/detta on 30 %; each side of the article-noun pair holds at most
+``MAX_FILLERS`` fillers.  A spec sets global agreement noise, a small
+share of "ambiguous" nouns whose article flips often (these play the
+role real polysemous nouns play), and a Zipf-like noun frequency
 profile so low-frequency effects are observable.
 
 The generator emits a plain text corpus plus a gender lexicon for the
@@ -20,7 +23,7 @@ import numpy as np
 
 from .dataset import apportion
 from .errors import ConfigurationError
-from .lexicon import GenderLexicon
+from .lexicon import CODE_NEUTER, CODE_UTER, GenderLexicon
 
 _SYLLABLES = (
     "ba", "be", "bo", "da", "de", "do", "fa", "fe", "fo", "ga", "ge", "go",
@@ -29,22 +32,17 @@ _SYLLABLES = (
     "va", "ve", "vo",
 )
 
-
-@dataclass(frozen=True)
-class SyntheticClass:
-    """One noun class: its lexicon code and the articles that mark it."""
-
-    code: str
-    articles: tuple[str, ...]
-    prior: float
+# (lexicon code, articles that mark the class, share of noun types), in
+# generation order: the draw stream depends on this order.
+NOUN_CLASSES = (
+    (CODE_UTER, ("en", "denna"), 0.7),
+    (CODE_NEUTER, ("ett", "detta"), 0.3),
+)
+MAX_FILLERS = 3  # bound on the fillers before the article and after the noun
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    classes: tuple[SyntheticClass, ...] = (
-        SyntheticClass(code="u", articles=("en", "denna"), prior=0.7),
-        SyntheticClass(code="n", articles=("ett", "detta"), prior=0.3),
-    )
     noun_count: int = 1000
     filler_count: int = 40
     sentence_count: int = 100_000
@@ -53,25 +51,9 @@ class SyntheticSpec:
     ambiguous_fraction: float = 0.0
     ambiguous_flip: float = 0.45
     zipf_exponent: float = 1.0
-    max_leading_fillers: int = 3
-    max_trailing_fillers: int = 3
 
     def __post_init__(self):
-        if len(self.classes) < 2:
-            raise ConfigurationError("need at least 2 noun classes")
-        articles = [a for cls in self.classes for a in cls.articles]
-        if len(set(articles)) != len(articles) or not all(articles):
-            raise ConfigurationError("article tokens must be distinct and non-empty")
-        if not all(cls.articles for cls in self.classes):
-            raise ConfigurationError("every class needs at least one article")
-        codes = [cls.code for cls in self.classes]
-        if len(set(codes)) != len(codes):
-            raise ConfigurationError("class codes must be distinct")
-        if abs(sum(cls.prior for cls in self.classes) - 1.0) > 1e-9:
-            raise ConfigurationError("class priors must sum to 1")
-        if any(cls.prior <= 0 for cls in self.classes):
-            raise ConfigurationError("class priors must be positive")
-        if self.noun_count < len(self.classes):
+        if self.noun_count < len(NOUN_CLASSES):
             raise ConfigurationError("need at least one noun per class")
         if self.filler_count < 1:
             raise ConfigurationError("need at least one filler word")
@@ -85,8 +67,6 @@ class SyntheticSpec:
                 raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
         if self.zipf_exponent < 0:
             raise ConfigurationError(f"zipf_exponent must be >= 0, got {self.zipf_exponent}")
-        if self.max_leading_fillers < 0 or self.max_trailing_fillers < 0:
-            raise ConfigurationError("filler span bounds must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,25 +97,24 @@ def _pseudo_words(rng: np.random.Generator, count: int, taken: set[str]) -> list
 def generate_synthetic_language(spec: SyntheticSpec) -> SyntheticLanguage:
     """Build the corpus and lexicon described by ``spec``.
 
-    Noun types are apportioned to classes by the priors (largest
-    remainder, so 1000 nouns at 0.7/0.3 give exactly 700/300).  Per
-    sentence the noun is drawn from a Zipf-like profile over all nouns,
-    its article from the noun's class unless a noise or ambiguity flip
-    redirects it to a uniformly chosen other class.
+    Noun types are apportioned to the classes by their shares (largest
+    remainder, so 1000 nouns give exactly 700/300).  Per sentence the
+    noun is drawn from a Zipf-like profile over all nouns, its article
+    from the noun's class unless a noise or ambiguity flip redirects it
+    to the other class.
     """
     rng = np.random.default_rng(spec.seed)
-    taken: set[str] = {a for cls in spec.classes for a in cls.articles}
+    taken: set[str] = {a for _, articles, _ in NOUN_CLASSES for a in articles}
     fillers = _pseudo_words(rng, spec.filler_count, taken)
-    class_sizes = apportion(spec.noun_count, [cls.prior for cls in spec.classes])
+    class_sizes = apportion(spec.noun_count, [share for _, _, share in NOUN_CLASSES])
     nouns_by_class = {}
     all_nouns: list[str] = []
     noun_class_index: list[int] = []
-    for cls, size in zip(spec.classes, class_sizes):
+    for class_idx, ((code, _, _), size) in enumerate(zip(NOUN_CLASSES, class_sizes)):
         nouns = _pseudo_words(rng, size, taken)
-        nouns_by_class[cls.code] = tuple(nouns)
-        for noun in nouns:
-            noun_class_index.append(len(nouns_by_class) - 1)
-            all_nouns.append(noun)
+        nouns_by_class[code] = tuple(nouns)
+        all_nouns.extend(nouns)
+        noun_class_index.extend([class_idx] * size)
 
     n_nouns = len(all_nouns)
     # Frequency profile: ranks are a seeded shuffle of the nouns so both
@@ -150,9 +129,8 @@ def generate_synthetic_language(spec: SyntheticSpec) -> SyntheticLanguage:
 
     noun_draws = rng.choice(n_nouns, size=spec.sentence_count, p=probs)
     flip_rolls = rng.random(spec.sentence_count)
-    other_rolls = rng.integers(0, len(spec.classes) - 1, size=spec.sentence_count)
-    lead_counts = rng.integers(0, spec.max_leading_fillers + 1, size=spec.sentence_count)
-    trail_counts = rng.integers(0, spec.max_trailing_fillers + 1, size=spec.sentence_count)
+    lead_counts = rng.integers(0, MAX_FILLERS + 1, size=spec.sentence_count)
+    trail_counts = rng.integers(0, MAX_FILLERS + 1, size=spec.sentence_count)
 
     sentences = []
     filler_pool = len(fillers)
@@ -161,10 +139,8 @@ def generate_synthetic_language(spec: SyntheticSpec) -> SyntheticLanguage:
         class_idx = noun_class_index[noun_idx]
         flip_prob = spec.ambiguous_flip if noun_idx in ambiguous else spec.agreement_noise
         if flip_rolls[i] < flip_prob:
-            # redirect to a uniformly chosen other class
-            shifted = int(other_rolls[i])
-            class_idx = shifted if shifted < class_idx else shifted + 1
-        articles = spec.classes[class_idx].articles
+            class_idx = 1 - class_idx
+        articles = NOUN_CLASSES[class_idx][1]
         article = articles[int(rng.integers(0, len(articles)))]
         tokens = [fillers[int(j)] for j in rng.integers(0, filler_pool, size=int(lead_counts[i]))]
         tokens.append(article)
@@ -172,13 +148,9 @@ def generate_synthetic_language(spec: SyntheticSpec) -> SyntheticLanguage:
         tokens.extend(fillers[int(j)] for j in rng.integers(0, filler_pool, size=int(trail_counts[i])))
         sentences.append(tokens)
 
-    entries = {}
-    for cls in spec.classes:
-        for noun in nouns_by_class[cls.code]:
-            entries[noun] = cls.code
     return SyntheticLanguage(
         sentences=tuple(sentences),
-        lexicon=GenderLexicon(entries),
+        lexicon=GenderLexicon({n: code for code, nouns in nouns_by_class.items() for n in nouns}),
         nouns_by_class=nouns_by_class,
         fillers=tuple(fillers),
         ambiguous_nouns=tuple(sorted(all_nouns[i] for i in ambiguous)),
@@ -192,17 +164,11 @@ def write_corpus(language: SyntheticLanguage, path) -> None:
             fh.write(" ".join(sentence) + "\n")
 
 
-def measure_agreement(language: SyntheticLanguage, spec: SyntheticSpec) -> float:
+def measure_agreement(language: SyntheticLanguage) -> float:
     """Share of sentences whose article matches the noun's own class,
     recounted from the emitted sentences."""
-    article_class = {}
-    for cls in spec.classes:
-        for article in cls.articles:
-            article_class[article] = cls.code
-    noun_class = {}
-    for code, nouns in language.nouns_by_class.items():
-        for noun in nouns:
-            noun_class[noun] = code
+    article_class = {a: code for code, articles, _ in NOUN_CLASSES for a in articles}
+    noun_class = dict(language.lexicon.items())
     agree = 0
     for sentence in language.sentences:
         for pos, token in enumerate(sentence):

@@ -11,7 +11,7 @@ import struct
 
 import pytest
 
-from gendervec import cli, embedding, pipeline, synthetic
+from gendervec import cli, cooccurrence, corpus, embedding, pipeline, synthetic
 from gendervec.classifier import TrainConfig
 from gendervec.cli import main
 from gendervec.cooccurrence import ContextConfig
@@ -105,6 +105,21 @@ def test_flow_label_deciles_cover_the_dataset(flow):
         deciles = json.load(fh)
     assert sum(deciles["group_sizes"]) == 60
     assert len(deciles["uter_shares"]) == 10
+
+
+def test_label_deciles_of_too_few_words_writes_nothing(flow, tmp_path, capsys):
+    # eight labeled words, two short of what deciles need
+    with open(flow["lexicon.tsv"], encoding="utf-8") as fh:
+        rows = fh.readlines()[:8]
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("".join(rows), encoding="utf-8")
+    outputs = [tmp_path / name for name in ("dataset.tsv", "summary.json", "deciles.json")]
+    rc = main(["label", "--embedding", flow["emb.bin"], "--lexicon", str(lexicon),
+               "--vocab", flow["vocab.tsv"], "--out", str(outputs[0]),
+               "--summary", str(outputs[1]), "--deciles", str(outputs[2])])
+    assert rc == 3
+    assert "at least 10 examples" in capsys.readouterr().err
+    assert not any(path.exists() for path in outputs)
 
 
 def test_flow_split_manifest_partitions_the_dataset(flow):
@@ -204,14 +219,31 @@ def test_embed_without_cooc_or_corpus_exits_two(flow, tmp_path):
     assert exc.value.code == 2
 
 
+def test_cooc_without_pairs_exits_three(tmp_path, capsys):
+    # every sentence is one word, so no two vocabulary words share a window
+    text, vocab = str(tmp_path / "c.txt"), str(tmp_path / "vocab.tsv")
+    with open(text, "w", encoding="utf-8") as fh:
+        fh.write("a\nb\nc\na\n")
+    assert main(["ingest", "--corpus", text, "--out", vocab]) == 0
+    out = tmp_path / "cooc.txt"
+    assert main(["cooc", "--corpus", text, "--vocab", vocab, "--out", str(out),
+                 "--context-type", "symmetric", "--window-size", "2"]) == 3
+    assert "no two vocabulary words share a window" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_embed_of_counts_without_pairs_exits_three(tmp_path, capsys):
-    # every sentence is one word, so cooc writes no count
-    corpus, vocab, cooc = (str(tmp_path / name) for name in ("c.txt", "vocab.tsv", "cooc.txt"))
-    with open(corpus, "w", encoding="utf-8") as fh:
+    # a count file with no entries, as the library saves it for a corpus
+    # whose sentences are all one word long
+    text, vocab, cooc = (str(tmp_path / name) for name in ("c.txt", "vocab.tsv", "cooc.txt"))
+    with open(text, "w", encoding="utf-8") as fh:
         fh.write("".join(f"w{i % 7}\n" for i in range(50)))
-    assert main(["ingest", "--corpus", corpus, "--out", vocab]) == 0
-    assert main(["cooc", "--corpus", corpus, "--vocab", vocab, "--out", cooc,
-                 "--context-type", "symmetric", "--window-size", "2"]) == 0
+    assert main(["ingest", "--corpus", text, "--out", vocab]) == 0
+    counts = cooccurrence.count_cooccurrences(
+        corpus.read_sentences(text), corpus.load_vocabulary(vocab), ContextConfig("symmetric", 2)
+    )
+    assert counts.nnz == 0
+    cooccurrence.save_cooccurrence(counts, cooc)
     out = tmp_path / "emb.bin"
     assert main(["embed", "--cooc", cooc, "--vocab", vocab, "--out", str(out),
                  "--binary", "--dim", "2"]) == 3
