@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import ArpackError, svds
+from scipy import linalg, sparse
+from scipy.sparse.linalg import ArpackError, LinearOperator, aslinearoperator, eigsh
 
 from .cooccurrence import ContextConfig, CoocMatrix, count_cooccurrences
 from .corpus import Sentence, Vocabulary, row_lookup, word_index
@@ -56,16 +56,22 @@ def power_transform(cooc: CoocMatrix, alpha: float) -> sparse.csr_array:
 def truncated_svd(matrix, k: int, *, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Top-``k`` singular values and right singular vectors of ``matrix``.
 
-    ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.svds``)
-    finds them; when ``k >= min(m, n) - 1``, past what ARPACK accepts,
-    a dense LAPACK SVD does.
+    ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``)
+    finds the top eigenvectors of the Gram matrix, in the steps of
+    ``scipy.sparse.linalg.svds``'s ARPACK solver and with its output bit
+    for bit; when ``k >= min(m, n) - 1``, past what ARPACK accepts, a
+    dense LAPACK SVD does.  Every dense step calls ``scipy.linalg``, as
+    ARPACK does: numpy and scipy each bundle their own OpenBLAS, and
+    calling both sets two thread pools against each other.
 
     Parameters
     ----------
     matrix : (m, n) ndarray or scipy sparse array
     k : number of singular triplets to keep, ``1 <= k <= min(m, n)``
     seed : seeds ARPACK's start vector; fixed seed means bitwise
-        reproducible output on one platform
+        reproducible output on one platform, except where ARPACK asks
+        for a restart vector (exactly rank-deficient input with ``k``
+        above the rank), which it draws unseeded
 
     Returns
     -------
@@ -85,13 +91,30 @@ def truncated_svd(matrix, k: int, *, seed: int = 0) -> tuple[np.ndarray, np.ndar
         raise ConfigurationError(f"k must be in 1..{rank_cap} for shape {(m, n)}, got {k}")
     if k >= rank_cap - 1:
         dense = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, dtype=float)
-        _, s, vt = np.linalg.svd(dense, full_matrices=False)
+        _, s, vt = linalg.svd(dense, full_matrices=False)
     else:
+        # factor the Gram matrix of the long side, as svds does
+        x = aslinearoperator(matrix)
+        if m < n:
+            x = x.H
+        gram = LinearOperator(
+            (rank_cap, rank_cap),
+            matvec=lambda v: x.rmatvec(x.matvec(v)),
+            matmat=lambda v: x.rmatmat(x.matmat(v)),
+            dtype=x.dtype,
+        )
         v0 = np.random.default_rng(seed).standard_normal(rank_cap)
         try:
-            _, s, vt = svds(matrix, k=k, v0=v0, return_singular_vectors="vh")
+            _, q = eigsh(gram, k=k, v0=v0)
         except ArpackError as exc:
             raise NumericalError(f"truncated SVD failed: {exc}") from None
+        # ARPACK's eigenvectors need not be exactly orthonormal
+        q, _ = linalg.qr(q, mode="economic")
+        u, s, w = linalg.svd(x.matmat(q), full_matrices=False, overwrite_a=True)
+        s = s[::-1]
+        # svds multiplies the reversed view; reversing the product
+        # instead changes the last bits on rank-deficient input
+        vt = u[:, ::-1].T if m < n else w[::-1] @ q.T
     order = np.argsort(-s, kind="stable")[:k]
     return _fix_signs(s[order], vt[order].T)
 

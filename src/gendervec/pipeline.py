@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy import linalg
 
 from .classifier import (
     MLPModel,
@@ -114,7 +115,7 @@ def project_2d(vectors: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 2:
         raise DataError(f"need at least 2 vectors of dim >= 2, got shape {x.shape}")
     centered = x - x.mean(axis=0)
-    _, sigma, vt = np.linalg.svd(centered, full_matrices=False)
+    _, sigma, vt = linalg.svd(centered, full_matrices=False)
     sigma, v = _fix_signs(sigma[:2], vt[:2].T)
     if sigma[0] <= 0.0 or sigma[1] <= sigma[0] * 1e-12:
         raise DataError("vectors have rank < 2 after centering; nothing to project")

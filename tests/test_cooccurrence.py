@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -286,6 +287,34 @@ def test_load_rejects_garbage(tmp_path):
         path.write_text(json.dumps(header) + f"\n0\t1\t2\n1\t2\t{count}\n", encoding="utf-8")
         with pytest.raises(DataError, match=f"{path}:3: count {count} "):
             load_cooccurrence(path)
+
+
+_HEADER = {"rows": 3, "cols": 3, "context_type": "symmetric", "window_size": 1}
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0\t1\t2\n\n1\t2\n", "4: expected 3 tab-separated fields"),
+        ("0\t1\t2\t3\n", "2: expected 3 tab-separated fields"),
+        ("0\t1\t2\nx\t1\t2\n", "3: malformed triplet"),
+        ("0\t1.5\t2\n", "2: malformed triplet"),
+        ("0\t1\t2,5\n", "2: malformed triplet"),
+        ("0\t1\t2\n3\t0\t1\n", "3: index out of range"),
+        ("0\t-1\t1\n", "2: index out of range"),
+        ("99999999999999999999\t0\t1\n", "2: index out of range"),
+        # the first bad line wins, and within a line the order of the checks
+        ("0\t9\t1\n0\tx\t1\n1\t2\n", "2: index out of range"),
+        ("x\t9\tnan\n", "2: malformed triplet"),
+        ("9\t0\tnan\n", "2: index out of range"),
+        ("1\t1\t-0.5\n0\t9\t1\n", "2: count -0.5 is not finite and >= 0"),
+    ],
+)
+def test_load_reports_the_first_bad_line(tmp_path, body, message):
+    path = tmp_path / "cooc.txt"
+    path.write_text(json.dumps(_HEADER) + "\n" + body, encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}:{message}')}$"):
+        load_cooccurrence(path)
 
 
 def test_context_types_constant():

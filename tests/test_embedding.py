@@ -6,9 +6,11 @@ import struct
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse.linalg import ArpackError, svds
+from scipy.linalg import block_diag
+from scipy.sparse.linalg import ArpackError, eigsh, svds
 
 import gendervec.embedding as embedding
+from gendervec import synthetic
 from gendervec.cooccurrence import ContextConfig, CoocMatrix, count_cooccurrences
 from gendervec.corpus import build_vocabulary
 from gendervec.embedding import (
@@ -24,6 +26,7 @@ from gendervec.embedding import (
     truncated_svd,
 )
 from gendervec.errors import ConfigurationError, DataError, NumericalError
+from gendervec.pipeline import project_2d
 
 
 # Oracle: full dense SVD via LAPACK, truncated after the fact.  Written
@@ -132,11 +135,82 @@ def test_k_out_of_range():
 
 
 def test_non_convergence_is_numerical_error(monkeypatch):
-    monkeypatch.setattr(embedding, "svds", functools.partial(svds, maxiter=1))
+    monkeypatch.setattr(embedding, "eigsh", functools.partial(eigsh, maxiter=1))
     rng = np.random.default_rng(3)
     mat = rng.standard_normal((40, 30))
     with pytest.raises(NumericalError, match="converge"):
         truncated_svd(mat, 5)
+
+
+# Oracle: scipy's svds with truncated_svd's start vector, order and
+# signs.  truncated_svd runs svds's ARPACK steps on scipy's LAPACK alone,
+# and must match it bit for bit.
+def svds_oracle(matrix, k, seed):
+    v0 = np.random.default_rng(seed).standard_normal(min(matrix.shape))
+    _, s, vt = svds(matrix, k=k, v0=v0, return_singular_vectors="vh")
+    order = np.argsort(-s, kind="stable")[:k]
+    return embedding._fix_signs(s[order], vt[order].T)
+
+
+def _sparse_random(shape):
+    rng = np.random.default_rng(11)
+    return sparse.csr_array(np.where(rng.random(shape) < 0.05, rng.random(shape), 0.0))
+
+
+def _backward_counts():
+    # backward w=1 counts of a small synthetic language, rank 48 of 414,
+    # so k=50 reaches past the rank; large enough that the order of
+    # svds's last product shows in the bits
+    language = synthetic.generate_synthetic_language(
+        synthetic.SyntheticSpec(noun_count=400, sentence_count=4000, seed=0)
+    )
+    vocab = build_vocabulary(language.sentences)
+    config = ContextConfig("asymmetric_backward", 1)
+    return power_transform(count_cooccurrences(language.sentences, vocab, config), 0.5)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "make, k",
+    [
+        (lambda: _sparse_random((300, 120)), 10),
+        (lambda: _sparse_random((120, 300)), 10),
+        (lambda: _sparse_random((200, 200)), 10),
+        (_backward_counts, 50),
+    ],
+    ids=["tall", "wide", "square", "rank-deficient-counts"],
+)
+def test_matches_svds_bit_for_bit(make, k, seed):
+    matrix = make()
+    sigma, v = truncated_svd(matrix, k, seed=seed)
+    ref_sigma, ref_v = svds_oracle(matrix, k, seed)
+    assert np.array_equal(sigma, ref_sigma)
+    assert np.array_equal(v, ref_v)
+
+
+@pytest.mark.parametrize("k", [5, 20])
+def test_k_above_the_rank(k):
+    # rank 3 with k above it: ARPACK asks for restart vectors, which it
+    # draws unseeded, so only the values past the rank may vary
+    mat = block_diag(np.ones((70, 70)), 2 * np.ones((60, 60)), 3 * np.ones((70, 70)))
+    sigma, v = truncated_svd(mat, k, seed=0)
+    assert np.allclose(sigma[:3], [210.0, 120.0, 70.0])
+    assert np.allclose(sigma[3:], 0.0, atol=1e-8)
+    assert np.allclose(v.T @ v, np.eye(k), atol=1e-8)
+
+
+def test_factorizations_never_call_numpy_linalg(monkeypatch):
+    # numpy bundles a second OpenBLAS whose threads compete with scipy's
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    mat = np.random.default_rng(3).standard_normal((40, 30))
+    for k in (5, 29):  # the ARPACK branch, then the dense one
+        assert truncated_svd(mat, k)[1].shape == (30, k)
+    assert truncated_svd(sparse.csr_array(mat.T), 5)[1].shape == (40, 5)
+    assert project_2d(mat).shape == (40, 2)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -248,10 +322,10 @@ def test_embed_counts_vocab_mismatch():
 
 
 def test_arpack_error_is_numerical_error(monkeypatch):
-    def failing_svds(*args, **kwargs):
+    def failing_eigsh(*args, **kwargs):
         raise ArpackError(-9)
 
-    monkeypatch.setattr(embedding, "svds", failing_svds)
+    monkeypatch.setattr(embedding, "eigsh", failing_eigsh)
     mat = np.random.default_rng(3).standard_normal((40, 30))
     with pytest.raises(NumericalError, match="ARPACK error -9"):
         truncated_svd(mat, 5)
