@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -50,21 +50,54 @@ class TrainConfig(Record):
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def _cross_entropy(proba: np.ndarray, y: np.ndarray) -> float:
-    picked = proba[np.arange(len(y)), y]
-    return float(-np.log(np.maximum(picked, 1e-300)).mean())
+def _cross_entropy(proba: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy of each stacked network's ``(c, batch, 2)`` probabilities."""
+    picked = proba[:, np.arange(len(y)), y]
+    return -np.log(np.maximum(picked, 1e-300)).mean(axis=-1)
 
 
 def _split_params(flat: np.ndarray, input_dim: int, hidden: int) -> list[np.ndarray]:
-    """``flat`` cut into ``w1, b1, w2, b2``, each a reshaped view."""
+    """``flat`` cut into ``w1, b1, w2, b2``, each a reshaped view; leading
+    axes of ``flat`` stack networks and stay leading axes of each part."""
     shapes = ((input_dim, hidden), (hidden,), (hidden, len(CLASSES)), (len(CLASSES),))
-    ends = np.cumsum([math.prod(shape) for shape in shapes])
-    return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+    parts, start = [], 0
+    for shape in shapes:
+        end = start + math.prod(shape)
+        parts.append(flat[..., start:end].reshape(flat.shape[:-1] + shape))
+        start = end
+    return parts
+
+
+def _forward(params: list[np.ndarray], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden ReLU output and class probabilities of ``c`` networks whose
+    ``w1, b1, w2, b2`` stack on a leading axis, each on its own
+    ``(batch, input_dim)`` slice of ``x``."""
+    w1, b1, w2, b2 = params
+    hidden_out = np.maximum(x @ w1 + b1[:, None], 0.0)
+    return hidden_out, _softmax(hidden_out @ w2 + b2[:, None])
+
+
+def _backprop(params: list[np.ndarray], x: np.ndarray, y: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Each stacked network's mean cross-entropy on gold classes ``y`` and
+    its gradient, laid out like ``flat``.  Training and ``gradient_check``
+    both run this."""
+    hidden_out, proba = _forward(params, x)
+    w2 = params[2]
+    dlogits = proba.copy()
+    dlogits[:, np.arange(len(y)), y] -= 1.0
+    dlogits /= len(y)
+    # the ReLU passes gradient exactly where its output is positive
+    dz1 = (dlogits @ w2.swapaxes(-1, -2)) * (hidden_out > 0.0)
+    grad = [x.swapaxes(-1, -2) @ dz1, dz1.sum(axis=-2),
+            hidden_out.swapaxes(-1, -2) @ dlogits, dlogits.sum(axis=-2)]
+    flat_grad = [g.reshape(len(x), math.prod(g.shape[1:])) for g in grad]
+    return _cross_entropy(proba, y), np.concatenate(flat_grad, axis=1)
 
 
 class MLPModel:
@@ -100,32 +133,26 @@ class MLPModel:
     def input_dim(self) -> int:
         return self.w1.shape[0]
 
-    def _forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The input as a float64 matrix, the hidden ReLU output and the class probabilities."""
+    def _stack_of_one(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """The parameters, and the input as a float64 matrix, each with a
+        leading axis of one."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.input_dim:
             raise DataError(f"input dim {x.shape[1]} does not match model dim {self.input_dim}")
-        hidden = np.maximum(x @ self.w1 + self.b1, 0.0)
-        return x, hidden, _softmax(hidden @ self.w2 + self.b2)
+        return [p[None] for p in (self.w1, self.b1, self.w2, self.b2)], x[None]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities for a (batch, input_dim) matrix."""
-        return self._forward(x)[2]
+        return _forward(*self._stack_of_one(x))[1][0]
 
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
         """Mean cross-entropy of gold class indices ``y``."""
-        return _cross_entropy(self.forward(x), y)
+        return float(_cross_entropy(self.forward(x)[None], y)[0])
 
     def loss_and_gradients(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         """Backprop: mean cross-entropy and its gradient, laid out like ``flat``."""
-        x, hidden, proba = self._forward(x)
-        dlogits = proba.copy()
-        dlogits[np.arange(len(y)), y] -= 1.0
-        dlogits /= len(y)
-        # the ReLU passes gradient exactly where its output is positive
-        dz1 = (dlogits @ self.w2.T) * (hidden > 0.0)
-        grad = [x.T @ dz1, dz1.sum(axis=0), hidden.T @ dlogits, dlogits.sum(axis=0)]
-        return _cross_entropy(proba, y), np.concatenate([g.reshape(-1) for g in grad])
+        loss, grad = _backprop(*self._stack_of_one(x), y)
+        return float(loss[0]), grad[0]
 
 
 def correct_predictions(model: MLPModel, data: LabeledSet) -> np.ndarray:
@@ -145,41 +172,101 @@ def train(
     """Fit the network, returning the parameters of the best dev epoch.
 
     Stops after ``patience`` epochs without a strict dev-accuracy
-    improvement, or at ``max_epochs``.
+    improvement, or at ``max_epochs``.  This is ``train_stack`` on a
+    stack of one; a non-finite training loss raises its NumericalError.
     """
-    if not train_set or not dev_set:
+    (model,) = train_stack(
+        train_set.vectors[None], train_set.labels, dev_set.vectors[None], dev_set.labels, config
+    )
+    if isinstance(model, NumericalError):
+        raise model
+    return model
+
+
+def train_stack(
+    x_train: np.ndarray,
+    y_train: np.ndarray,
+    x_dev: np.ndarray,
+    y_dev: np.ndarray,
+    config: TrainConfig = TrainConfig(),
+) -> list[MLPModel | NumericalError]:
+    """Fit one network per slice of the leading axis of ``x_train`` and
+    ``x_dev``, each bit for bit as ``train`` fits it alone.
+
+    The ``c`` slices share the gold classes ``y_train`` and ``y_dev``.
+    One generator seeded with ``config.seed`` gives every network the
+    same initial parameters and batch order; each keeps its own momentum,
+    best dev epoch and patience count, and leaves the stack when it
+    stops.  Returns, per slice, the model of its best dev epoch, or the
+    NumericalError of the epoch where its training loss went non-finite.
+    """
+    x_train = np.asarray(x_train, dtype=np.float64)
+    x_dev = np.asarray(x_dev, dtype=np.float64)
+    (c, n, k), (c_dev, m, k_dev) = x_train.shape, x_dev.shape
+    if not n or not m:
         raise DataError("train and dev sets must be non-empty")
-    x_train, y_train = train_set.vectors, train_set.labels
-    k, k_dev = x_train.shape[1], dev_set.vectors.shape[1]
     if k_dev != k:
         raise DataError(f"train dim {k} does not match dev dim {k_dev}")
+    if c_dev != c or len(y_train) != n or len(y_dev) != m:
+        raise DataError(f"stacks of shape {x_train.shape} and {x_dev.shape} do not match "
+                        f"{len(y_train)} train and {len(y_dev)} dev labels")
     rng = np.random.default_rng(config.seed)
-    model = MLPModel.initialize(k, config.hidden_size, rng, seed=config.seed)
-    velocity = np.zeros_like(model.flat)
-    best = model.flat.copy()
-    best_acc = -1.0
-    stale = 0
-    n = len(train_set)
+    h = config.hidden_size
+    flat = np.tile(MLPModel.initialize(k, h, rng).flat, (c, 1))
+    live = _Live(np.arange(c), x_train, x_dev, flat, np.zeros_like(flat), flat.copy(),
+                 np.full(c, -1.0), np.zeros(c, dtype=np.int64))
+    results: list = [None] * c
     for epoch in range(config.max_epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss, grad = model.loss_and_gradients(x_train[batch], y_train[batch])
-            if not math.isfinite(loss):
-                raise NumericalError(f"non-finite training loss at epoch {epoch + 1}")
-            velocity = config.momentum * velocity - config.learning_rate * grad
-            model.flat += velocity
-        acc = dev_accuracy(model, dev_set)
-        if acc > best_acc:
-            best_acc = acc
-            best = model.flat.copy()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-    model.flat[...] = best
-    return model
+            params = _split_params(live.flat, k, h)
+            loss, grad = _backprop(params, live.x_train[:, batch], y_train[batch])
+            finite = np.isfinite(loss)
+            if not finite.all():
+                for slot, _ in live.drop(~finite):
+                    results[slot] = NumericalError(f"non-finite training loss at epoch {epoch + 1}")
+                grad = grad[finite]
+            live.velocity = config.momentum * live.velocity - config.learning_rate * grad
+            live.flat += live.velocity
+        proba = _forward(_split_params(live.flat, k, h), live.x_dev)[1]
+        hits = np.argmax(proba, axis=-1) == y_dev
+        acc = hits.mean(axis=-1)
+        improved = acc > live.best_acc
+        live.best[improved] = live.flat[improved]
+        live.best_acc[improved] = acc[improved]
+        live.stale = np.where(improved, 0, live.stale + 1)
+        for slot, best in live.drop(live.stale >= config.patience):
+            results[slot] = MLPModel(*_split_params(best, k, h), seed=config.seed)
+        if not live.slot.size:
+            break
+    for slot, best in live.drop(np.ones(live.slot.size, dtype=bool)):
+        results[slot] = MLPModel(*_split_params(best, k, h), seed=config.seed)
+    return results
+
+
+@dataclass
+class _Live:
+    """The networks of a ``train_stack`` call still training: row ``i``
+    of every array belongs to the network of result slot ``slot[i]``."""
+
+    slot: np.ndarray
+    x_train: np.ndarray
+    x_dev: np.ndarray
+    flat: np.ndarray
+    velocity: np.ndarray
+    best: np.ndarray
+    best_acc: np.ndarray
+    stale: np.ndarray
+
+    def drop(self, stopped: np.ndarray) -> list[tuple[int, np.ndarray]]:
+        """Remove the rows where ``stopped``; returns their slots and best parameters."""
+        if not stopped.any():
+            return []
+        gone = list(zip(self.slot[stopped].tolist(), self.best[stopped]))
+        for part in fields(self):
+            setattr(self, part.name, getattr(self, part.name)[~stopped])
+        return gone
 
 
 def output_entropy(distribution: Sequence[float]) -> float:

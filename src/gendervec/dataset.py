@@ -26,6 +26,7 @@ CLASSES = ("uter", "neuter")
 
 DEFAULT_RATIOS = (0.8, 0.1, 0.1)
 PARTITION_NAMES = ("train", "dev", "test")
+NO_LABELED_EXAMPLES = "no labeled examples: embedding, lexicon and vocabulary do not overlap"
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +122,7 @@ def build_dataset(
     table = labeled_rows(vocab, lexicon, min_freq)
     table = table.take(np.flatnonzero([word in embedding for word in table.words]))
     if not table:
-        raise DataError("no labeled examples: embedding, lexicon and vocabulary do not overlap")
+        raise DataError(NO_LABELED_EXAMPLES)
     return join_with_embedding(table, embedding)
 
 

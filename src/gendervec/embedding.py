@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 from scipy import linalg, sparse
-from scipy.sparse.linalg import ArpackError, LinearOperator, aslinearoperator, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .cooccurrence import ContextConfig, CoocMatrix, count_cooccurrences
 from .corpus import Sentence, Vocabulary, row_lookup, word_index
@@ -62,7 +62,10 @@ def truncated_svd(matrix, k: int, *, seed: int = 0) -> tuple[np.ndarray, np.ndar
     for bit; when ``k >= min(m, n) - 1``, past what ARPACK accepts, a
     dense LAPACK SVD does.  Every dense step calls ``scipy.linalg``, as
     ARPACK does: numpy and scipy each bundle their own OpenBLAS, and
-    calling both sets two thread pools against each other.
+    calling both sets two thread pools against each other.  It runs in
+    two halves, ``ritz_factors`` (every scipy step) and then
+    ``singular_vectors`` (numpy's product, order and signs), so a caller
+    with many matrices can run each half over all of them in turn.
 
     Parameters
     ----------
@@ -85,6 +88,16 @@ def truncated_svd(matrix, k: int, *, seed: int = 0) -> tuple[np.ndarray, np.ndar
         therefore always fails)
     NumericalError : ARPACK failed, e.g. to converge; the message is ARPACK's
     """
+    return singular_vectors(ritz_factors(matrix, k, seed=seed), k)
+
+
+def ritz_factors(matrix, k: int, *, seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The scipy half of ``truncated_svd``: its checks, ARPACK and LAPACK steps.
+
+    Returns ``(s, w, q)``: the singular values, not yet ordered, and the
+    right singular vectors as the rows of ``w[::-1] @ q.T``, or of ``w``
+    itself when ``q`` is None.
+    """
     m, n = matrix.shape
     rank_cap = min(m, n)
     if k < 1 or k > rank_cap:
@@ -92,29 +105,34 @@ def truncated_svd(matrix, k: int, *, seed: int = 0) -> tuple[np.ndarray, np.ndar
     if k >= rank_cap - 1:
         dense = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, dtype=float)
         _, s, vt = linalg.svd(dense, full_matrices=False)
-    else:
-        # factor the Gram matrix of the long side, as svds does
-        x = aslinearoperator(matrix)
-        if m < n:
-            x = x.H
-        gram = LinearOperator(
-            (rank_cap, rank_cap),
-            matvec=lambda v: x.rmatvec(x.matvec(v)),
-            matmat=lambda v: x.rmatmat(x.matmat(v)),
-            dtype=x.dtype,
-        )
-        v0 = np.random.default_rng(seed).standard_normal(rank_cap)
-        try:
-            _, q = eigsh(gram, k=k, v0=v0)
-        except ArpackError as exc:
-            raise NumericalError(f"truncated SVD failed: {exc}") from None
-        # ARPACK's eigenvectors need not be exactly orthonormal
-        q, _ = linalg.qr(q, mode="economic")
-        u, s, w = linalg.svd(x.matmat(q), full_matrices=False, overwrite_a=True)
-        s = s[::-1]
-        # svds multiplies the reversed view; reversing the product
-        # instead changes the last bits on rank-deficient input
-        vt = u[:, ::-1].T if m < n else w[::-1] @ q.T
+        return s, vt, None
+    # factor the Gram matrix of the long side, as svds does
+    a, a_h = (matrix, matrix.T.conj()) if m >= n else (matrix.T.conj(), matrix)
+    gram = LinearOperator(
+        (rank_cap, rank_cap), matvec=lambda v: a_h.dot(a.dot(v)), dtype=matrix.dtype
+    )
+    v0 = np.random.default_rng(seed).standard_normal(rank_cap)
+    try:
+        _, q = eigsh(gram, k=k, v0=v0)
+    except ArpackError as exc:
+        raise NumericalError(f"truncated SVD failed: {exc}") from None
+    # ARPACK's eigenvectors need not be exactly orthonormal
+    q, _ = linalg.qr(q, mode="economic")
+    # numpy's QR, which svds calls, returns C order; a dense product
+    # reads the layout in its last bits
+    u, s, w = linalg.svd(a.dot(np.ascontiguousarray(q)), full_matrices=False, overwrite_a=True)
+    if m < n:
+        return s[::-1], u[:, ::-1].T, None
+    return s[::-1], w, q
+
+
+def singular_vectors(factors, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The numpy half of ``truncated_svd``: ``ritz_factors`` output as
+    the top-``k`` ``(sigma, v)``, ordered and oriented."""
+    s, w, q = factors
+    # svds multiplies the reversed view; reversing the product
+    # instead changes the last bits on rank-deficient input
+    vt = w if q is None else w[::-1] @ q.T
     order = np.argsort(-s, kind="stable")[:k]
     return _fix_signs(s[order], vt[order].T)
 
@@ -161,19 +179,31 @@ class EmbeddingMatrix:
         return row_lookup(self._index, words, "the embedding")
 
 
-def embed_counts(cooc: CoocMatrix, vocab: Vocabulary, config: EmbeddingConfig) -> EmbeddingMatrix:
-    """Transform counts and factor them into word vectors; all-zero counts are a DataError."""
+def transformed_counts(cooc: CoocMatrix, vocab: Vocabulary, config: EmbeddingConfig) -> sparse.csr_array:
+    """The matrix ``embed_counts`` factors: the counts, checked against the
+    vocabulary, raised to ``config.alpha``; all-zero counts are a DataError."""
     if len(vocab) != cooc.shape[1]:
         raise ConfigurationError(
             f"vocabulary size {len(vocab)} does not match matrix dims {cooc.shape}"
         )
     if len(vocab) and not cooc.matrix.count_nonzero():
         raise DataError("no nonzero count to factor: no two vocabulary words share a window")
-    transformed = power_transform(cooc, config.alpha)
-    sigma, v = truncated_svd(transformed, config.k, seed=config.seed)
+    return power_transform(cooc, config.alpha)
+
+
+def scaled_vectors(sigma: np.ndarray, v: np.ndarray, config: EmbeddingConfig) -> np.ndarray:
+    """Word vectors: the rows of ``v`` scaled by ``sigma**config.sigma_power``."""
     vectors = v * np.power(sigma, config.sigma_power)
     if not np.all(np.isfinite(vectors)):
         raise NumericalError("non-finite embedding values; check sigma_power against zero sigma")
+    return vectors
+
+
+def embed_counts(cooc: CoocMatrix, vocab: Vocabulary, config: EmbeddingConfig) -> EmbeddingMatrix:
+    """Transform counts and factor them into word vectors; all-zero counts are a DataError."""
+    transformed = transformed_counts(cooc, vocab, config)
+    sigma, v = truncated_svd(transformed, config.k, seed=config.seed)
+    vectors = scaled_vectors(sigma, v, config)
     return EmbeddingMatrix(vocab.words, vectors, context=cooc.config, config=config)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -28,12 +28,14 @@ from .classifier import (
     save_model,
     save_prediction_records,
     train,
+    train_stack,
 )
 from .cooccurrence import CONTEXT_TYPES, ContextConfig, combine, count_by_distance_from_file
-from .corpus import Vocabulary, build_vocabulary_from_file, filter_by_frequency
+from .corpus import Vocabulary, build_vocabulary_from_file, filter_by_frequency, row_lookup
 from .dataset import (
     CLASSES,
     DEFAULT_RATIOS,
+    NO_LABELED_EXAMPLES,
     DecileReport,
     LabeledSet,
     SplitBundle,
@@ -48,7 +50,15 @@ from .dataset import (
     validate_ratios,
     word_list_digest,
 )
-from .embedding import EmbeddingConfig, _fix_signs, embed_counts
+from .embedding import (
+    EmbeddingConfig,
+    _fix_signs,
+    embed_counts,
+    ritz_factors,
+    scaled_vectors,
+    singular_vectors,
+    transformed_counts,
+)
 from .errors import ConfigurationError, DataError, GendervecError
 from .lexicon import CORE_CODES, GenderLexicon, parse_lexicon
 from .metrics import (
@@ -229,9 +239,14 @@ def grid_search(
     from the vocabulary and lexicon alone, so every cell trains and
     validates on identical word lists and the test digest is pinned up
     front.  The corpus is counted once, by distance up to the widest
-    window, and every cell combines its matrix from those counts.  A
-    failing cell is recorded and skipped, not fatal.  Ties on
-    dev accuracy go to the smaller window, then backward before
+    window.  The grid then runs stage by stage over every cell:
+    ``ritz_factors`` (scipy) for each cell's combined counts, then
+    ``singular_vectors`` (numpy), taking each cell's train and dev rows,
+    then one ``train_stack`` for all probes.  Each cell's vectors, model
+    and dev accuracy are bit for bit those of ``embed_counts``,
+    ``build_dataset``, ``bundle_from_manifest`` and ``train`` on that
+    cell alone.  A failing cell is recorded and skipped, not fatal.
+    Ties on dev accuracy go to the smaller window, then backward before
     symmetric before forward.
     """
     cells = sorted(grid if grid is not None else default_grid(), key=_grid_key)
@@ -246,31 +261,62 @@ def grid_search(
     by_distance = count_by_distance_from_file(
         corpus_path, vocab, max(c.window_size for c in cells)
     )
+    # numpy and scipy each bundle an OpenBLAS; switching pools cell by
+    # cell costs more than the factorizations, so each stage runs all cells
+    results: dict[int, CellResult] = {}
 
-    def run_cell(context: ContextConfig) -> CellResult:
+    def fail(i: int, exc: GendervecError) -> None:
+        results[i] = CellResult(cells[i], None, None, f"{type(exc).__name__}: {exc}")
+
+    factors = {}
+    for i, context in enumerate(cells):
         try:
-            emb = embed_counts(combine(by_distance, context), vocab, embedding_config)
-            data = build_dataset(emb, lexicon, vocab, options.min_freq)
-            bundle = bundle_from_manifest(manifest, data)
-            model = train(bundle.train, bundle.dev, train_config)
-            hits, labels = correct_predictions(model, bundle.dev), bundle.dev.labels
-            per_class = {
-                cls: float(hits[labels == c].mean()) if np.any(labels == c) else None
-                for c, cls in enumerate(CLASSES)
-            }
-            return CellResult(context, float(hits.mean()), per_class, None)
+            counts = transformed_counts(combine(by_distance, context), vocab, embedding_config)
+            factors[i] = ritz_factors(counts, embedding_config.k, seed=embedding_config.seed)
         except GendervecError as exc:
-            return CellResult(context, None, None, f"{type(exc).__name__}: {exc}")
-
-    results = [run_cell(c) for c in cells]
-    survivors = [c for c in results if c.ok]
+            fail(i, exc)
+    split = bundle_from_manifest(manifest, labeled)
+    train_ids, dev_ids = (row_lookup(vocab.ids, part.words, "the vocabulary")
+                          for part in (split.train, split.dev))
+    x_train = np.empty((len(factors), len(train_ids), embedding_config.k))
+    x_dev = np.empty((len(factors), len(dev_ids), embedding_config.k))
+    stacked = []
+    for i in list(factors):
+        try:
+            sigma, v = singular_vectors(factors.pop(i), embedding_config.k)
+            vectors = scaled_vectors(sigma, v, embedding_config)
+            if not labeled:
+                raise DataError(NO_LABELED_EXAMPLES)
+        except GendervecError as exc:
+            fail(i, exc)
+            continue
+        x_train[len(stacked)], x_dev[len(stacked)] = vectors[train_ids], vectors[dev_ids]
+        stacked.append(i)
+    try:
+        models = train_stack(x_train[: len(stacked)], split.train.labels,
+                             x_dev[: len(stacked)], split.dev.labels, train_config)
+    except GendervecError as exc:
+        models = [exc] * len(stacked)
+    for i, x, model in zip(stacked, x_dev, models):
+        if isinstance(model, GendervecError):
+            fail(i, model)
+            continue
+        dev = replace(split.dev, vectors=x)
+        hits, labels = correct_predictions(model, dev), dev.labels
+        per_class = {
+            cls: float(hits[labels == c].mean()) if np.any(labels == c) else None
+            for c, cls in enumerate(CLASSES)
+        }
+        results[i] = CellResult(cells[i], float(hits.mean()), per_class, None)
+    ordered = [results[i] for i in range(len(cells))]
+    survivors = [c for c in ordered if c.ok]
     if not survivors:
         raise DataError(
-            "every grid cell failed; first error: " + (results[0].error or "unknown")
+            "every grid cell failed; first error: " + (ordered[0].error or "unknown")
         )
     best = min(survivors, key=lambda c: (-c.dev_accuracy, _grid_key(c.context)))
     return GridResult(
-        cells=tuple(results),
+        cells=tuple(ordered),
         best=best.context,
         split_seed=options.split_seed,
         test_digest=manifest["test_digest"],

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from gendervec.classifier import (
     save_model,
     save_prediction_records,
     train,
+    train_stack,
 )
 from gendervec.dataset import LabeledSet
 from gendervec.errors import ConfigurationError, DataError, NumericalError
@@ -225,6 +227,40 @@ def test_exploding_learning_rate_is_numerical_error():
     data = _blobs(10)
     with pytest.raises(NumericalError):
         train(data, data, TrainConfig(learning_rate=1e30, max_epochs=20, hidden_size=4))
+
+
+def _best_epoch(train_set, dev_set, cfg):
+    """The epoch whose parameters ``train`` returns: the first
+    ``max_epochs`` at which the result stops changing."""
+    final = train(train_set, dev_set, cfg).flat
+    return next(m for m in range(1, cfg.max_epochs + 1)
+                if np.array_equal(train(train_set, dev_set, replace(cfg, max_epochs=m)).flat, final))
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_stack_trains_each_network_as_train_does_alone():
+    cfg = TrainConfig(max_epochs=30, hidden_size=6, patience=3, batch_size=8, seed=4)
+    # overlapping clouds, so dev accuracy peaks at a different epoch in each
+    spreads = {i: 1.0 + 0.3 * i for i in (0, 6, 7, 2)}
+    trains = [_blobs(20, dim=3, seed=i, spread=s) for i, s in spreads.items()]
+    devs = [_blobs(8, dim=3, seed=10 + i, spread=s) for i, s in spreads.items()]
+    # inputs large enough that the training loss overflows within a few steps
+    trains[3] = replace(trains[3], vectors=trains[3].vectors * 1e150)
+    with pytest.raises(NumericalError, match="non-finite training loss") as alone:
+        train(trains[3], devs[3], cfg)
+    stacked = train_stack(np.stack([t.vectors for t in trains]), trains[0].labels,
+                          np.stack([d.vectors for d in devs]), devs[0].labels, cfg)
+    assert isinstance(stacked[3], NumericalError) and str(stacked[3]) == str(alone.value)
+    for i in range(3):
+        model = train(trains[i], devs[i], cfg)
+        assert stacked[i].flat.tobytes() == model.flat.tobytes()
+        assert stacked[i].seed == cfg.seed
+    # each stops at its own epoch; the third would still improve after
+    # its stop, so training it on with the stack would change its bytes
+    stops = [_best_epoch(trains[i], devs[i], cfg) + cfg.patience for i in range(3)]
+    assert stops[2] < stops[1] <= cfg.max_epochs
+    longer = train(trains[2], devs[2], replace(cfg, patience=cfg.max_epochs))
+    assert longer.flat.tobytes() != stacked[2].flat.tobytes()
 
 
 def test_train_config_validation_and_roundtrip():

@@ -177,8 +177,10 @@ def _backward_counts():
         (lambda: _sparse_random((120, 300)), 10),
         (lambda: _sparse_random((200, 200)), 10),
         (_backward_counts, 50),
+        (lambda: _sparse_random((300, 120)).toarray(), 10),
+        (lambda: _sparse_random((120, 300)).toarray(), 10),
     ],
-    ids=["tall", "wide", "square", "rank-deficient-counts"],
+    ids=["tall", "wide", "square", "rank-deficient-counts", "dense-tall", "dense-wide"],
 )
 def test_matches_svds_bit_for_bit(make, k, seed):
     matrix = make()

@@ -9,11 +9,17 @@ import pytest
 
 import gendervec.pipeline as pipeline
 from gendervec import cooccurrence, embedding
-from gendervec.classifier import MLPModel, TrainConfig, errors_by_entropy
+from gendervec.classifier import (
+    MLPModel,
+    TrainConfig,
+    correct_predictions,
+    errors_by_entropy,
+    train,
+)
 from gendervec.cooccurrence import ContextConfig
-from gendervec.dataset import LabeledSet
+from gendervec.dataset import CLASSES, LabeledSet, build_dataset, bundle_from_manifest
 from gendervec.embedding import EmbeddingConfig
-from gendervec.errors import ConfigurationError, DataError
+from gendervec.errors import ConfigurationError, DataError, NumericalError
 from gendervec.lexicon import save_lexicon
 from gendervec.pipeline import (
     CellResult,
@@ -176,14 +182,14 @@ def test_embedding_from_sentences_matches_the_grid_cell(language_files, context)
 
 def test_grid_search_records_cell_failure_without_aborting(language_files, monkeypatch):
     corpus, lexicon = language_files
-    real_embed_counts = pipeline.embed_counts
+    real_transformed_counts = pipeline.transformed_counts
 
-    def flaky_embed_counts(cooc, vocab, emb_cfg):
+    def flaky_transformed_counts(cooc, vocab, emb_cfg):
         if cooc.config.window_size == 5:
             raise DataError("synthetic cell failure")
-        return real_embed_counts(cooc, vocab, emb_cfg)
+        return real_transformed_counts(cooc, vocab, emb_cfg)
 
-    monkeypatch.setattr(pipeline, "embed_counts", flaky_embed_counts)
+    monkeypatch.setattr(pipeline, "transformed_counts", flaky_transformed_counts)
     grid = [ContextConfig("asymmetric_backward", 1), ContextConfig("asymmetric_backward", 5)]
     result = grid_search(corpus, lexicon, grid, EMB_CFG, TRAIN_CFG)
     failed = result.cell("asymmetric_backward", 5)
@@ -191,6 +197,41 @@ def test_grid_search_records_cell_failure_without_aborting(language_files, monke
     assert "synthetic cell failure" in failed.error
     assert failed.dev_accuracy is None
     assert (result.best.context_type, result.best.window_size) == ("asymmetric_backward", 1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_grid_cells_equal_each_cell_run_alone(language_files, monkeypatch):
+    corpus, lexicon = language_files
+    # sigma-scaled vectors of counts scaled by 1e60 overflow the probe
+    emb_cfg = EmbeddingConfig(k=8, sigma_power=1.0, seed=0)
+    diverging = ContextConfig("asymmetric_backward", 1)
+    real_transformed_counts = embedding.transformed_counts
+
+    def scaled_transformed_counts(cooc, vocab, config):
+        counts = real_transformed_counts(cooc, vocab, config)
+        return counts * 1e60 if cooc.config == diverging else counts
+
+    for module in (pipeline, embedding):
+        monkeypatch.setattr(module, "transformed_counts", scaled_transformed_counts)
+    result = grid_search(corpus, lexicon, default_grid(), emb_cfg, TRAIN_CFG)
+    vocab, lex = pipeline.prepare_inputs(corpus, lexicon)
+    by_distance = cooccurrence.count_by_distance_from_file(corpus, vocab, 5)
+    for cell in result.cells:
+        emb = embedding.embed_counts(cooccurrence.combine(by_distance, cell.context), vocab, emb_cfg)
+        bundle = bundle_from_manifest(result.split_manifest, build_dataset(emb, lex, vocab))
+        if cell.context == diverging:
+            with pytest.raises(NumericalError) as alone:
+                train(bundle.train, bundle.dev, TRAIN_CFG)
+            assert cell.error == f"NumericalError: {alone.value}"
+            assert cell.dev_accuracy is None and cell.per_class_dev_accuracy is None
+            continue
+        hits = correct_predictions(train(bundle.train, bundle.dev, TRAIN_CFG), bundle.dev)
+        labels = bundle.dev.labels
+        assert cell.ok and cell.dev_accuracy == float(hits.mean())
+        assert cell.per_class_dev_accuracy == {
+            cls: float(hits[labels == c].mean()) for c, cls in enumerate(CLASSES)
+        }
+    assert len(result.cells) == 15 and result.best != diverging
 
 
 def test_grid_search_records_cells_without_counts(tmp_path):
