@@ -31,6 +31,10 @@ _SYLLABLES = (
     "pa", "pe", "po", "ra", "re", "ro", "sa", "se", "so", "ta", "te", "to",
     "va", "ve", "vo",
 )
+_WORD_LENGTHS = range(2, 5)  # syllables per pseudo-word
+# Distinct pseudo-words there are.  Every syllable opens with a consonant
+# and every word has an even length, so no article is among them.
+WORD_CAPACITY = sum(len(_SYLLABLES) ** n for n in _WORD_LENGTHS)
 
 # (lexicon code, articles that mark the class, share of noun types), in
 # generation order: the draw stream depends on this order.
@@ -39,6 +43,7 @@ NOUN_CLASSES = (
     (CODE_NEUTER, ("ett", "detta"), 0.3),
 )
 MAX_FILLERS = 3  # bound on the fillers before the article and after the noun
+BLOCK_SENTENCES = 1 << 13  # sentences whose article and filler draws are taken in one call
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,11 @@ class SyntheticSpec:
             raise ConfigurationError("need at least one noun per class")
         if self.filler_count < 1:
             raise ConfigurationError("need at least one filler word")
+        if self.noun_count + self.filler_count > WORD_CAPACITY:
+            raise ConfigurationError(
+                f"noun_count + filler_count must be <= {WORD_CAPACITY}, the number of "
+                f"distinct pseudo-words, got {self.noun_count + self.filler_count}"
+            )
         if self.sentence_count < 1:
             raise ConfigurationError("sentence_count must be >= 1")
         if self.seed < 0:
@@ -84,7 +94,7 @@ def _pseudo_words(rng: np.random.Generator, count: int, taken: set[str]) -> list
     """Distinct pronounceable lowercase words, deterministic given the rng state."""
     words: list[str] = []
     while len(words) < count:
-        length = int(rng.integers(2, 5))
+        length = int(rng.integers(_WORD_LENGTHS.start, _WORD_LENGTHS.stop))
         pieces = rng.integers(0, len(_SYLLABLES), size=length)
         word = "".join(_SYLLABLES[i] for i in pieces)
         if word in taken:
@@ -102,6 +112,16 @@ def generate_synthetic_language(spec: SyntheticSpec) -> SyntheticLanguage:
     noun is drawn from a Zipf-like profile over all nouns, its article
     from the noun's class unless a noise or ambiguity flip redirects it
     to the other class.
+
+    The draws come from one ``default_rng(spec.seed)`` in this order:
+    the fillers, the nouns class by class, the frequency ranks, the
+    ambiguous nouns, then per sentence its noun, its flip roll, its lead
+    and its trail filler counts (one array each).  Last come each
+    sentence's article and its lead and trail fillers, sentence by
+    sentence; they are taken ``BLOCK_SENTENCES`` sentences at a time in
+    one ``integers`` call over their bounds.  Every bound is below 2**32,
+    so numpy draws each from one 32-bit output of the generator, and the
+    values do not depend on how the draws are grouped into calls.
     """
     rng = np.random.default_rng(spec.seed)
     taken: set[str] = {a for _, articles, _ in NOUN_CLASSES for a in articles}
@@ -109,12 +129,10 @@ def generate_synthetic_language(spec: SyntheticSpec) -> SyntheticLanguage:
     class_sizes = apportion(spec.noun_count, [share for _, _, share in NOUN_CLASSES])
     nouns_by_class = {}
     all_nouns: list[str] = []
-    noun_class_index: list[int] = []
-    for class_idx, ((code, _, _), size) in enumerate(zip(NOUN_CLASSES, class_sizes)):
+    for (code, _, _), size in zip(NOUN_CLASSES, class_sizes):
         nouns = _pseudo_words(rng, size, taken)
         nouns_by_class[code] = tuple(nouns)
         all_nouns.extend(nouns)
-        noun_class_index.extend([class_idx] * size)
 
     n_nouns = len(all_nouns)
     # Frequency profile: ranks are a seeded shuffle of the nouns so both
@@ -125,28 +143,44 @@ def generate_synthetic_language(spec: SyntheticSpec) -> SyntheticLanguage:
     probs /= probs.sum()
 
     n_ambiguous = int(round(spec.ambiguous_fraction * n_nouns))
-    ambiguous = set(rng.choice(n_nouns, size=n_ambiguous, replace=False).tolist())
+    ambiguous = rng.choice(n_nouns, size=n_ambiguous, replace=False)
 
     noun_draws = rng.choice(n_nouns, size=spec.sentence_count, p=probs)
     flip_rolls = rng.random(spec.sentence_count)
     lead_counts = rng.integers(0, MAX_FILLERS + 1, size=spec.sentence_count)
     trail_counts = rng.integers(0, MAX_FILLERS + 1, size=spec.sentence_count)
 
+    class_of = np.repeat(np.arange(len(NOUN_CLASSES)), class_sizes)
+    flip_probs = np.full(n_nouns, spec.agreement_noise)
+    flip_probs[ambiguous] = spec.ambiguous_flip
+    article_counts = np.array([len(articles) for _, articles, _ in NOUN_CLASSES])
+
     sentences = []
-    filler_pool = len(fillers)
-    for i in range(spec.sentence_count):
-        noun_idx = int(noun_draws[i])
-        class_idx = noun_class_index[noun_idx]
-        flip_prob = spec.ambiguous_flip if noun_idx in ambiguous else spec.agreement_noise
-        if flip_rolls[i] < flip_prob:
-            class_idx = 1 - class_idx
-        articles = NOUN_CLASSES[class_idx][1]
-        article = articles[int(rng.integers(0, len(articles)))]
-        tokens = [fillers[int(j)] for j in rng.integers(0, filler_pool, size=int(lead_counts[i]))]
-        tokens.append(article)
-        tokens.append(all_nouns[noun_idx])
-        tokens.extend(fillers[int(j)] for j in rng.integers(0, filler_pool, size=int(trail_counts[i])))
-        sentences.append(tokens)
+    for start in range(0, spec.sentence_count, BLOCK_SENTENCES):
+        block = slice(start, start + BLOCK_SENTENCES)
+        noun_ids = noun_draws[block]
+        # The class whose article each sentence carries, after its flip.
+        classes = class_of[noun_ids] ^ (flip_rolls[block] < flip_probs[noun_ids])
+        # Each sentence's bounds in draw order: its article, then a filler
+        # per lead and per trail slot.
+        widths = 1 + lead_counts[block] + trail_counts[block]
+        bounds = np.full(int(widths.sum()), len(fillers))
+        bounds[np.cumsum(widths) - widths] = article_counts[classes]
+        draws = rng.integers(0, bounds).tolist()
+        at = 0
+        for noun_idx, class_idx, lead, trail in zip(
+            noun_ids.tolist(), classes.tolist(),
+            lead_counts[block].tolist(), trail_counts[block].tolist(),
+        ):
+            lead_end = at + 1 + lead
+            tokens = [fillers[j] for j in draws[at + 1 : lead_end]]
+            tokens.append(NOUN_CLASSES[class_idx][1][draws[at]])
+            tokens.append(all_nouns[noun_idx])
+            at = lead_end + trail
+            tokens.extend(fillers[j] for j in draws[lead_end:at])
+            sentences.append(tokens)
+    # Free the per-sentence arrays before the tuple below copies the list.
+    del noun_draws, flip_rolls, lead_counts, trail_counts
 
     return SyntheticLanguage(
         sentences=tuple(sentences),

@@ -437,6 +437,15 @@ def test_negative_seed_flag_exits_two(flow, tmp_path, capsys, stage, flag):
     assert not out.exists()
 
 
+def test_synth_more_words_than_exist_exits_two(tmp_path, capsys):
+    out = tmp_path / "c.txt"
+    rc = main(["synth", "--out-corpus", str(out), "--out-lexicon", str(tmp_path / "l.tsv"),
+               "--nouns", "2400000"])
+    assert rc == 2
+    assert "distinct pseudo-words" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stage, option", [
     ("cooc", ["--window-size", "0"]),
     ("embed", ["--seed", "-1"]),

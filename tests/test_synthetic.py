@@ -2,14 +2,17 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from gendervec.errors import ConfigurationError
 from gendervec.lexicon import save_lexicon
 from gendervec.pipeline import file_sha256
 from gendervec.synthetic import (
+    BLOCK_SENTENCES,
     MAX_FILLERS,
     NOUN_CLASSES,
+    WORD_CAPACITY,
     SyntheticSpec,
     generate_synthetic_language,
     measure_agreement,
@@ -129,6 +132,11 @@ def test_spec_validation():
         SyntheticSpec(ambiguous_fraction=-0.1)
     with pytest.raises(ConfigurationError):
         SyntheticSpec(zipf_exponent=-1.0)
+    # 39 syllables make 39**2 + 39**3 + 39**4 distinct 2- to 4-syllable words
+    assert WORD_CAPACITY == 2_374_281
+    SyntheticSpec(noun_count=WORD_CAPACITY - 40, filler_count=40)
+    with pytest.raises(ConfigurationError, match="distinct pseudo-words"):
+        SyntheticSpec(noun_count=WORD_CAPACITY - 39, filler_count=40)
 
 
 def test_write_corpus_one_sentence_per_line(tmp_path):
@@ -140,23 +148,66 @@ def test_write_corpus_one_sentence_per_line(tmp_path):
     assert lines == [" ".join(sentence) for sentence in language.sentences]
 
 
-def test_draw_stream_is_pinned(tmp_path):
+PINNED_SPECS = {
+    # Six of the 60 nouns are ambiguous, so both flip branches (noise and
+    # ambiguity) are exercised.
+    "pinned": (
+        SyntheticSpec(
+            noun_count=60, sentence_count=2000, seed=7, agreement_noise=0.1,
+            ambiguous_fraction=0.1,
+        ),
+        "d15f379dcd519f9dc4340a806e6e825d0207462726cf8fd19a7f324ebd36ae34",
+        "2e09f9224e880bbc35737dc0afb39a2f83265874ea62e88da55ab6a282fea435",
+    ),
+    # Every knob off its default, over more sentences than one block.
+    "every-knob": (
+        SyntheticSpec(
+            noun_count=90, filler_count=7, sentence_count=20_000, seed=11,
+            agreement_noise=0.3, ambiguous_fraction=0.2, ambiguous_flip=0.6,
+            zipf_exponent=1.7,
+        ),
+        "9a01ee584deac375bec0cd9ab5d768842c9b458393029f4fff7420e010c0d190",
+        "5ddefe23f8e2b8c5fb533907f7bba41e59266b305feade20f1cd00d6623f9d98",
+    ),
+    # One filler: its bound of 1 takes no draw.
+    "one-filler": (
+        SyntheticSpec(noun_count=2, filler_count=1, sentence_count=500, seed=3, agreement_noise=0.2),
+        "fb0a6a90628da10df27813f422662de146af9d39d238e39751ed8a0360219915",
+        "67f1c15e471f0b24bb485723d5797e10ee56f0bf5accf3852af684c7232172ec",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SPECS)
+def test_draw_stream_is_pinned(tmp_path, name):
     """The generator's draw stream is part of its output: the same spec must
     give the same corpus and lexicon bytes, draw for draw.  Only a numpy
     change to the ``Generator`` streams justifies new digests here.
-
-    Six of the 60 nouns are ambiguous, so both flip branches (noise and
-    ambiguity) are exercised.
     """
-    spec = SyntheticSpec(
-        noun_count=60, sentence_count=2000, seed=7, agreement_noise=0.1, ambiguous_fraction=0.1
-    )
+    spec, corpus_digest, lexicon_digest = PINNED_SPECS[name]
     language = generate_synthetic_language(spec)
     write_corpus(language, tmp_path / "corpus.txt")
     save_lexicon(language.lexicon, tmp_path / "lexicon.tsv")
-    assert file_sha256(tmp_path / "corpus.txt") == (
-        "d15f379dcd519f9dc4340a806e6e825d0207462726cf8fd19a7f324ebd36ae34"
-    )
-    assert file_sha256(tmp_path / "lexicon.tsv") == (
-        "2e09f9224e880bbc35737dc0afb39a2f83265874ea62e88da55ab6a282fea435"
-    )
+    assert file_sha256(tmp_path / "corpus.txt") == corpus_digest
+    assert file_sha256(tmp_path / "lexicon.tsv") == lexicon_digest
+
+
+def test_pinned_specs_cross_a_block():
+    assert PINNED_SPECS["every-knob"][0].sentence_count > BLOCK_SENTENCES
+
+
+def test_one_call_over_bounds_equals_one_call_per_bound():
+    """The generator takes each block's article and filler draws in one
+    ``integers`` call over an array of bounds.  That keeps the draw stream
+    only while numpy draws every bound below 2**32 from one 32-bit output,
+    with a bound of 1 and a size-0 call taking none."""
+    bounds = [1, 2, 40, 2**31, 2, 40, 40, 40]
+    whole = np.random.default_rng(5)
+    one_call = whole.integers(0, np.array(bounds))
+    alone = np.random.default_rng(5)
+    per_call = [int(alone.integers(0, b)) for b in bounds[:5]]
+    per_call += alone.integers(0, 40, size=3).tolist()
+    alone.integers(0, 40, size=0)
+    assert one_call.tolist() == per_call
+    # the state includes the unused half of PCG64's last 64-bit word
+    assert whole.bit_generator.state == alone.bit_generator.state
