@@ -15,7 +15,7 @@ import dataclasses
 import json
 import logging
 import os
-import shutil
+import pathlib
 import sys
 
 from . import classifier, cooccurrence, corpus, dataset, embedding, lexicon
@@ -88,10 +88,7 @@ def _labeled_set(embedding_path, dataset_path) -> dataset.LabeledSet:
 
 def cmd_ingest(args) -> int:
     run = Options(args).build(pipeline.RunOptions)
-    vocab = corpus.build_vocabulary_from_file(args.corpus)
-    vocab = corpus.filter_by_frequency(vocab, run.vocab_min_freq)
-    if len(vocab) == 0:
-        raise DataError(f"{args.corpus}: no vocabulary entries survive the frequency filter")
+    vocab = corpus.ingest_vocabulary(args.corpus, run.vocab_min_freq)
     corpus.save_vocabulary(vocab, args.out)
     logger.info("wrote %d vocabulary entries to %s", len(vocab), args.out)
     return 0
@@ -134,8 +131,7 @@ def cmd_label(args) -> int:
     if args.summary:
         lexicon.save_code_summary(lex, args.summary)
     if deciles is not None:
-        with open(args.deciles, "w", encoding="utf-8") as fh:
-            fh.write(deciles.to_json())
+        records.write_json(args.deciles, deciles)
     return 0
 
 
@@ -182,8 +178,7 @@ def cmd_tune(args) -> int:
     )
     os.makedirs(args.out, exist_ok=True)
     grid_path = os.path.join(args.out, "grid.json")
-    with open(grid_path, "w", encoding="utf-8") as fh:
-        fh.write(result.to_json())
+    records.write_json(grid_path, result)
     split_path = os.path.join(args.out, "split_manifest.json")
     dataset.save_split_manifest(result.split_manifest, split_path)
     for cell in result.cells:
@@ -235,12 +230,12 @@ def cmd_report(args) -> int:
         decile_report = dataset.class_ratio_by_decile(dataset.load_dataset_table(args.dataset))
     grid = records.load_record(pipeline.GridResult, args.grid) if args.grid else None
     # eval already wrote the report and the statistics; carry them as they are
+    names = ("eval_report.json", "stats.json")
+    carried = [pathlib.Path(args.eval_dir, name).read_bytes() for name in names]
     os.makedirs(args.out, exist_ok=True)
-    paths = []
-    for name in ("eval_report.json", "stats.json"):
-        paths.append(shutil.copyfile(
-            os.path.join(args.eval_dir, name), os.path.join(args.out, name)
-        ))
+    paths = [os.path.join(args.out, name) for name in names]
+    for path, data in zip(paths, carried):
+        pathlib.Path(path).write_bytes(data)
     paths += report.emit_report(
         args.out, predictions,
         projection=projection, decile_report=decile_report, grid=grid,

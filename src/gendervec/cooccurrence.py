@@ -23,7 +23,7 @@ from scipy import sparse
 
 from .corpus import Sentence, Vocabulary, read_token_ids, token_ids
 from .errors import ConfigurationError, DataError
-from .records import Record
+from .records import Record, read_rows
 
 CONTEXT_TYPES = ("asymmetric_backward", "asymmetric_forward", "symmetric")
 
@@ -186,39 +186,35 @@ def save_cooccurrence(cooc: CoocMatrix, path) -> None:
 
 def load_cooccurrence(path) -> CoocMatrix:
     with open(path, "r", encoding="utf-8") as fh:
+        header_line = fh.readline()
+    try:
+        header = json.loads(header_line)
+    except json.JSONDecodeError:
+        raise DataError(f"{path}: missing or malformed JSON header") from None
+    n, n_cols = (header.get(k) if isinstance(header, dict) else None for k in ("rows", "cols"))
+    # type(v) is int: JSON gives a bool or a float its own type
+    if type(n) is not int or type(n_cols) is not int or n < 0:
+        raise DataError(f"{path}: header lacks non-negative integer rows and cols")
+    if n_cols != n:
+        raise DataError(f"{path}: non-square dims in header")
+    try:
+        config = ContextConfig.from_dict(header)
+    except ConfigurationError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    rows, cols, values = [], [], []
+    triplets = read_rows(path, 3, "3 tab-separated fields", skip=1)
+    for lineno, (row_text, col_text, count_text) in triplets:
         try:
-            header = json.loads(fh.readline())
-        except json.JSONDecodeError:
-            raise DataError(f"{path}: missing or malformed JSON header") from None
-        n, n_cols = (header.get(k) if isinstance(header, dict) else None for k in ("rows", "cols"))
-        # type(v) is int: JSON gives a bool or a float its own type
-        if type(n) is not int or type(n_cols) is not int or n < 0:
-            raise DataError(f"{path}: header lacks non-negative integer rows and cols")
-        if n_cols != n:
-            raise DataError(f"{path}: non-square dims in header")
-        try:
-            config = ContextConfig.from_dict(header)
-        except ConfigurationError as exc:
-            raise DataError(f"{path}: {exc}") from None
-        rows, cols, values = [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            try:
-                row, col, value = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: malformed triplet") from None
-            if not (0 <= row < n and 0 <= col < n):
-                raise DataError(f"{path}:{lineno}: index out of range")
-            if not 0 <= value < math.inf:
-                raise DataError(f"{path}:{lineno}: count {parts[2]} is not finite and >= 0")
-            rows.append(row)
-            cols.append(col)
-            values.append(value)
+            row, col, value = int(row_text), int(col_text), float(count_text)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: malformed triplet") from None
+        if not (0 <= row < n and 0 <= col < n):
+            raise DataError(f"{path}:{lineno}: index out of range")
+        if not 0 <= value < math.inf:
+            raise DataError(f"{path}:{lineno}: count {count_text} is not finite and >= 0")
+        rows.append(row)
+        cols.append(col)
+        values.append(value)
     matrix = sparse.coo_array(
         (np.array(values, dtype=np.float64),
          (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),

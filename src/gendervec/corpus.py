@@ -39,6 +39,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DataError
+from .records import read_rows, write_rows
 
 # A sentence is a plain list of normalized tokens.
 Sentence = list
@@ -250,29 +251,28 @@ def filter_by_frequency(vocab: Vocabulary, min_freq: int) -> Vocabulary:
     return Vocabulary(tuple(compress(vocab.words, keep)), vocab.frequencies[keep])
 
 
+def ingest_vocabulary(path, min_freq: int) -> Vocabulary:
+    """The vocabulary of the corpus file ``path``, words of frequency
+    above ``min_freq`` only; an empty result is a DataError."""
+    vocab = filter_by_frequency(build_vocabulary_from_file(path), min_freq)
+    if len(vocab) == 0:
+        raise DataError(f"{path}: no vocabulary entries survive the frequency filter")
+    return vocab
+
+
 def save_vocabulary(vocab: Vocabulary, path) -> None:
     """Write ``word<TAB>id<TAB>frequency`` rows sorted by id."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for word_id, (word, freq) in enumerate(zip(vocab.words, vocab.frequencies.tolist())):
-            fh.write(f"{word}\t{word_id}\t{freq}\n")
+    write_rows(path, zip(vocab.words, range(len(vocab)), vocab.frequencies.tolist()))
 
 
 def load_vocabulary(path) -> Vocabulary:
     """Read a vocabulary TSV, validating that ids are dense and unique."""
     rows: list[tuple[str, int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            word, id_text, freq_text = parts
-            try:
-                rows.append((word, int(id_text), int(freq_text)))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-integer id or frequency") from None
+    for lineno, (word, id_text, freq_text) in read_rows(path, 3, "3 tab-separated fields"):
+        try:
+            rows.append((word, int(id_text), int(freq_text)))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-integer id or frequency") from None
     rows.sort(key=lambda row: row[1])
     ids = [row[1] for row in rows]
     if ids != list(range(len(rows))):

@@ -20,9 +20,9 @@ from .corpus import Vocabulary, row_lookup, word_index
 from .embedding import EmbeddingMatrix
 from .errors import ConfigurationError, DataError
 from .lexicon import CODE_TO_CLASS, GenderLexicon
-from .records import Record, integer
+from .records import Record, integer, read_rows, write_json, write_rows
 
-CLASSES = ("uter", "neuter")
+CLASSES = tuple(CODE_TO_CLASS.values())
 
 DEFAULT_RATIOS = (0.8, 0.1, 0.1)
 PARTITION_NAMES = ("train", "dev", "test")
@@ -212,8 +212,7 @@ def split_manifest(
 
 
 def save_split_manifest(manifest: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(path, manifest)
 
 
 def load_split_manifest(path) -> dict:
@@ -262,33 +261,24 @@ def save_dataset_table(data: LabeledSet, path) -> None:
 
     Vectors are not stored; they are rejoined from an embedding file.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in data:
-            fh.write(f"{ex.word}\t{ex.gender}\t{ex.frequency}\n")
+    genders = map(CLASSES.__getitem__, data.labels.tolist())
+    write_rows(path, zip(data.words, genders, data.frequencies.tolist()))
 
 
 def load_dataset_table(path) -> LabeledSet:
     """A dataset table as a LabeledSet with zero-width vectors."""
     words, labels, freqs = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected word<TAB>gender<TAB>frequency")
-            word, gender, freq_text = parts
-            if gender not in CLASSES:
-                raise DataError(f"{path}:{lineno}: unknown gender {gender!r}")
-            try:
-                freqs.append(int(freq_text))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-integer frequency") from None
-            if freqs[-1] < 1:
-                raise DataError(f"{path}:{lineno}: frequency must be >= 1, got {freq_text}")
-            words.append(word)
-            labels.append(CLASSES.index(gender))
+    for lineno, (word, gender, freq_text) in read_rows(path, 3, "word<TAB>gender<TAB>frequency"):
+        if gender not in CLASSES:
+            raise DataError(f"{path}:{lineno}: unknown gender {gender!r}")
+        try:
+            freqs.append(int(freq_text))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-integer frequency") from None
+        if freqs[-1] < 1:
+            raise DataError(f"{path}:{lineno}: frequency must be >= 1, got {freq_text}")
+        words.append(word)
+        labels.append(CLASSES.index(gender))
     if not words:
         raise DataError(f"{path}: empty dataset table")
     try:

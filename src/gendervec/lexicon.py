@@ -8,12 +8,12 @@ classification task.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import Counter
 from typing import Iterator
 
 from .errors import DataError
+from .records import read_rows, write_json, write_rows
 
 logger = logging.getLogger(__name__)
 
@@ -24,10 +24,10 @@ CODE_WAVERING = "v"
 CODE_UNSPECIFIED = ""
 
 GENDER_CODES = (CODE_UTER, CODE_NEUTER, CODE_PLURAL, CODE_WAVERING, CODE_UNSPECIFIED)
-CORE_CODES = (CODE_UTER, CODE_NEUTER)
-
-# Class names used downstream by the dataset and classifier.
+# The labeled codes and their class names, which the dataset and the
+# classifier use downstream.
 CODE_TO_CLASS = {CODE_UTER: "uter", CODE_NEUTER: "neuter"}
+CORE_CODES = tuple(CODE_TO_CLASS)
 
 
 class GenderLexicon:
@@ -71,47 +71,27 @@ def parse_lexicon(path) -> GenderLexicon:
     number; a word listed twice keeps its last code and logs a warning.
     """
     entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected word<TAB>code")
-            word, code = parts
-            if not word:
-                raise DataError(f"{path}:{lineno}: empty word field")
-            if code not in GENDER_CODES:
-                raise DataError(f"{path}:{lineno}: unknown gender code {code!r}")
-            if word in entries:
-                logger.warning(
-                    "%s:%d: duplicate lexicon entry for %r, keeping last code %r",
-                    path, lineno, word, code,
-                )
-            entries[word] = code
+    for lineno, (word, code) in read_rows(path, 2, "word<TAB>code"):
+        if not word:
+            raise DataError(f"{path}:{lineno}: empty word field")
+        if code not in GENDER_CODES:
+            raise DataError(f"{path}:{lineno}: unknown gender code {code!r}")
+        if word in entries:
+            logger.warning(
+                "%s:%d: duplicate lexicon entry for %r, keeping last code %r",
+                path, lineno, word, code,
+            )
+        entries[word] = code
     return GenderLexicon(entries)
 
 
 def save_lexicon(lexicon: GenderLexicon, path) -> None:
     """Write ``word<TAB>code`` rows sorted by word."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for word, code in lexicon.items():
-            fh.write(f"{word}\t{code}\n")
+    write_rows(path, lexicon.items())
 
 
 def save_code_summary(lexicon: GenderLexicon, path) -> None:
     """Write the per-code entry counts as JSON."""
-    counts = lexicon.counts_by_code()
     # The empty-string code needs a printable name in JSON output.
-    summary = {
-        "u": counts[CODE_UTER],
-        "n": counts[CODE_NEUTER],
-        "p": counts[CODE_PLURAL],
-        "v": counts[CODE_WAVERING],
-        "unspecified": counts[CODE_UNSPECIFIED],
-        "total": len(lexicon),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    counts = {code or "unspecified": n for code, n in lexicon.counts_by_code().items()}
+    write_json(path, {**counts, "total": len(lexicon)})

@@ -31,7 +31,7 @@ from .classifier import (
     train_stack,
 )
 from .cooccurrence import CONTEXT_TYPES, ContextConfig, combine, count_by_distance_from_file
-from .corpus import Vocabulary, build_vocabulary_from_file, filter_by_frequency, row_lookup
+from .corpus import Vocabulary, ingest_vocabulary, row_lookup
 from .dataset import (
     CLASSES,
     DEFAULT_RATIOS,
@@ -67,7 +67,7 @@ from .metrics import (
     build_eval_report,
     entropy_frequency_analysis,
 )
-from .records import OMIT, Record, load_record
+from .records import OMIT, Record, load_record, write_json
 
 # The sentence-level forms stay reachable here: perfbench/ reads through
 # pipeline.read_sentences and wraps these names when it traces a run.
@@ -103,10 +103,7 @@ def prepare_inputs(
     corpus_path, lexicon_path, vocab_min_freq: int = RunOptions.vocab_min_freq
 ) -> tuple[Vocabulary, GenderLexicon]:
     """Vocabulary from the corpus, lexicon as parsed from the TSV."""
-    vocab = build_vocabulary_from_file(corpus_path)
-    vocab = filter_by_frequency(vocab, vocab_min_freq)
-    if len(vocab) == 0:
-        raise DataError(f"{corpus_path}: no vocabulary entries survive the frequency filter")
+    vocab = ingest_vocabulary(corpus_path, vocab_min_freq)
     lexicon = parse_lexicon(lexicon_path)
     if not any(lexicon.counts_by_code()[code] for code in CORE_CODES):
         raise DataError(f"{lexicon_path}: no u/n entries in lexicon")
@@ -173,11 +170,9 @@ def save_evaluation(evaluation: FinalEvaluation, out_dir) -> dict[str, str]:
     paths = {name: os.path.join(out_dir, name) for name in (
         "eval_report.json", "records.csv", "stats.json",
     )}
-    with open(paths["eval_report.json"], "w", encoding="utf-8") as fh:
-        fh.write(evaluation.report.to_json())
+    write_json(paths["eval_report.json"], evaluation.report)
     save_prediction_records(evaluation.predictions, paths["records.csv"])
-    with open(paths["stats.json"], "w", encoding="utf-8") as fh:
-        fh.write(evaluation.analysis.to_json())
+    write_json(paths["stats.json"], evaluation.analysis)
     return paths
 
 
@@ -405,8 +400,7 @@ def build_manifest(
 
 
 def save_manifest(manifest: RunManifest, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(manifest.to_json())
+    write_json(path, manifest)
 
 
 def load_manifest(path) -> RunManifest:

@@ -1,10 +1,15 @@
-"""JSON-dict conversion for the config and result dataclasses.
+"""The staged-file formats: JSON records and tab-separated rows.
 
 ``Record.to_dict`` walks ``dataclasses.fields``; ``Record.from_dict``
 casts each value to its annotated type, raising ``DataError`` naming the
 key when it cannot, and ignores keys it does not know.  Field metadata
 covers the two exceptions: ``key(name)`` writes a field under another
-JSON key, and ``OMIT`` leaves it out of the dict.
+JSON key, and ``OMIT`` leaves it out of the dict.  ``write_json`` writes
+every JSON artifact (two-space indent, sorted keys, a final newline).
+
+``read_rows`` reads all four tab-separated files (vocabulary, dataset
+table, lexicon, co-occurrence counts) by one rule: one row a line, blank
+lines skipped, a fixed field count.  ``write_rows`` writes the first three.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import dataclasses
 import json
 import types
 import typing
+from itertools import islice
 
 from .errors import ConfigurationError, DataError, GendervecError
 
@@ -82,9 +88,6 @@ class Record:
     def to_dict(self) -> dict:
         return {k: _plain(getattr(self, f.name)) for f, k in json_fields(type(self))}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def from_dict(cls, data: dict):
         if not isinstance(data, dict):
@@ -116,3 +119,36 @@ def load_record(cls, path):
         return cls.from_dict(data)
     except ConfigurationError as exc:
         raise DataError(f"{path}: {exc}") from None
+
+
+def write_json(path, data) -> None:
+    """Write a ``Record`` or plain JSON data as an artifact file."""
+    if isinstance(data, Record):
+        data = data.to_dict()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def read_rows(
+    path, width: int, expected: str, skip: int = 0
+) -> typing.Iterator[tuple[int, list[str]]]:
+    """Line number and tab-separated fields of each non-blank line of
+    ``path`` after its first ``skip`` lines; a row of other than ``width``
+    fields is a ``DataError`` ``path:line: expected <expected>``.  Text
+    mode reads a CRLF line end as LF, so a CRLF file gives its LF twin's rows.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(islice(fh, skip, None), skip + 1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != width:
+                raise DataError(f"{path}:{lineno}: expected {expected}")
+            yield lineno, fields
+
+
+def write_rows(path, rows: typing.Iterable[typing.Iterable]) -> None:
+    """Write each row's fields, as ``str`` gives them, on one tab-separated line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)

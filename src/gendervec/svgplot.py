@@ -7,6 +7,8 @@ fixed canvas, linear scales, a handful of marks.
 
 from __future__ import annotations
 
+import math
+from itertools import groupby
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -113,6 +115,7 @@ class _Canvas:
 
 def _limits(all_values) -> tuple[float, float]:
     arr = np.asarray(list(all_values), dtype=np.float64)
+    arr = arr[np.isfinite(arr)]
     if arr.size == 0:
         return (0.0, 1.0)
     return float(arr.min()), float(arr.max())
@@ -210,20 +213,21 @@ def lines_svg(
     xlabel: str,
     ylabel: str,
 ) -> None:
-    """One polyline per named series over shared x values."""
+    """One polyline per named series over shared x values; a NaN value
+    (a missing point) breaks its series' line and gets no marker."""
     ys_all = [y for vs in series.values() for y in vs]
     canvas = _Canvas(title, xlabel, ylabel, _limits(x_values), _limits(ys_all))
     for i, (label, values) in enumerate(series.items()):
         color = PALETTE[i % len(PALETTE)]
-        points = " ".join(
-            f"{canvas.sx(x):.1f},{canvas.sy(y):.1f}" for x, y in zip(x_values, values)
-        )
-        canvas.parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>'
-        )
-        for x, y in zip(x_values, values):
+        runs = groupby(zip(x_values, values), key=lambda point: math.isfinite(point[1]))
+        for run in (list(run) for finite, run in runs if finite):
+            points = " ".join(f"{canvas.sx(x):.1f},{canvas.sy(y):.1f}" for x, y in run)
             canvas.parts.append(
+                f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>'
+            )
+            canvas.parts.extend(
                 f'<circle cx="{canvas.sx(x):.1f}" cy="{canvas.sy(y):.1f}" r="3" fill="{color}"/>'
+                for x, y in run
             )
     canvas.legend(list(series))
     canvas.render(path)

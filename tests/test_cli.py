@@ -715,6 +715,18 @@ def test_report_with_malformed_records_exits_three(flow, tmp_path, capsys, colum
     assert not out.exists()  # nothing written before the records are read
 
 
+def test_report_with_missing_stats_exits_three(flow, tmp_path, capsys):
+    eval_dir = tmp_path / "eval"
+    eval_dir.mkdir()
+    for name in ("eval_report.json", "records.csv"):
+        shutil.copyfile(f"{flow['eval']}/{name}", eval_dir / name)
+    out = tmp_path / "report"
+    rc = main(["report", "--eval-dir", str(eval_dir), "--out", str(out)])
+    assert rc == 3
+    assert "stats.json" in capsys.readouterr().err
+    assert not out.exists()  # nothing written before both eval files are read
+
+
 def _malformed_grid(case) -> str:
     context = ContextConfig("symmetric", 1)
     grid = pipeline.GridResult(

@@ -22,6 +22,7 @@ from gendervec.metrics import (
     weighted_accuracy,
     zero_rule_baseline,
 )
+from gendervec.records import write_json
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +304,7 @@ def test_entropy_frequency_analysis_all_correct_warns():
     assert rep.warnings
 
 
-def test_build_eval_report_fields():
+def test_build_eval_report_fields(tmp_path):
     preds = _predictions([
         ("a", "uter", "uter", 0.9, 0.1, 0.32, 50),
         ("b", "uter", "neuter", 0.2, 0.8, 0.5, 3),
@@ -315,8 +316,10 @@ def test_build_eval_report_fields():
     assert rep.per_class["uter"]["support"] == 2
     assert rep.per_class["uter"]["accuracy"] == rep.per_class["uter"]["recall"]
     assert rep.baseline_accuracy == 2 / 3
-    js = rep.to_json()
-    assert js == rep.to_json()
+    for name in ("a.json", "b.json"):
+        write_json(tmp_path / name, rep)
+    js = (tmp_path / "a.json").read_text(encoding="utf-8")
+    assert js == (tmp_path / "b.json").read_text(encoding="utf-8")
     assert js.endswith("\n")
     assert set(rep.to_dict()) == {
         "n", "confusion", "accuracy", "baseline_accuracy", "per_class", "overall",

@@ -134,11 +134,17 @@ def test_emit_grid_skips_failed_cells_in_lines(tmp_path):
     grid = _grid(
         CellResult(ContextConfig("asymmetric_backward", 1), 0.95, None, None),
         CellResult(ContextConfig("asymmetric_backward", 2), None, None, "DataError: boom"),
+        CellResult(ContextConfig("symmetric", 1), 0.9, None, None),
+        CellResult(ContextConfig("symmetric", 2), 0.85, None, None),
     )
     paths = emit_grid(tmp_path, grid)
     rows = _read_csv(tmp_path / "grid_accuracy.csv")
     assert rows[1] == ["asymmetric_backward", "1", "0.95", ""]
     assert rows[2][2] == ""
     assert "boom" in rows[2][3]
-    assert (tmp_path / "grid_accuracy.svg").exists()
+    # the failed window has no point: the backward line stops at w=1
+    svg = (tmp_path / "grid_accuracy.svg").read_text(encoding="utf-8")
+    assert "nan" not in svg
+    assert svg.count("<polyline") == 2
+    assert svg.count("<circle") == 3
     assert len(paths) == 2

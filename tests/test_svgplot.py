@@ -1,5 +1,6 @@
 """SVG chart emission: well-formed XML, expected marks, escaping."""
 
+import math
 import xml.etree.ElementTree as ET
 
 from gendervec.svgplot import bars_svg, histogram_svg, lines_svg, scatter_svg
@@ -60,6 +61,16 @@ def test_lines_svg_polyline_per_series(tmp_path):
     root = _parse(path)
     assert _count(root, "polyline") == 2
     assert _count(root, "circle") == 10
+
+
+def test_lines_svg_breaks_each_line_at_a_missing_point(tmp_path):
+    path = tmp_path / "lines.svg"
+    lines_svg([1, 2, 3, 4, 5], {"backward": [1, math.nan, 3, 2, 1], "forward": [5, 4, 3, 2, 1]},
+              path, "grid", "window", "accuracy")
+    assert "nan" not in path.read_text(encoding="utf-8")
+    root = _parse(path)
+    assert _count(root, "polyline") == 3
+    assert _count(root, "circle") == 9
 
 
 def test_labels_are_xml_escaped(tmp_path):
