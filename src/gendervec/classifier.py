@@ -236,12 +236,11 @@ def train_stack(
         live.best[improved] = live.flat[improved]
         live.best_acc[improved] = acc[improved]
         live.stale = np.where(improved, 0, live.stale + 1)
-        for slot, best in live.drop(live.stale >= config.patience):
+        stopped = (live.stale >= config.patience) | (epoch + 1 == config.max_epochs)
+        for slot, best in live.drop(stopped):
             results[slot] = MLPModel(*_split_params(best, k, h), seed=config.seed)
         if not live.slot.size:
             break
-    for slot, best in live.drop(np.ones(live.slot.size, dtype=bool)):
-        results[slot] = MLPModel(*_split_params(best, k, h), seed=config.seed)
     return results
 
 

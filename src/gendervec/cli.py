@@ -126,6 +126,10 @@ def cmd_label(args) -> int:
     lex = lexicon.parse_lexicon(args.lexicon)
     data = dataset.build_dataset(emb, lex, vocab, run.min_freq)
     deciles = dataset.class_ratio_by_decile(data) if args.deciles else None
+    # a missing directory fails before any output is written
+    for path in filter(None, (args.out, args.summary, args.deciles)):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise DataError(f"{path}: its directory does not exist")
     dataset.save_dataset_table(data, args.out)
     logger.info("wrote %d labeled words to %s", len(data), args.out)
     if args.summary:

@@ -185,11 +185,12 @@ def save_cooccurrence(cooc: CoocMatrix, path) -> None:
 
 
 def load_cooccurrence(path) -> CoocMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
+    # the header line alone: a text-mode read would decode the rows after it too
+    with open(path, "rb") as fh:
         header_line = fh.readline()
     try:
-        header = json.loads(header_line)
-    except json.JSONDecodeError:
+        header = json.loads(header_line.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError):
         raise DataError(f"{path}: missing or malformed JSON header") from None
     n, n_cols = (header.get(k) if isinstance(header, dict) else None for k in ("rows", "cols"))
     # type(v) is int: JSON gives a bool or a float its own type

@@ -228,11 +228,15 @@ def save_embedding_text(emb: EmbeddingMatrix, path) -> None:
 
 
 def _finite_embedding(words: list[str], rows: np.ndarray, path) -> EmbeddingMatrix:
-    """The loaded rows as an embedding; a NaN or infinite value is a DataError."""
+    """The loaded rows as an embedding; a NaN or infinite value, or a
+    repeated word, is a DataError naming ``path``."""
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise DataError(f"{path}: the vector of {words[bad[0]]!r} has a non-finite value")
-    return EmbeddingMatrix(words, rows)
+    try:
+        return EmbeddingMatrix(words, rows)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def load_embedding_text(path) -> EmbeddingMatrix:

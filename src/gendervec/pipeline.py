@@ -233,16 +233,19 @@ def grid_search(
     The labeled word partition is computed once, before any cell runs,
     from the vocabulary and lexicon alone, so every cell trains and
     validates on identical word lists and the test digest is pinned up
-    front.  The corpus is counted once, by distance up to the widest
-    window.  The grid then runs stage by stage over every cell:
-    ``ritz_factors`` (scipy) for each cell's combined counts, then
-    ``singular_vectors`` (numpy), taking each cell's train and dev rows,
-    then one ``train_stack`` for all probes.  Each cell's vectors, model
-    and dev accuracy are bit for bit those of ``embed_counts``,
-    ``build_dataset``, ``bundle_from_manifest`` and ``train`` on that
-    cell alone.  A failing cell is recorded and skipped, not fatal.
-    Ties on dev accuracy go to the smaller window, then backward before
-    symmetric before forward.
+    front.  A K above the vocabulary size is a ConfigurationError, and a
+    split with no labeled word or an empty train or dev partition a
+    DataError, both raised before any counting.  The corpus is counted
+    once, by distance up to the widest window.  The grid then runs stage
+    by stage over every cell: ``ritz_factors`` (scipy) for each cell's
+    combined counts, then ``singular_vectors`` (numpy), taking each
+    cell's train and dev rows, then one ``train_stack`` for all probes.
+    Each cell's vectors, model and dev accuracy are bit for bit those of
+    ``embed_counts``, ``build_dataset``, ``bundle_from_manifest`` and
+    ``train`` on that cell alone.  A cell failing for a reason of its own
+    (all-zero counts, an ARPACK failure, non-finite vectors, a diverged
+    probe) is recorded and skipped, not fatal.  Ties on dev accuracy go
+    to the smaller window, then backward before symmetric before forward.
     """
     cells = sorted(grid if grid is not None else default_grid(), key=_grid_key)
     if not cells:
@@ -253,6 +256,15 @@ def grid_search(
     labeled = labeled_rows(vocab, lexicon, options.min_freq)
     partitions = split_words_by_class(labeled, options.ratios, options.split_seed)
     manifest = split_manifest(partitions, options.split_seed, options.ratios)
+    split = bundle_from_manifest(manifest, labeled)
+    # every cell factors a |V| x |V| matrix and trains on this one split
+    if embedding_config.k > len(vocab):
+        raise ConfigurationError(
+            f"K must be <= {len(vocab)}, the vocabulary size; got {embedding_config.k}")
+    empty = [name for name in ("train", "dev") if not len(getattr(split, name))]
+    if empty:
+        raise DataError(f"the split leaves the {empty[0]} partition empty" if labeled
+                        else NO_LABELED_EXAMPLES)
     by_distance = count_by_distance_from_file(
         corpus_path, vocab, max(c.window_size for c in cells)
     )
@@ -270,7 +282,6 @@ def grid_search(
             factors[i] = ritz_factors(counts, embedding_config.k, seed=embedding_config.seed)
         except GendervecError as exc:
             fail(i, exc)
-    split = bundle_from_manifest(manifest, labeled)
     train_ids, dev_ids = (row_lookup(vocab.ids, part.words, "the vocabulary")
                           for part in (split.train, split.dev))
     x_train = np.empty((len(factors), len(train_ids), embedding_config.k))
@@ -280,18 +291,13 @@ def grid_search(
         try:
             sigma, v = singular_vectors(factors.pop(i), embedding_config.k)
             vectors = scaled_vectors(sigma, v, embedding_config)
-            if not labeled:
-                raise DataError(NO_LABELED_EXAMPLES)
         except GendervecError as exc:
             fail(i, exc)
             continue
         x_train[len(stacked)], x_dev[len(stacked)] = vectors[train_ids], vectors[dev_ids]
         stacked.append(i)
-    try:
-        models = train_stack(x_train[: len(stacked)], split.train.labels,
-                             x_dev[: len(stacked)], split.dev.labels, train_config)
-    except GendervecError as exc:
-        models = [exc] * len(stacked)
+    models = train_stack(x_train[: len(stacked)], split.train.labels,
+                         x_dev[: len(stacked)], split.dev.labels, train_config)
     for i, x, model in zip(stacked, x_dev, models):
         if isinstance(model, GendervecError):
             fail(i, model)

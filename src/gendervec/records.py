@@ -134,18 +134,39 @@ def read_rows(
 ) -> typing.Iterator[tuple[int, list[str]]]:
     """Line number and tab-separated fields of each non-blank line of
     ``path`` after its first ``skip`` lines; a row of other than ``width``
-    fields is a ``DataError`` ``path:line: expected <expected>``.  Text
-    mode reads a CRLF line end as LF, so a CRLF file gives its LF twin's rows.
+    fields is a ``DataError`` ``path:line: expected <expected>``, and so is
+    invalid UTF-8, ``path: invalid UTF-8 at byte offset N``.  Text mode
+    reads a CRLF line end as LF, so a CRLF file gives its LF twin's rows.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(islice(fh, skip, None), skip + 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != width:
-                raise DataError(f"{path}:{lineno}: expected {expected}")
-            yield lineno, fields
+        try:
+            for lineno, line in enumerate(islice(fh, skip, None), skip + 1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != width:
+                    raise DataError(f"{path}:{lineno}: expected {expected}")
+                yield lineno, fields
+        except UnicodeDecodeError:
+            # the text layer decodes ahead of the line it hands out, so
+            # neither its line nor its position is the bad byte's
+            offset = _bad_utf8_offset(path)
+            raise DataError(f"{path}: invalid UTF-8 at byte offset {offset}") from None
+
+
+def _bad_utf8_offset(path) -> int:
+    """File offset of the first byte of ``path`` that is not valid UTF-8."""
+    offset = 0
+    with open(path, "rb") as fh:
+        # no multi-byte sequence spans a newline byte, so lines decode alone
+        for line in fh:
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return offset + exc.start
+            offset += len(line)
+    raise AssertionError(f"{path} decodes as UTF-8")
 
 
 def write_rows(path, rows: typing.Iterable[typing.Iterable]) -> None:

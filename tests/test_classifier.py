@@ -263,6 +263,22 @@ def test_stack_trains_each_network_as_train_does_alone():
     assert longer.flat.tobytes() != stacked[2].flat.tobytes()
 
 
+def test_stack_stops_each_network_on_patience_or_at_max_epochs():
+    cfg = TrainConfig(max_epochs=6, hidden_size=6, patience=3, batch_size=8, seed=4)
+    pairs = [(_blobs(20, dim=3, seed=i, spread=s), _blobs(8, dim=3, seed=10 + i, spread=s))
+             for i, s in ((0, 1.0), (4, 1.6), (6, 1.0))]
+    stacked = train_stack(np.stack([t.vectors for t, _ in pairs]), pairs[0][0].labels,
+                          np.stack([d.vectors for _, d in pairs]), pairs[0][1].labels, cfg)
+    for (train_set, dev_set), model in zip(pairs, stacked):
+        assert model.flat.tobytes() == train(train_set, dev_set, cfg).flat.tobytes()
+    # the first stops on patience; the other two are still training at the
+    # last epoch, the third improving there, so more epochs change its bytes
+    stops = [_best_epoch(t, d, cfg) + cfg.patience for t, d in pairs]
+    assert stops[0] < cfg.max_epochs < min(stops[1:])
+    longer = train(*pairs[2], replace(cfg, max_epochs=cfg.max_epochs + 10))
+    assert longer.flat.tobytes() != stacked[2].flat.tobytes()
+
+
 def test_train_config_validation_and_roundtrip():
     for kwargs in (
         {"learning_rate": 0.0},

@@ -122,6 +122,19 @@ def test_label_deciles_of_too_few_words_writes_nothing(flow, tmp_path, capsys):
     assert not any(path.exists() for path in outputs)
 
 
+@pytest.mark.parametrize("missing", ["--summary", "--deciles"])
+def test_label_output_in_a_missing_directory_writes_nothing(flow, tmp_path, capsys, missing):
+    outputs = {"--out": tmp_path / "dataset.tsv", "--summary": tmp_path / "summary.json",
+               "--deciles": tmp_path / "deciles.json"}
+    outputs[missing] = tmp_path / "missing" / outputs[missing].name
+    rc = main(["label", "--embedding", flow["emb.bin"], "--lexicon", flow["lexicon.tsv"],
+               "--vocab", flow["vocab.tsv"],
+               *(arg for flag, path in outputs.items() for arg in (flag, str(path)))])
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: {outputs[missing]}: its directory does not exist\n"
+    assert not any(path.exists() for path in outputs.values())
+
+
 def test_flow_split_manifest_partitions_the_dataset(flow):
     with open(flow["split.json"], encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -274,6 +287,15 @@ def test_tune_malformed_window_sizes_exits_two(flow, tmp_path, capsys):
                "--window-sizes", "1,x"])
     assert rc == 2
     assert "window-sizes" in capsys.readouterr().err
+
+
+def test_tune_dim_above_the_vocabulary_exits_two(flow, tmp_path, capsys):
+    out = tmp_path / "t"
+    rc = main(["tune", "--corpus", flow["corpus.txt"], "--lexicon", flow["lexicon.tsv"],
+               "--out", str(out), "--dim", "5000"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: K must be <= ")
+    assert not out.exists()
 
 
 def test_bad_context_type_choice_is_a_usage_error(flow, tmp_path):

@@ -401,6 +401,19 @@ def test_text_malformed(tmp_path):
         load_embedding_text(path)
 
 
+def test_duplicate_word_names_the_file(tmp_path):
+    text = tmp_path / "emb.txt"
+    text.write_text("2 2\na 0.5 0.5\na 1.0 1.0\n", encoding="utf-8")
+    binary = tmp_path / "emb.bin"
+    save_embedding_binary(EmbeddingMatrix(["a", "b"], np.eye(2)), binary)
+    # the second word's length prefix and its one byte
+    binary.write_bytes(binary.read_bytes().replace(b"\x01\x00\x00\x00b", b"\x01\x00\x00\x00a"))
+    for path, load in ((text, load_embedding_text), (binary, load_embedding_binary)):
+        with pytest.raises(DataError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: duplicate word in the embedding: 'a'"
+
+
 def test_binary_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
     emb = EmbeddingMatrix(["ö", "NUMBER", "x"], rng.standard_normal((3, 5)))

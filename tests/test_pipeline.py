@@ -17,7 +17,13 @@ from gendervec.classifier import (
     train,
 )
 from gendervec.cooccurrence import ContextConfig
-from gendervec.dataset import CLASSES, LabeledSet, build_dataset, bundle_from_manifest
+from gendervec.dataset import (
+    CLASSES,
+    NO_LABELED_EXAMPLES,
+    LabeledSet,
+    build_dataset,
+    bundle_from_manifest,
+)
 from gendervec.embedding import EmbeddingConfig
 from gendervec.errors import ConfigurationError, DataError, NumericalError
 from gendervec.lexicon import save_lexicon
@@ -280,17 +286,51 @@ def test_grid_result_round_trips_through_its_dict():
     assert loaded.split_manifest is None
 
 
-def test_grid_search_all_cells_failing_is_fatal(language_files):
+def test_grid_search_all_cells_failing_is_fatal(language_files, monkeypatch):
     corpus, lexicon = language_files
-    # K far above the vocabulary size fails every cell in the SVD stage
+
+    def failing_transformed_counts(cooc, vocab, emb_cfg):
+        raise DataError("synthetic cell failure")
+
+    monkeypatch.setattr(pipeline, "transformed_counts", failing_transformed_counts)
     with pytest.raises(DataError, match="every grid cell failed"):
         grid_search(
             corpus,
             lexicon,
-            [ContextConfig("asymmetric_backward", 1)],
-            EmbeddingConfig(k=5000),
+            [ContextConfig("asymmetric_backward", 1), ContextConfig("symmetric", 2)],
+            EMB_CFG,
             TRAIN_CFG,
         )
+
+
+@pytest.mark.parametrize("words, k, error, message", [
+    ("absent from the corpus", 8, DataError, re.escape(NO_LABELED_EXAMPLES)),
+    # 80/10/10 of three words puts all three in train
+    ("three a class", 8, DataError, "the split leaves the dev partition empty"),
+    ("all", 5000, ConfigurationError, r"K must be <= \d+, the vocabulary size; got 5000"),
+], ids=["no-labeled-word", "empty-dev", "k-above-vocabulary"])
+def test_grid_search_fails_on_its_split_or_k_before_counting(
+    language_files, tmp_path, monkeypatch, words, k, error, message
+):
+    corpus, lexicon = language_files
+    with open(lexicon, encoding="utf-8") as fh:
+        rows = fh.readlines()
+    kept = {
+        "absent from the corpus": ["xxx\tu\n", "yyy\tn\n"],
+        "three a class": [r for r in rows if r.endswith("\tu\n")][:3]
+        + [r for r in rows if r.endswith("\tn\n")][:3],
+        "all": rows,
+    }[words]
+    small = tmp_path / "lexicon.tsv"
+    small.write_text("".join(kept), encoding="utf-8")
+
+    def never(*args, **kwargs):
+        raise AssertionError("the grid counted or factored before failing")
+
+    monkeypatch.setattr(pipeline, "count_by_distance_from_file", never)
+    monkeypatch.setattr(pipeline, "ritz_factors", never)
+    with pytest.raises(error, match=f"^{message}$"):
+        grid_search(corpus, small, None, EmbeddingConfig(k=k), TRAIN_CFG)
 
 
 def test_grid_search_rejects_bad_grids(language_files):

@@ -62,3 +62,17 @@ def test_crlf_file_loads_as_its_lf_twin(tmp_path, reader):
     crlf = load(_write(tmp_path, lines, "\r\n", "crlf.tsv"))
     assert contents(crlf) == contents(lf)
     assert len(contents(lf)[0]) == 2
+
+
+@pytest.mark.parametrize("blank_lines", [0, 10_000])
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_invalid_utf8_names_its_file_offset(tmp_path, reader, blank_lines):
+    load, header, good, _, _ = READERS[reader]
+    # ten thousand blank lines put the bad byte past the text layer's first read
+    head = "".join(line + "\n" for line in [*header, *good]).encode("utf-8")
+    head += b"\n" * blank_lines
+    path = tmp_path / "rows.tsv"
+    path.write_bytes(head + b"h\xe5st\tu\n" + good[0].encode("utf-8") + b"\n")
+    with pytest.raises(DataError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: invalid UTF-8 at byte offset {len(head) + 1}"
