@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import CLASSES, LabeledSet
 from .errors import ConfigurationError, DataError, NumericalError
-from .records import Record
+from .records import Record, open_text
 
 
 @dataclass(frozen=True)
@@ -391,7 +391,7 @@ def load_prediction_records(path) -> Predictions:
     """Read ``save_prediction_records`` output; a bad row is a ``DataError``
     naming ``path:line``."""
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(RECORD_FIELDS):

@@ -37,12 +37,14 @@ CONFIG_KEYS = {
 
 def _load_config(path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with records.open_text(path) as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: malformed JSON config: {exc}") from None
+    except DataError as exc:  # invalid UTF-8
+        raise ConfigurationError(str(exc)) from None
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: config must be a JSON object")
     unknown = set(data) - CONFIG_KEYS

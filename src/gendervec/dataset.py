@@ -20,7 +20,7 @@ from .corpus import Vocabulary, row_lookup, word_index
 from .embedding import EmbeddingMatrix
 from .errors import ConfigurationError, DataError
 from .lexicon import CODE_TO_CLASS, GenderLexicon
-from .records import Record, integer, read_rows, write_json, write_rows
+from .records import Record, integer, open_text, read_rows, write_json, write_rows
 
 CLASSES = tuple(CODE_TO_CLASS.values())
 
@@ -218,7 +218,7 @@ def save_split_manifest(manifest: dict, path) -> None:
 def load_split_manifest(path) -> dict:
     """A split manifest whose partitions are disjoint and whose
     ``test_digest`` is the digest of its test words."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             manifest = json.load(fh)
         except json.JSONDecodeError:

@@ -20,7 +20,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 from .cooccurrence import ContextConfig, CoocMatrix, count_cooccurrences
 from .corpus import Sentence, Vocabulary, row_lookup, word_index
 from .errors import ConfigurationError, DataError, NumericalError
-from .records import Record, key
+from .records import Record, key, open_text
 
 EMBEDDING_MAGIC = b"RSVEMB01"
 
@@ -240,7 +240,7 @@ def _finite_embedding(words: list[str], rows: np.ndarray, path) -> EmbeddingMatr
 
 
 def load_embedding_text(path) -> EmbeddingMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         try:
             n, k = (int(x) for x in header)

@@ -2,7 +2,7 @@
 
 Everything here is a pure function of ``Predictions`` or plain
 arrays: confusion counts, accuracy, per-class precision/recall/F,
-prior-weighted accuracy, the majority-class baseline, Kendall tau-b
+the majority-class baseline, Kendall tau-b
 with a tie-adjusted normal approximation, a Fisher-Pitman two-sample
 permutation test, and the entropy/frequency analysis that combines
 them.
@@ -14,7 +14,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -75,22 +75,6 @@ def precision_recall_f(confusion: np.ndarray, cls: str) -> tuple[float, float, f
     else:
         f_score = 2.0 * precision * recall / (precision + recall)
     return precision, recall, f_score
-
-
-def weighted_accuracy(per_class_accuracy: Mapping[str, float], priors: Mapping[str, float]) -> float:
-    """Accuracy under externally supplied class priors.
-
-    ``sum(priors[c] * acc[c])``; the priors must cover the same classes
-    and sum to 1 within 1e-9.
-    """
-    if set(priors) != set(per_class_accuracy):
-        raise ConfigurationError(
-            f"priors cover {sorted(priors)} but accuracies cover {sorted(per_class_accuracy)}"
-        )
-    total = sum(priors.values())
-    if abs(total - 1.0) > 1e-9:
-        raise ConfigurationError(f"priors sum to {total!r}, not 1")
-    return float(sum(per_class_accuracy[c] * priors[c] for c in priors))
 
 
 def zero_rule_baseline(labels: Iterable[str]) -> float:

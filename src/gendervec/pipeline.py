@@ -6,7 +6,8 @@ exactly that plus input digests, so a run can be replayed byte for
 byte.  The context grid trains one model per (context type, window
 size) cell on a word partition fixed before the grid starts; the
 held-out test list is digest-pinned so the final evaluation can prove
-it never leaked into tuning.
+it never leaked into tuning.  A single run is the grid of its one cell
+plus that evaluation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .classifier import (
     predict_records,
     save_model,
     save_prediction_records,
-    train,
     train_stack,
 )
 from .cooccurrence import CONTEXT_TYPES, ContextConfig, combine, count_by_distance_from_file
@@ -39,21 +39,18 @@ from .dataset import (
     DecileReport,
     LabeledSet,
     SplitBundle,
-    build_dataset,
     bundle_from_manifest,
     class_ratio_by_decile,
     labeled_rows,
     save_split_manifest,
     split_manifest,
     split_words_by_class,
-    stratified_split,
     validate_ratios,
     word_list_digest,
 )
 from .embedding import (
     EmbeddingConfig,
     _fix_signs,
-    embed_counts,
     ritz_factors,
     scaled_vectors,
     singular_vectors,
@@ -69,9 +66,11 @@ from .metrics import (
 )
 from .records import OMIT, Record, load_record, write_json
 
-# The sentence-level forms stay reachable here: perfbench/ reads through
-# pipeline.read_sentences and wraps these names when it traces a run.
+# Names perfbench/ wraps when it traces a run, and reads through; they
+# go with the run trace (ROADMAP item 4).
+from .classifier import train  # noqa: F401
 from .corpus import build_vocabulary, read_sentences  # noqa: F401
+from .dataset import build_dataset, stratified_split  # noqa: F401
 from .embedding import embed  # noqa: F401
 
 # Tie-break order across context types when dev accuracies are equal.
@@ -194,8 +193,10 @@ class GridResult(Record):
     best: ContextConfig
     split_seed: int
     test_digest: str
-    # The split manifest pinned before any cell ran; grid.json omits it (None on load).
+    # grid.json omits these (None on load): the pinned split, the chosen model and bundle.
     split_manifest: dict | None = field(default=None, metadata=OMIT)
+    model: MLPModel | None = field(default=None, metadata=OMIT)
+    bundle: SplitBundle | None = field(default=None, metadata=OMIT)
 
     def cell(self, context_type: str, window_size: int) -> CellResult:
         for c in self.cells:
@@ -239,13 +240,16 @@ def grid_search(
     once, by distance up to the widest window.  The grid then runs stage
     by stage over every cell: ``ritz_factors`` (scipy) for each cell's
     combined counts, then ``singular_vectors`` (numpy), taking each
-    cell's train and dev rows, then one ``train_stack`` for all probes.
-    Each cell's vectors, model and dev accuracy are bit for bit those of
-    ``embed_counts``, ``build_dataset``, ``bundle_from_manifest`` and
-    ``train`` on that cell alone.  A cell failing for a reason of its own
-    (all-zero counts, an ARPACK failure, non-finite vectors, a diverged
-    probe) is recorded and skipped, not fatal.  Ties on dev accuracy go
+    cell's train, dev and test rows, then one ``train_stack`` for all
+    probes; it holds about cells x (vocabulary + labeled words) x K x 8
+    bytes between stages.  Each cell's vectors, model and dev accuracy
+    are bit for bit those of ``embed_counts``, ``build_dataset``,
+    ``bundle_from_manifest`` and ``train`` on that cell alone.  A cell
+    failing for a reason of its own (all-zero counts, an ARPACK failure,
+    non-finite vectors, a diverged probe) is recorded and skipped; if all
+    fail, the first one's error is a DataError.  Ties on dev accuracy go
     to the smaller window, then backward before symmetric before forward.
+    The result carries the chosen cell's model and vector partitions.
     """
     cells = sorted(grid if grid is not None else default_grid(), key=_grid_key)
     if not cells:
@@ -282,10 +286,9 @@ def grid_search(
             factors[i] = ritz_factors(counts, embedding_config.k, seed=embedding_config.seed)
         except GendervecError as exc:
             fail(i, exc)
-    train_ids, dev_ids = (row_lookup(vocab.ids, part.words, "the vocabulary")
-                          for part in (split.train, split.dev))
-    x_train = np.empty((len(factors), len(train_ids), embedding_config.k))
-    x_dev = np.empty((len(factors), len(dev_ids), embedding_config.k))
+    parts = (split.train, split.dev, split.test)
+    ids = [row_lookup(vocab.ids, part.words, "the vocabulary") for part in parts]
+    blocks = [np.empty((len(factors), len(rows), embedding_config.k)) for rows in ids]
     stacked = []
     for i in list(factors):
         try:
@@ -294,10 +297,11 @@ def grid_search(
         except GendervecError as exc:
             fail(i, exc)
             continue
-        x_train[len(stacked)], x_dev[len(stacked)] = vectors[train_ids], vectors[dev_ids]
+        for block, rows in zip(blocks, ids):
+            block[len(stacked)] = vectors[rows]
         stacked.append(i)
-    models = train_stack(x_train[: len(stacked)], split.train.labels,
-                         x_dev[: len(stacked)], split.dev.labels, train_config)
+    x_train, x_dev, _ = blocks = [block[: len(stacked)] for block in blocks]
+    models = train_stack(x_train, split.train.labels, x_dev, split.dev.labels, train_config)
     for i, x, model in zip(stacked, x_dev, models):
         if isinstance(model, GendervecError):
             fail(i, model)
@@ -310,23 +314,30 @@ def grid_search(
         }
         results[i] = CellResult(cells[i], float(hits.mean()), per_class, None)
     ordered = [results[i] for i in range(len(cells))]
-    survivors = [c for c in ordered if c.ok]
+    survivors = [i for i, c in enumerate(ordered) if c.ok]
     if not survivors:
         raise DataError(
             "every grid cell failed; first error: " + (ordered[0].error or "unknown")
         )
-    best = min(survivors, key=lambda c: (-c.dev_accuracy, _grid_key(c.context)))
+    best = min(survivors, key=lambda i: (-ordered[i].dev_accuracy, _grid_key(cells[i])))
+    chosen = stacked.index(best)
     return GridResult(
         cells=tuple(ordered),
-        best=best.context,
+        best=cells[best],
         split_seed=options.split_seed,
         test_digest=manifest["test_digest"],
         split_manifest=manifest,
+        model=models[chosen],
+        # copies, so the result does not hold every cell's rows
+        bundle=SplitBundle(*(replace(part, vectors=block[chosen].copy())
+                             for part, block in zip(parts, blocks)), manifest=manifest),
     )
 
 
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
+    """One run; ``dataset`` lists the train, dev and test words in that order."""
+
     dataset: LabeledSet
     bundle: SplitBundle
     model: MLPModel
@@ -342,21 +353,27 @@ def run_experiment(
     train_config: TrainConfig = TrainConfig(),
     options: RunOptions = RunOptions(),
 ) -> ExperimentResult:
-    """One full pass: ingest, embed, label, split, train, evaluate."""
-    vocab, lexicon = prepare_inputs(corpus_path, lexicon_path, options.vocab_min_freq)
-    by_distance = count_by_distance_from_file(corpus_path, vocab, context.window_size)
-    embedding = embed_counts(combine(by_distance, context), vocab, embedding_config)
-    data = build_dataset(embedding, lexicon, vocab, options.min_freq)
-    bundle = stratified_split(data, options.ratios, options.split_seed)
-    model = train(bundle.train, bundle.dev, train_config)
-    evaluation = final_evaluate(
-        model, bundle.test, n_perm=options.n_perm, stats_seed=options.stats_seed
-    )
+    """A one-cell ``grid_search`` on ``context``, then the test evaluation
+    of its model and the decile report, bit for bit as ``embed_counts``,
+    ``build_dataset``, ``stratified_split`` and ``train`` would run it.
+    It fails as the grid does: a bad K or an empty train or dev partition
+    before counting, and any failure of the cell, a diverged probe too, as
+    the DataError ``every grid cell failed; first error: <type>: <msg>``.
+    """
+    grid = grid_search(corpus_path, lexicon_path, [context], embedding_config,
+                       train_config, options)
+    bundle = grid.bundle
+    evaluation = final_evaluate(grid.model, bundle.test, grid.test_digest,
+                                options.n_perm, options.stats_seed)
+    parts = (bundle.train, bundle.dev, bundle.test)
+    data = LabeledSet(sum((part.words for part in parts), ()), *(
+        np.concatenate([getattr(part, name) for part in parts])
+        for name in ("vectors", "labels", "frequencies")))
     decile = class_ratio_by_decile(data) if len(data) >= 10 else None
     return ExperimentResult(
         dataset=data,
         bundle=bundle,
-        model=model,
+        model=grid.model,
         evaluation=evaluation,
         decile_report=decile,
     )

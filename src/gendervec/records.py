@@ -10,10 +10,13 @@ every JSON artifact (two-space indent, sorted keys, a final newline).
 ``read_rows`` reads all four tab-separated files (vocabulary, dataset
 table, lexicon, co-occurrence counts) by one rule: one row a line, blank
 lines skipped, a fixed field count.  ``write_rows`` writes the first three.
+Every text reader opens its file with ``open_text``, so invalid UTF-8 is
+one ``DataError`` naming the file and the bad byte's offset.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import types
@@ -110,7 +113,7 @@ class Record:
 def load_record(cls, path):
     """``cls.from_dict`` of the JSON file at ``path``; malformed JSON, or a
     value the record's own checks reject, is a ``DataError`` naming ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -134,22 +137,30 @@ def read_rows(
 ) -> typing.Iterator[tuple[int, list[str]]]:
     """Line number and tab-separated fields of each non-blank line of
     ``path`` after its first ``skip`` lines; a row of other than ``width``
-    fields is a ``DataError`` ``path:line: expected <expected>``, and so is
-    invalid UTF-8, ``path: invalid UTF-8 at byte offset N``.  Text mode
-    reads a CRLF line end as LF, so a CRLF file gives its LF twin's rows.
+    fields is a ``DataError`` ``path:line: expected <expected>``.  Text
+    mode reads a CRLF line end as LF, so a CRLF file gives its LF twin's
+    rows.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
+        for lineno, line in enumerate(islice(fh, skip, None), skip + 1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != width:
+                raise DataError(f"{path}:{lineno}: expected {expected}")
+            yield lineno, fields
+
+
+@contextlib.contextmanager
+def open_text(path, newline: str | None = None) -> typing.Iterator[typing.TextIO]:
+    """``path`` open as UTF-8 text; invalid UTF-8 read in the block is a
+    ``DataError`` ``path: invalid UTF-8 at byte offset N``."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
         try:
-            for lineno, line in enumerate(islice(fh, skip, None), skip + 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != width:
-                    raise DataError(f"{path}:{lineno}: expected {expected}")
-                yield lineno, fields
+            yield fh
         except UnicodeDecodeError:
-            # the text layer decodes ahead of the line it hands out, so
+            # the text layer decodes ahead of what it hands out, so
             # neither its line nor its position is the bad byte's
             offset = _bad_utf8_offset(path)
             raise DataError(f"{path}: invalid UTF-8 at byte offset {offset}") from None

@@ -196,18 +196,3 @@ def write_corpus(language: SyntheticLanguage, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for sentence in language.sentences:
             fh.write(" ".join(sentence) + "\n")
-
-
-def measure_agreement(language: SyntheticLanguage) -> float:
-    """Share of sentences whose article matches the noun's own class,
-    recounted from the emitted sentences."""
-    article_class = {a: code for code, articles, _ in NOUN_CLASSES for a in articles}
-    noun_class = dict(language.lexicon.items())
-    agree = 0
-    for sentence in language.sentences:
-        for pos, token in enumerate(sentence):
-            if token in noun_class and pos > 0 and sentence[pos - 1] in article_class:
-                if article_class[sentence[pos - 1]] == noun_class[token]:
-                    agree += 1
-                break
-    return agree / len(language.sentences)

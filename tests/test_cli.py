@@ -749,6 +749,20 @@ def test_report_with_missing_stats_exits_three(flow, tmp_path, capsys):
     assert not out.exists()  # nothing written before both eval files are read
 
 
+def test_eval_with_a_non_utf8_split_manifest_exits_three(flow, tmp_path, capsys):
+    with open(flow["split.json"], "rb") as fh:
+        text = fh.read()
+    head = text[: text.index(b'"train": [')] + b'"train": [\n"h'
+    bad = tmp_path / "split.json"
+    bad.write_bytes(head + b'\xe5st",' + text[len(head) - 3 :])
+    out = tmp_path / "eval"
+    rc = main(["eval", "--embedding", flow["emb.bin"], "--dataset", flow["dataset.tsv"],
+               "--split", str(bad), "--model", flow["model.bin"], "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: {bad}: invalid UTF-8 at byte offset {len(head)}\n"
+    assert not out.exists()
+
+
 def _malformed_grid(case) -> str:
     context = ContextConfig("symmetric", 1)
     grid = pipeline.GridResult(
@@ -776,8 +790,9 @@ def test_report_with_malformed_grid_exits_three(flow, tmp_path, capsys, case):
 
 def test_flow_equals_manifest_replay(flow, tmp_path):
     # Two routes to one bundle: the staged flow joins the dataset table
-    # with the embedding and reads the split manifest; a replay builds the
-    # dataset in memory and splits it.  Same configs, same bytes.
+    # with the embedding, reads the split manifest and trains one network;
+    # a replay runs the one-cell grid, which trains its network in a stack.
+    # Same configs, same bytes.
     manifest = pipeline.build_manifest(
         flow["corpus.txt"], flow["lexicon.tsv"], ContextConfig("asymmetric_backward", 1),
         EmbeddingConfig(k=8, seed=0), TrainConfig(max_epochs=30, hidden_size=8, seed=0),

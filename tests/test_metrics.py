@@ -10,7 +10,7 @@ import scipy.stats
 
 from gendervec.classifier import Predictions
 from gendervec.dataset import CLASSES
-from gendervec.errors import ConfigurationError, DataError
+from gendervec.errors import DataError
 from gendervec.metrics import (
     accuracy,
     build_eval_report,
@@ -19,7 +19,6 @@ from gendervec.metrics import (
     fisher_pitman_permutation,
     kendall_tau_b,
     precision_recall_f,
-    weighted_accuracy,
     zero_rule_baseline,
 )
 from gendervec.records import write_json
@@ -122,21 +121,6 @@ def test_precision_degenerate_class_is_zero(caplog):
         p, r, f = precision_recall_f(cm, "neuter")
     assert (p, r, f) == (0.0, 0.0, 0.0)
     assert any("neuter" in rec.message for rec in caplog.records)
-
-
-def test_weighted_accuracy_published_values():
-    # Dev-set per-class accuracies weighted by the 0.29/0.71 class priors.
-    got = weighted_accuracy({"n": 0.846, "u": 0.971}, {"n": 0.29, "u": 0.71})
-    assert abs(got - 0.9348) <= 0.0005
-    got = weighted_accuracy({"n": 0.393, "u": 0.946}, {"n": 0.29, "u": 0.71})
-    assert abs(got - 0.7856) <= 0.0005
-
-
-def test_weighted_accuracy_validation():
-    with pytest.raises(ConfigurationError):
-        weighted_accuracy({"a": 0.5}, {"b": 0.5})
-    with pytest.raises(ConfigurationError):
-        weighted_accuracy({"a": 0.5, "b": 0.5}, {"a": 0.4, "b": 0.4})
 
 
 def test_zero_rule_baseline():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from gendervec.dataset import (
     LabeledSet,
     build_dataset,
     bundle_from_manifest,
+    stratified_split,
 )
 from gendervec.embedding import EmbeddingConfig
 from gendervec.errors import ConfigurationError, DataError, NumericalError
@@ -231,12 +233,18 @@ def test_grid_cells_equal_each_cell_run_alone(language_files, monkeypatch):
             assert cell.error == f"NumericalError: {alone.value}"
             assert cell.dev_accuracy is None and cell.per_class_dev_accuracy is None
             continue
-        hits = correct_predictions(train(bundle.train, bundle.dev, TRAIN_CFG), bundle.dev)
+        model = train(bundle.train, bundle.dev, TRAIN_CFG)
+        hits = correct_predictions(model, bundle.dev)
         labels = bundle.dev.labels
         assert cell.ok and cell.dev_accuracy == float(hits.mean())
         assert cell.per_class_dev_accuracy == {
             cls: float(hits[labels == c].mean()) for c, cls in enumerate(CLASSES)
         }
+        if cell.context == result.best:  # the grid returns this cell's model and rows
+            assert result.model.flat.tobytes() == model.flat.tobytes()
+            for name in ("train", "dev", "test"):
+                ours, theirs = getattr(result.bundle, name), getattr(bundle, name)
+                assert ours.vectors.tobytes() == theirs.vectors.tobytes()
     assert len(result.cells) == 15 and result.best != diverging
 
 
@@ -481,3 +489,51 @@ def test_run_experiment_end_to_end(language_files):
     assert result.evaluation.report.accuracy >= 0.9
     assert result.decile_report is not None
     assert sum(result.decile_report.group_sizes) == len(result.dataset)
+
+
+def _rows(data: LabeledSet) -> list[tuple]:
+    return sorted(zip(data.words, map(np.ndarray.tobytes, data.vectors),
+                      data.labels.tolist(), data.frequencies.tolist()))
+
+
+@pytest.mark.parametrize("context", [
+    ContextConfig("asymmetric_backward", 1), ContextConfig("symmetric", 3),
+])
+def test_run_experiment_equals_the_single_run_building_blocks(language_files, context):
+    corpus, lexicon = language_files
+    result = run_experiment(corpus, lexicon, context, EMB_CFG, TRAIN_CFG, RunOptions(n_perm=100))
+    vocab, lex = pipeline.prepare_inputs(corpus, lexicon)
+    by_distance = cooccurrence.count_by_distance_from_file(corpus, vocab, context.window_size)
+    emb = embedding.embed_counts(cooccurrence.combine(by_distance, context), vocab, EMB_CFG)
+    data = build_dataset(emb, lex, vocab)
+    bundle = stratified_split(data)
+    assert result.bundle.manifest == bundle.manifest
+    assert result.model.flat.tobytes() == train(bundle.train, bundle.dev, TRAIN_CFG).flat.tobytes()
+    for name in ("train", "dev", "test"):
+        ours, theirs = getattr(result.bundle, name), getattr(bundle, name)
+        assert ours.words == theirs.words
+        assert ours.vectors.tobytes() == theirs.vectors.tobytes()
+    # the same rows, in split order rather than vocabulary order
+    assert _rows(result.dataset) == _rows(data)
+    assert result.dataset.words == bundle.train.words + bundle.dev.words + bundle.test.words
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_run_experiment_fails_as_a_one_cell_grid(language_files, monkeypatch):
+    corpus, lexicon = language_files
+    context = ContextConfig("asymmetric_backward", 1)
+    # sigma-scaled vectors of counts scaled by 1e60 overflow the probe,
+    # which is the grid's error, not a bare NumericalError
+    real_transformed_counts = pipeline.transformed_counts
+    monkeypatch.setattr(pipeline, "transformed_counts",
+                        lambda *args: real_transformed_counts(*args) * 1e60)
+    message = "every grid cell failed; first error: NumericalError: non-finite training loss"
+    with pytest.raises(DataError, match=rf"^{message} at epoch \d+$"):
+        run_experiment(corpus, lexicon, context, replace(EMB_CFG, sigma_power=1.0), TRAIN_CFG)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the run counted before failing")
+
+    monkeypatch.setattr(pipeline, "count_by_distance_from_file", never)
+    with pytest.raises(ConfigurationError, match="^K must be <= "):
+        run_experiment(corpus, lexicon, context, EmbeddingConfig(k=5000), TRAIN_CFG)

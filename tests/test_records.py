@@ -1,14 +1,20 @@
-"""The tab-separated row rule that all four staged TSV readers share."""
+"""The tab-separated row rule that all four staged TSV readers share,
+and the one invalid-UTF-8 rule of every text reader."""
 
+import functools
 import json
 
 import pytest
 
+from gendervec import cli
+from gendervec.classifier import RECORD_FIELDS, load_prediction_records
 from gendervec.cooccurrence import ContextConfig, load_cooccurrence
 from gendervec.corpus import load_vocabulary
-from gendervec.dataset import load_dataset_table
-from gendervec.errors import DataError
+from gendervec.dataset import load_dataset_table, load_split_manifest
+from gendervec.embedding import load_embedding_text
+from gendervec.errors import ConfigurationError, DataError
 from gendervec.lexicon import parse_lexicon
+from gendervec.records import load_record
 
 COOC_HEADER = json.dumps({"rows": 2, "cols": 2, **ContextConfig("symmetric", 1).to_dict()})
 
@@ -74,5 +80,38 @@ def test_invalid_utf8_names_its_file_offset(tmp_path, reader, blank_lines):
     path = tmp_path / "rows.tsv"
     path.write_bytes(head + b"h\xe5st\tu\n" + good[0].encode("utf-8") + b"\n")
     with pytest.raises(DataError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: invalid UTF-8 at byte offset {len(head) + 1}"
+
+
+# reader, the bytes before a run of spaces, the bytes after it (whose
+# second byte is not UTF-8), and the error a config file's bad byte gives
+TEXT_READERS = {
+    "embedding text": (load_embedding_text, b"1 2\n", b"h\xe5st 0.5 0.5\n", DataError),
+    "split manifest": (
+        load_split_manifest, b'{"seed": 0, "ratios": [0.8, 0.1, 0.1], "partitions": {"train": [',
+        b'"\xe5st"], "dev": [], "test": []}}', DataError,
+    ),
+    "record": (
+        functools.partial(load_record, ContextConfig), b'{"context_type": ',
+        b'"\xe5st", "window_size": 1}', DataError,
+    ),
+    "prediction records": (
+        load_prediction_records, ",".join(RECORD_FIELDS).encode() + b"\n",
+        b"h\xe5st,uter,uter,0.9,0.1,0.3,5\n", DataError,
+    ),
+    "cli config": (cli._load_config, b'{"context_type": ', b'"\xe5st"}', ConfigurationError),
+}
+
+
+@pytest.mark.parametrize("spaces", [0, 10_000])
+@pytest.mark.parametrize("reader", sorted(TEXT_READERS))
+def test_every_text_reader_names_the_bad_byte_offset(tmp_path, reader, spaces):
+    load, head, tail, error = TEXT_READERS[reader]
+    # ten thousand spaces put the bad byte past the text layer's first read
+    head += b" " * spaces
+    path = tmp_path / "file"
+    path.write_bytes(head + tail)
+    with pytest.raises(error) as info:
         load(path)
     assert str(info.value) == f"{path}: invalid UTF-8 at byte offset {len(head) + 1}"
