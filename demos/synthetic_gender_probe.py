@@ -34,7 +34,7 @@ language = synthetic.generate_synthetic_language(spec)
 synthetic.write_corpus(language, workdir / "corpus.txt")
 lexicon.save_lexicon(language.lexicon, workdir / "lexicon.tsv")
 counts = language.lexicon.counts_by_code()
-print(f"generated {len(language.sentences)} sentences, "
+print(f"generated {len(language.sentence_lengths)} sentences, "
       f"{counts['u']} uter / {counts['n']} neuter nouns")
 
 # One call drives ingest, embed, label, split, train and the final

@@ -88,6 +88,13 @@ def _labeled_set(embedding_path, dataset_path) -> dataset.LabeledSet:
     return dataset.join_with_embedding(dataset.load_dataset_table(dataset_path), emb)
 
 
+def _check_out_dirs(*paths) -> None:
+    """A missing directory fails before any output is written."""
+    for path in filter(None, paths):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise DataError(f"{path}: its directory does not exist")
+
+
 def cmd_ingest(args) -> int:
     run = Options(args).build(pipeline.RunOptions)
     vocab = corpus.ingest_vocabulary(args.corpus, run.vocab_min_freq)
@@ -128,10 +135,7 @@ def cmd_label(args) -> int:
     lex = lexicon.parse_lexicon(args.lexicon)
     data = dataset.build_dataset(emb, lex, vocab, run.min_freq)
     deciles = dataset.class_ratio_by_decile(data) if args.deciles else None
-    # a missing directory fails before any output is written
-    for path in filter(None, (args.out, args.summary, args.deciles)):
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise DataError(f"{path}: its directory does not exist")
+    _check_out_dirs(args.out, args.summary, args.deciles)
     dataset.save_dataset_table(data, args.out)
     logger.info("wrote %d labeled words to %s", len(data), args.out)
     if args.summary:
@@ -257,13 +261,14 @@ def cmd_synth(args) -> int:
         for f in dataclasses.fields(synthetic.SyntheticSpec)
         if getattr(args, f.name, None) is not None
     })
+    _check_out_dirs(args.out_corpus, args.out_lexicon)
     language = synthetic.generate_synthetic_language(spec)
     synthetic.write_corpus(language, args.out_corpus)
     lexicon.save_lexicon(language.lexicon, args.out_lexicon)
     counts = language.lexicon.counts_by_code()
     logger.info(
         "wrote %d sentences to %s; lexicon %s with u=%d n=%d",
-        len(language.sentences), args.out_corpus, args.out_lexicon,
+        len(language.sentence_lengths), args.out_corpus, args.out_lexicon,
         counts["u"], counts["n"],
     )
     return 0

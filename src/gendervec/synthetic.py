@@ -11,8 +11,8 @@ share of "ambiguous" nouns whose article flips often (these play the
 role real polysemous nouns play), and a Zipf-like noun frequency
 profile so low-frequency effects are observable.
 
-The generator emits a plain text corpus plus a gender lexicon for the
-nouns.
+The generator holds the corpus as token-id arrays and writes it as plain
+text, one sentence per line, plus a gender lexicon for the nouns.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ NOUN_CLASSES = (
 )
 MAX_FILLERS = 3  # bound on the fillers before the article and after the noun
 BLOCK_SENTENCES = 1 << 13  # sentences whose article and filler draws are taken in one call
+WRITE_TOKENS = 1 << 16  # tokens joined and written at a time by write_corpus
 
 
 @dataclass(frozen=True)
@@ -81,13 +82,20 @@ class SyntheticSpec:
 
 @dataclass(frozen=True, eq=False)
 class SyntheticLanguage:
-    """Generated corpus plus its gold lexicon and bookkeeping."""
+    """Generated corpus (``token_ids`` into ``words``) plus its gold lexicon and bookkeeping."""
 
-    sentences: tuple
+    words: tuple[str, ...] = field(repr=False)
+    token_ids: np.ndarray = field(repr=False)
+    sentence_lengths: np.ndarray = field(repr=False)
     lexicon: GenderLexicon
     nouns_by_class: dict[str, tuple[str, ...]] = field(repr=False)
-    fillers: tuple[str, ...] = field(repr=False)
     ambiguous_nouns: tuple[str, ...] = field(repr=False)
+
+    @property
+    def sentences(self) -> tuple[list[str], ...]:
+        """Each sentence as its list of tokens, built anew on every access."""
+        tokens = np.asarray(self.words, dtype=object)[self.token_ids]
+        return tuple(s.tolist() for s in np.split(tokens, np.cumsum(self.sentence_lengths)[:-1]))
 
 
 def _pseudo_words(rng: np.random.Generator, count: int, taken: set[str]) -> list[str]:
@@ -119,9 +127,10 @@ def generate_synthetic_language(spec: SyntheticSpec) -> SyntheticLanguage:
     and its trail filler counts (one array each).  Last come each
     sentence's article and its lead and trail fillers, sentence by
     sentence; they are taken ``BLOCK_SENTENCES`` sentences at a time in
-    one ``integers`` call over their bounds.  Every bound is below 2**32,
-    so numpy draws each from one 32-bit output of the generator, and the
-    values do not depend on how the draws are grouped into calls.
+    one ``integers`` call over their bounds and assembled into token ids
+    with array steps.  Every bound is below 2**32, so numpy draws each
+    from one 32-bit output of the generator, and the values do not depend
+    on how the draws are grouped into calls.
     """
     rng = np.random.default_rng(spec.seed)
     taken: set[str] = {a for _, articles, _ in NOUN_CLASSES for a in articles}
@@ -155,44 +164,45 @@ def generate_synthetic_language(spec: SyntheticSpec) -> SyntheticLanguage:
     flip_probs[ambiguous] = spec.ambiguous_flip
     article_counts = np.array([len(articles) for _, articles, _ in NOUN_CLASSES])
 
-    sentences = []
+    # The word table: fillers (a filler's id is its draw), articles, nouns.
+    words = (*fillers, *(a for _, articles, _ in NOUN_CLASSES for a in articles), *all_nouns)
+    article_base = len(fillers) + np.cumsum(article_counts) - article_counts
+    sentence_lengths = (lead_counts + trail_counts + 2).astype(np.int32)
+    offsets = np.concatenate(([0], np.cumsum(sentence_lengths)))
+    token_ids = np.empty(offsets[-1], dtype=np.int32)
     for start in range(0, spec.sentence_count, BLOCK_SENTENCES):
-        block = slice(start, start + BLOCK_SENTENCES)
-        noun_ids = noun_draws[block]
+        stop = min(start + BLOCK_SENTENCES, spec.sentence_count)
+        noun_ids = noun_draws[start:stop]
         # The class whose article each sentence carries, after its flip.
-        classes = class_of[noun_ids] ^ (flip_rolls[block] < flip_probs[noun_ids])
-        # Each sentence's bounds in draw order: its article, then a filler
-        # per lead and per trail slot.
-        widths = 1 + lead_counts[block] + trail_counts[block]
-        bounds = np.full(int(widths.sum()), len(fillers))
-        bounds[np.cumsum(widths) - widths] = article_counts[classes]
-        draws = rng.integers(0, bounds).tolist()
-        at = 0
-        for noun_idx, class_idx, lead, trail in zip(
-            noun_ids.tolist(), classes.tolist(),
-            lead_counts[block].tolist(), trail_counts[block].tolist(),
-        ):
-            lead_end = at + 1 + lead
-            tokens = [fillers[j] for j in draws[at + 1 : lead_end]]
-            tokens.append(NOUN_CLASSES[class_idx][1][draws[at]])
-            tokens.append(all_nouns[noun_idx])
-            at = lead_end + trail
-            tokens.extend(fillers[j] for j in draws[lead_end:at])
-            sentences.append(tokens)
-    # Free the per-sentence arrays before the tuple below copies the list.
-    del noun_draws, flip_rolls, lead_counts, trail_counts
+        classes = class_of[noun_ids] ^ (flip_rolls[start:stop] < flip_probs[noun_ids])
+        # Each sentence's first token, and its first draw (its article's).
+        heads = offsets[start:stop] - offsets[start]
+        firsts = heads - np.arange(stop - start)
+        out = token_ids[offsets[start]:offsets[stop]]
+        bounds = np.full(len(out) - len(heads), len(fillers))
+        bounds[firsts] = article_counts[classes]
+        draws = rng.integers(0, bounds)
+        # Lead fillers, article, noun, trail fillers: fillers keep draw order.
+        at = heads + lead_counts[start:stop]
+        is_filler = np.ones(len(out), dtype=bool)
+        is_filler[at] = is_filler[at + 1] = False
+        out[is_filler] = np.delete(draws, firsts)
+        out[at] = article_base[classes] + draws[firsts]
+        out[at + 1] = len(words) - n_nouns + noun_ids
 
     return SyntheticLanguage(
-        sentences=tuple(sentences),
+        words, token_ids, sentence_lengths,
         lexicon=GenderLexicon({n: code for code, nouns in nouns_by_class.items() for n in nouns}),
         nouns_by_class=nouns_by_class,
-        fillers=tuple(fillers),
         ambiguous_nouns=tuple(sorted(all_nouns[i] for i in ambiguous)),
     )
 
 
 def write_corpus(language: SyntheticLanguage, path) -> None:
-    """One sentence per line, tokens space-separated."""
+    """One sentence per line: each id maps to its word plus a space, or a newline at its end."""
+    suffixed = [w + " " for w in language.words] + [w + "\n" for w in language.words]
+    keys = language.token_ids.copy()
+    keys[np.cumsum(language.sentence_lengths) - 1] += len(language.words)
     with open(path, "w", encoding="utf-8") as fh:
-        for sentence in language.sentences:
-            fh.write(" ".join(sentence) + "\n")
+        for start in range(0, len(keys), WRITE_TOKENS):
+            fh.write("".join(map(suffixed.__getitem__, keys[start:start + WRITE_TOKENS].tolist())))

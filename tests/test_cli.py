@@ -523,6 +523,20 @@ def test_tune_passes_given_axes_and_run_options(flow, tmp_path, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("missing", ["--out-corpus", "--out-lexicon"])
+def test_synth_output_in_a_missing_directory_writes_nothing(tmp_path, monkeypatch, capsys, missing):
+    generated = []
+    monkeypatch.setattr(synthetic, "generate_synthetic_language", generated.append)
+    outputs = {"--out-corpus": tmp_path / "corpus.txt", "--out-lexicon": tmp_path / "lexicon.tsv"}
+    outputs[missing] = tmp_path / "missing" / outputs[missing].name
+    rc = main(["synth", "--nouns", "60", "--sentences", "100",
+               *(arg for flag, path in outputs.items() for arg in (flag, str(path)))])
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: {outputs[missing]}: its directory does not exist\n"
+    assert generated == []
+    assert not any(path.exists() for path in outputs.values())
+
+
 def test_synth_flags_left_out_keep_the_spec_defaults(tmp_path, monkeypatch):
     seen = []
 

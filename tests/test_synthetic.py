@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from gendervec import synthetic
 from gendervec.errors import ConfigurationError
 from gendervec.lexicon import save_lexicon
 from gendervec.pipeline import file_sha256
@@ -37,7 +38,7 @@ def measure_agreement(language):
 def _lookup_tables(language):
     article_class = {a: code for code, articles, _ in NOUN_CLASSES for a in articles}
     noun_class = {n: code for code, nouns in language.nouns_by_class.items() for n in nouns}
-    return article_class, noun_class, set(language.fillers)
+    return article_class, noun_class, set(language.words) - article_class.keys() - noun_class.keys()
 
 
 def test_default_spec_splits_nouns_700_300():
@@ -204,6 +205,26 @@ def test_draw_stream_is_pinned(tmp_path, name):
     save_lexicon(language.lexicon, tmp_path / "lexicon.tsv")
     assert file_sha256(tmp_path / "corpus.txt") == corpus_digest
     assert file_sha256(tmp_path / "lexicon.tsv") == lexicon_digest
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_corpus_bytes_do_not_depend_on_block_or_write_sizes(tmp_path, monkeypatch, block):
+    spec, corpus_digest, _ = PINNED_SPECS["pinned"]
+    monkeypatch.setattr(synthetic, "BLOCK_SENTENCES", block)
+    monkeypatch.setattr(synthetic, "WRITE_TOKENS", 7)
+    write_corpus(generate_synthetic_language(spec), tmp_path / "corpus.txt")
+    assert file_sha256(tmp_path / "corpus.txt") == corpus_digest
+
+
+def test_token_ids_index_the_word_table_and_match_the_written_lines(tmp_path):
+    language = generate_synthetic_language(PINNED_SPECS["pinned"][0])
+    assert language.token_ids.dtype == np.int32
+    assert int(language.sentence_lengths.sum()) == len(language.token_ids)
+    assert language.token_ids.min() >= 0
+    assert language.token_ids.max() < len(language.words)
+    write_corpus(language, tmp_path / "corpus.txt")
+    lines = (tmp_path / "corpus.txt").read_text(encoding="utf-8").splitlines()
+    assert [line.split(" ") for line in lines] == list(language.sentences)
 
 
 def test_pinned_specs_cross_a_block():
