@@ -3,7 +3,11 @@
 Subcommands mirror the pipeline stages: ingest, cooc, embed, label,
 split, train, tune, eval, report, synth.  Every numeric option can come
 from a JSON config file (--config) using the exact field names of the
-underlying configs; explicit flags override the file.  Exit codes: 0 on
+underlying configs; explicit flags override the file.  Each subparser
+declares the records its stage builds (``builds``) and the paths it
+writes (``writes``); ``main`` builds the records, then checks every
+output path, and only then calls the stage with its records, so a bad
+option or output fails before any input is read.  Exit codes: 0 on
 success, 2 for configuration problems, 3 for data problems, 4 for
 numerical failures.
 """
@@ -11,7 +15,6 @@ numerical failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -60,15 +63,12 @@ class Options:
         self.args = args
         self.config = _load_config(args.config) if getattr(args, "config", None) else {}
 
-    def get(self, name: str):
-        value = getattr(self.args, name, None)
-        return self.config.get(name) if value is None else value
-
     def build(self, cls):
         """A config record from flags over the config file over field defaults."""
         data = {}
         for f, k in records.json_fields(cls):
-            value = self.get(k)
+            value = getattr(self.args, k, None)
+            value = self.config.get(k) if value is None else value
             if value is not None:
                 data[k] = value
             elif records.required(f):
@@ -88,25 +88,44 @@ def _labeled_set(embedding_path, dataset_path) -> dataset.LabeledSet:
     return dataset.join_with_embedding(dataset.load_dataset_table(dataset_path), emb)
 
 
-def _check_out_dirs(*paths) -> None:
-    """A missing directory fails before any output is written."""
-    for path in filter(None, paths):
-        if not os.path.isdir(os.path.dirname(path) or "."):
+def _grid(args) -> list[cooccurrence.ContextConfig]:
+    """The tuning grid, cut down to the ``--context-types`` and ``--window-sizes`` given."""
+    axes = {}
+    if args.context_types is not None:
+        axes["context_types"] = args.context_types.split(",")
+    if args.window_sizes is not None:
+        try:
+            axes["window_sizes"] = [int(w) for w in args.window_sizes.split(",")]
+        except ValueError:
+            raise ConfigurationError(f"malformed --window-sizes {args.window_sizes!r}") from None
+    return pipeline.default_grid(**axes)
+
+
+def _check_out_dirs(args) -> None:
+    """Fail on an output file in a missing directory or that is a
+    directory, and on an output directory that is not one; ``args.writes``
+    names the outputs' dests, a trailing ``/`` marking a directory."""
+    for dest in args.writes:
+        path = getattr(args, dest.rstrip("/"))
+        if path is None:
+            continue
+        if dest.endswith("/"):
+            if os.path.exists(path) and not os.path.isdir(path):
+                raise DataError(f"{path}: exists and is not a directory")
+        elif not os.path.isdir(os.path.dirname(path) or "."):
             raise DataError(f"{path}: its directory does not exist")
+        elif os.path.isdir(path):
+            raise DataError(f"{path}: is a directory")
 
 
-def cmd_ingest(args) -> int:
-    run = Options(args).build(pipeline.RunOptions)
-    _check_out_dirs(args.out)
+def cmd_ingest(args, run: pipeline.RunOptions) -> int:
     vocab = corpus.ingest_vocabulary(args.corpus, run.vocab_min_freq)
     corpus.save_vocabulary(vocab, args.out)
     logger.info("wrote %d vocabulary entries to %s", len(vocab), args.out)
     return 0
 
 
-def cmd_cooc(args) -> int:
-    config = Options(args).build(cooccurrence.ContextConfig)
-    _check_out_dirs(args.out)
+def cmd_cooc(args, config: cooccurrence.ContextConfig) -> int:
     vocab = corpus.load_vocabulary(args.vocab)
     by_distance = cooccurrence.count_by_distance(
         corpus.read_token_ids(args.corpus, vocab), len(vocab), config.window_size
@@ -119,11 +138,11 @@ def cmd_cooc(args) -> int:
     return 0
 
 
-def cmd_embed(args) -> int:
-    emb_config = Options(args).build(embedding.EmbeddingConfig)
-    _check_out_dirs(args.out)
+def cmd_embed(args, emb_config: embedding.EmbeddingConfig) -> int:
     cooc = cooccurrence.load_cooccurrence(args.cooc)
     vocab = corpus.load_vocabulary(args.vocab)
+    if len(vocab) != cooc.shape[1]:
+        raise DataError(f"{args.vocab}: {len(vocab)} words, but {args.cooc} counts {cooc.shape[1]}")
     emb = embedding.embed_counts(cooc, vocab, emb_config)
     if args.binary:
         embedding.save_embedding_binary(emb, args.out)
@@ -133,14 +152,12 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def cmd_label(args) -> int:
-    run = Options(args).build(pipeline.RunOptions)
+def cmd_label(args, run: pipeline.RunOptions) -> int:
     emb = embedding.load_embedding(args.embedding)
     vocab = corpus.load_vocabulary(args.vocab)
     lex = lexicon.parse_lexicon(args.lexicon)
     data = dataset.build_dataset(emb, lex, vocab, run.min_freq)
     deciles = dataset.class_ratio_by_decile(data) if args.deciles else None
-    _check_out_dirs(args.out, args.summary, args.deciles)
     dataset.save_dataset_table(data, args.out)
     logger.info("wrote %d labeled words to %s", len(data), args.out)
     if args.summary:
@@ -150,9 +167,7 @@ def cmd_label(args) -> int:
     return 0
 
 
-def cmd_split(args) -> int:
-    run = Options(args).build(pipeline.RunOptions)
-    _check_out_dirs(args.out)
+def cmd_split(args, run: pipeline.RunOptions) -> int:
     data = dataset.load_dataset_table(args.dataset)
     parts = dataset.split_words_by_class(data, run.ratios, run.split_seed)
     manifest = dataset.split_manifest(parts, run.split_seed, run.ratios)
@@ -162,9 +177,7 @@ def cmd_split(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    config = Options(args).build(classifier.TrainConfig)
-    _check_out_dirs(args.out)
+def cmd_train(args, config: classifier.TrainConfig) -> int:
     data = _labeled_set(args.embedding, args.dataset)
     manifest = dataset.load_split_manifest(args.split)
     bundle = dataset.bundle_from_manifest(manifest, data)
@@ -175,24 +188,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_tune(args) -> int:
-    opts = Options(args)
-    axes = {}
-    if args.context_types is not None:
-        axes["context_types"] = args.context_types.split(",")
-    if args.window_sizes is not None:
-        try:
-            axes["window_sizes"] = [int(w) for w in args.window_sizes.split(",")]
-        except ValueError:
-            raise ConfigurationError(f"malformed --window-sizes {args.window_sizes!r}") from None
-    result = pipeline.grid_search(
-        args.corpus,
-        args.lexicon,
-        pipeline.default_grid(**axes),
-        opts.build(embedding.EmbeddingConfig),
-        opts.build(classifier.TrainConfig),
-        opts.build(pipeline.RunOptions),
-    )
+def cmd_tune(args, grid, emb_config, train_config, run) -> int:
+    result = pipeline.grid_search(args.corpus, args.lexicon, grid, emb_config, train_config, run)
     os.makedirs(args.out, exist_ok=True)
     grid_path = os.path.join(args.out, "grid.json")
     records.write_json(grid_path, result)
@@ -211,8 +208,7 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    run = Options(args).build(pipeline.RunOptions)
+def cmd_eval(args, run: pipeline.RunOptions) -> int:
     data = _labeled_set(args.embedding, args.dataset)
     manifest = dataset.load_split_manifest(args.split)
     bundle = dataset.bundle_from_manifest(manifest, data)
@@ -261,14 +257,7 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_synth(args) -> int:
-    # flags left out keep SyntheticSpec's defaults
-    spec = synthetic.SyntheticSpec(**{
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(synthetic.SyntheticSpec)
-        if getattr(args, f.name, None) is not None
-    })
-    _check_out_dirs(args.out_corpus, args.out_lexicon)
+def cmd_synth(args, spec: synthetic.SyntheticSpec) -> int:
     language = synthetic.generate_synthetic_language(spec)
     synthetic.write_corpus(language, args.out_corpus)
     lexicon.save_lexicon(language.lexicon, args.out_lexicon)
@@ -310,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--vocab-min-freq", dest="vocab_min_freq", type=int)
     add_config(p)
-    p.set_defaults(func=cmd_ingest)
+    p.set_defaults(func=cmd_ingest, builds=(pipeline.RunOptions,), writes=("out",))
 
     p = sub.add_parser("cooc", help="count windowed co-occurrences")
     p.add_argument("--corpus", required=True)
@@ -321,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distance-weighting", dest="distance_weighting",
                    action="store_const", const=True)
     add_config(p)
-    p.set_defaults(func=cmd_cooc)
+    p.set_defaults(func=cmd_cooc, builds=(cooccurrence.ContextConfig,), writes=("out",))
 
     p = sub.add_parser("embed", help="factor a cooc file into word vectors")
     p.add_argument("--cooc", required=True)
@@ -330,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--binary", action="store_true")
     add_embedding_opts(p)
     add_config(p)
-    p.set_defaults(func=cmd_embed)
+    p.set_defaults(func=cmd_embed, builds=(embedding.EmbeddingConfig,), writes=("out",))
 
     p = sub.add_parser("label", help="join embedding, lexicon and vocabulary")
     p.add_argument("--embedding", required=True)
@@ -341,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", help="write lexicon code counts as JSON")
     p.add_argument("--deciles", help="write the class-per-decile diagnostic as JSON")
     add_config(p)
-    p.set_defaults(func=cmd_label)
+    p.set_defaults(func=cmd_label, builds=(pipeline.RunOptions,),
+                   writes=("out", "summary", "deciles"))
 
     p = sub.add_parser("split", help="stratified train/dev/test split")
     p.add_argument("--dataset", required=True)
@@ -349,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-seed", dest="split_seed", type=int)
     p.add_argument("--ratios", type=_comma_list, help="comma-separated train,dev,test ratios")
     add_config(p)
-    p.set_defaults(func=cmd_split)
+    p.set_defaults(func=cmd_split, builds=(pipeline.RunOptions,), writes=("out",))
 
     p = sub.add_parser("train", help="train the gender classifier")
     p.add_argument("--embedding", required=True)
@@ -359,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_train_opts(p)
     p.add_argument("--seed", dest="seed", type=int)
     add_config(p)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, builds=(classifier.TrainConfig,), writes=("out",))
 
     p = sub.add_parser("tune", help="grid search over context configurations")
     p.add_argument("--corpus", required=True)
@@ -374,7 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_embedding_opts(p)
     add_train_opts(p)
     add_config(p)
-    p.set_defaults(func=cmd_tune)
+    p.set_defaults(func=cmd_tune, writes=("out/",), builds=(
+        _grid, embedding.EmbeddingConfig, classifier.TrainConfig, pipeline.RunOptions,
+    ))
 
     p = sub.add_parser("eval", help="final evaluation on the held-out test set")
     p.add_argument("--embedding", required=True)
@@ -386,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-perm", dest="n_perm", type=int)
     p.add_argument("--stats-seed", dest="stats_seed", type=int)
     add_config(p)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, builds=(pipeline.RunOptions,), writes=("out/",))
 
     p = sub.add_parser("report", help="emit SVG/CSV report files from an eval directory")
     p.add_argument("--eval-dir", dest="eval_dir", required=True)
@@ -394,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embedding", help="needed for the 2-D projection plot")
     p.add_argument("--dataset", help="needed for the decile diagnostic")
     p.add_argument("--grid", help="grid.json from tune, for the accuracy-by-window plot")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, builds=(), writes=("out/",))
 
     p = sub.add_parser("synth", help="generate a synthetic agreement language")
     p.add_argument("--out-corpus", dest="out_corpus", required=True)
@@ -407,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ambiguous-fraction", dest="ambiguous_fraction", type=float)
     p.add_argument("--ambiguous-flip", dest="ambiguous_flip", type=float)
     p.add_argument("--zipf-exponent", dest="zipf_exponent", type=float)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, builds=(synthetic.SyntheticSpec,),
+                   writes=("out_corpus", "out_lexicon"))
 
     return parser
 
@@ -418,7 +411,10 @@ def main(argv=None) -> int:
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
     )
     try:
-        return args.func(args)
+        opts = Options(args)
+        built = [opts.build(b) if isinstance(b, type) else b(args) for b in args.builds]
+        _check_out_dirs(args)
+        return args.func(args, *built)
     except GendervecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -228,8 +228,10 @@ def save_embedding_text(emb: EmbeddingMatrix, path) -> None:
 
 
 def _finite_embedding(words: list[str], rows: np.ndarray, path) -> EmbeddingMatrix:
-    """The loaded rows as an embedding; a NaN or infinite value, or a
-    repeated word, is a DataError naming ``path``."""
+    """The loaded rows as an embedding; vectors of dimension 0, a NaN or
+    infinite value, or a repeated word is a DataError naming ``path``."""
+    if rows.shape[1] == 0:
+        raise DataError(f"{path}: the vectors have dimension 0")
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise DataError(f"{path}: the vector of {words[bad[0]]!r} has a non-finite value")

@@ -24,6 +24,7 @@ import numpy as np
 from .dataset import apportion
 from .errors import ConfigurationError
 from .lexicon import CODE_NEUTER, CODE_UTER, GenderLexicon
+from .records import Record
 
 _SYLLABLES = (
     "ba", "be", "bo", "da", "de", "do", "fa", "fe", "fo", "ga", "ge", "go",
@@ -48,7 +49,7 @@ WRITE_TOKENS = 1 << 16  # tokens joined and written at a time by write_corpus
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(Record):
     noun_count: int = 1000
     filler_count: int = 40
     sentence_count: int = 100_000

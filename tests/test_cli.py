@@ -416,6 +416,8 @@ def _stage_inputs(flow, stage) -> list[str]:
         "eval": ["--embedding", flow["emb.bin"], "--dataset", flow["dataset.tsv"],
                  "--split", flow["split.json"], "--model", flow["model.bin"]],
         "tune": ["--corpus", flow["corpus.txt"], "--lexicon", flow["lexicon.tsv"]],
+        "report": ["--eval-dir", flow["eval"]],
+        "synth": ["--nouns", "60", "--sentences", "100"],
     }[stage]
 
 
@@ -535,17 +537,52 @@ def test_tune_empty_axis_exits_two(flow, tmp_path, capsys, flag, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("stage", ["ingest", "cooc", "embed", "split", "train"])
-def test_out_in_a_missing_directory_exits_before_reading_inputs(flow, tmp_path, capsys, stage):
-    # every input is absent, so only a check that runs first names --out
+def _absent_inputs(flow, tmp_path, stage) -> list[str]:
+    """The stage's input flags with every input file absent."""
     absent = str(tmp_path / "absent")
     inputs = [absent if arg in flow.values() else arg for arg in _stage_inputs(flow, stage)]
-    if stage == "cooc":
-        inputs += ["--window-size", "1"]
-    out = tmp_path / "missing" / "out"
-    rc = main([stage, *inputs, "--out", str(out)])
+    return inputs + (["--window-size", "1"] if stage == "cooc" else [])
+
+
+@pytest.mark.parametrize("stage", ["ingest", "cooc", "embed", "label", "split", "train"])
+def test_out_in_a_missing_directory_exits_before_reading_inputs(flow, tmp_path, capsys, stage):
+    # every input is absent, so only a check that runs first names the output
+    flags = ["--out", "--summary", "--deciles"] if stage == "label" else ["--out"]
+    for flag in flags:
+        outputs = {f: tmp_path / f.strip("-") for f in flags}
+        outputs[flag] = tmp_path / "missing" / "out"
+        rc = main([stage, *_absent_inputs(flow, tmp_path, stage),
+                   *(arg for f, path in outputs.items() for arg in (f, str(path)))])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {outputs[flag]}: its directory does not exist\n"
+
+
+@pytest.mark.parametrize("stage, flag", [
+    ("ingest", "--out"), ("cooc", "--out"), ("embed", "--out"), ("label", "--out"),
+    ("label", "--summary"), ("label", "--deciles"), ("split", "--out"), ("train", "--out"),
+    ("synth", "--out-corpus"), ("synth", "--out-lexicon"),
+    ("tune", "--out"), ("eval", "--out"), ("report", "--out"),
+])
+def test_output_of_the_wrong_kind_exits_before_reading_inputs(
+    flow, tmp_path, monkeypatch, capsys, stage, flag
+):
+    generated = []
+    monkeypatch.setattr(synthetic, "generate_synthetic_language", generated.append)
+    flags = ["--out-corpus", "--out-lexicon"] if stage == "synth" else ["--out"]
+    outputs = {f: tmp_path / f.strip("-") for f in flags}
+    wrong = outputs[flag] = tmp_path / "wrong"
+    if stage in ("tune", "eval", "report"):
+        # their --out is a directory; this one is a file
+        wrong.write_text("", encoding="utf-8")
+        message = "exists and is not a directory"
+    else:
+        wrong.mkdir()
+        message = "is a directory"
+    rc = main([stage, *_absent_inputs(flow, tmp_path, stage),
+               *(arg for f, path in outputs.items() for arg in (f, str(path)))])
     assert rc == 3
-    assert capsys.readouterr().err == f"error: {out}: its directory does not exist\n"
+    assert capsys.readouterr().err == f"error: {wrong}: {message}\n"
+    assert generated == []
 
 
 @pytest.mark.parametrize("missing", ["--out-corpus", "--out-lexicon"])
@@ -657,6 +694,10 @@ def _malformed_embedding(flow, case) -> bytes:
         return blob[:8] + struct.pack("<QQ", 10**9, 8) + blob[24:]
     if case == "not UTF-8":
         return b"2 2\n\xff\xfe 0.5 0.5\n"
+    if case == "text dimension 0":
+        # every vocabulary word, each with no value
+        words = corpus.load_vocabulary(flow["vocab.tsv"]).words
+        return "".join(f"{line}\n" for line in (f"{len(words)} 0", *words)).encode("utf-8")
     if case == "text rows beyond the file":
         return b"10000000000000 5\nhund 0.5 0.5 0.5 0.5 0.5\n"
     if case == "NaN row":
@@ -674,7 +715,7 @@ def _malformed_embedding(flow, case) -> bytes:
 @pytest.mark.parametrize(
     "case", [
         "short header", "rows beyond the file", "non-float value", "not UTF-8",
-        "text rows beyond the file", "NaN row", "text NaN row",
+        "text rows beyond the file", "NaN row", "text NaN row", "text dimension 0",
     ]
 )
 def test_malformed_embedding_exits_three(flow, tmp_path, capsys, case):
@@ -684,6 +725,19 @@ def test_malformed_embedding_exits_three(flow, tmp_path, capsys, case):
                "--vocab", flow["vocab.tsv"], "--out", str(tmp_path / "d.tsv")])
     assert rc == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_embed_of_counts_and_a_vocabulary_of_other_sizes_exits_three(flow, tmp_path, capsys):
+    vocab = tmp_path / "vocab.tsv"
+    with open(flow["vocab.tsv"], encoding="utf-8") as fh:
+        vocab.write_text("".join(fh.readlines()[:50]), encoding="utf-8")
+    n = len(corpus.load_vocabulary(flow["vocab.tsv"]))
+    out = tmp_path / "e.txt"
+    rc = main(["embed", "--cooc", flow["cooc.bin"], "--vocab", str(vocab), "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {vocab}: 50 words, but {flow['cooc.bin']} counts {n}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("stage, bad_file", [

@@ -399,6 +399,9 @@ def test_text_malformed(tmp_path):
     path.write_text("10000000000000 5\nw1 0.5 0.5 0.5 0.5 0.5\n", encoding="utf-8")
     with pytest.raises(DataError, match="past the file end"):
         load_embedding_text(path)
+    path.write_text("2 0\nw1\nw2\n", encoding="utf-8")
+    with pytest.raises(DataError, match="vectors have dimension 0"):
+        load_embedding_text(path)
 
 
 def test_duplicate_word_names_the_file(tmp_path):
@@ -446,4 +449,7 @@ def test_binary_truncated(tmp_path):
         load_embedding_binary(path)
     path.write_bytes(data[:8] + struct.pack("<QQ", 10**12, 3) + data[24:])
     with pytest.raises(DataError, match="promises"):
+        load_embedding_binary(path)
+    save_embedding_binary(EmbeddingMatrix(["a", "b"], np.empty((2, 0))), path)
+    with pytest.raises(DataError, match="vectors have dimension 0"):
         load_embedding_binary(path)
