@@ -102,20 +102,30 @@ def _grid(args) -> list[cooccurrence.ContextConfig]:
 
 
 def _check_out_dirs(args) -> None:
-    """Fail on an output file in a missing directory or that is a
-    directory, and on an output directory that is not one; ``args.writes``
-    names the outputs' dests, a trailing ``/`` marking a directory."""
+    """Fail on an output file in a missing directory or that is a directory,
+    on an output directory that cannot be made, and on two outputs to one
+    file; ``args.writes`` names the dests, a ``/`` ending a directory's."""
+    flags = {}
     for dest in args.writes:
         path = getattr(args, dest.rstrip("/"))
         if path is None:
             continue
         if dest.endswith("/"):
-            if os.path.exists(path) and not os.path.isdir(path):
-                raise DataError(f"{path}: exists and is not a directory")
+            # makedirs makes a missing directory under its nearest existing ancestor
+            ancestor = path
+            while not os.path.exists(ancestor):
+                ancestor = os.path.dirname(ancestor) or "."
+            if not os.path.isdir(ancestor):
+                raise DataError(f"{path}: exists and is not a directory" if ancestor == path
+                                else f"{path}: {ancestor} is not a directory")
         elif not os.path.isdir(os.path.dirname(path) or "."):
             raise DataError(f"{path}: its directory does not exist")
         elif os.path.isdir(path):
             raise DataError(f"{path}: is a directory")
+        flag = "--" + dest.rstrip("/").replace("_", "-")
+        other = flags.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise DataError(f"{path}: both {other} and {flag} write it")
 
 
 def cmd_ingest(args, run: pipeline.RunOptions) -> int:
@@ -213,13 +223,9 @@ def cmd_eval(args, run: pipeline.RunOptions) -> int:
     manifest = dataset.load_split_manifest(args.split)
     bundle = dataset.bundle_from_manifest(manifest, data)
     model = classifier.load_model(args.model)
-    expected = args.expected_test_digest or manifest["test_digest"]
+    # the manifest's own test_digest was checked when it was loaded
     evaluation = pipeline.final_evaluate(
-        model,
-        bundle.test,
-        expected_test_digest=expected,
-        n_perm=run.n_perm,
-        stats_seed=run.stats_seed,
+        model, bundle.test, args.expected_test_digest, run.n_perm, run.stats_seed
     )
     pipeline.save_evaluation(evaluation, args.out)
     logger.info(
@@ -307,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--context-type", dest="context_type", choices=cooccurrence.CONTEXT_TYPES)
     p.add_argument("--window-size", dest="window_size", type=int)
-    p.add_argument("--distance-weighting", dest="distance_weighting",
-                   action="store_const", const=True)
     add_config(p)
     p.set_defaults(func=cmd_cooc, builds=(cooccurrence.ContextConfig,), writes=("out",))
 

@@ -1,9 +1,9 @@
 """Windowed co-occurrence counting over a fixed vocabulary.
 
-Counts live in a sparse context-row by target-column matrix.  Windows
-are positional and truncate at sentence boundaries; out-of-vocabulary
-tokens keep their position but contribute nothing, neither as context
-nor as target.
+A context is a type and a window size, and its counts are whole numbers
+in a sparse int64 context-row by target-column matrix.  Windows are
+positional and truncate at sentence boundaries; out-of-vocabulary tokens
+keep their position but contribute nothing, as context or as target.
 
 ``count_by_distance`` is the one counter.  It sees a corpus only as
 chunks of token ids (-1 out of vocabulary) with the token count of each
@@ -15,7 +15,6 @@ distance whose ids are both known and whose sentence is the same.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -43,7 +42,6 @@ WRITE_ENTRIES = 1 << 16
 class ContextConfig(Record):
     context_type: str
     window_size: int
-    distance_weighting: bool = False
 
     def __post_init__(self):
         if self.context_type not in CONTEXT_TYPES:
@@ -55,9 +53,16 @@ class ContextConfig(Record):
         if self.window_size > MAX_WINDOW:
             raise ConfigurationError(f"window_size {self.window_size} exceeds {MAX_WINDOW}")
 
+    @classmethod
+    def from_dict(cls, data: dict):
+        # counts are never weighted by distance, so no artifact that says so replays
+        if isinstance(data, dict) and data.get("distance_weighting", False) is not False:
+            raise DataError(f"{cls.__name__}: 'distance_weighting' must be false")
+        return super().from_dict(data)
+
 
 class CoocMatrix:
-    """Sparse (context, target) count matrix plus the config that built it."""
+    """Sparse (context, target) integer count matrix plus the config that built it."""
 
     def __init__(self, matrix: sparse.csr_array, config: ContextConfig):
         if matrix.shape[0] != matrix.shape[1]:
@@ -75,8 +80,8 @@ class CoocMatrix:
         return int(self.matrix.nnz)
 
     @property
-    def total(self) -> float:
-        return float(self.matrix.sum())
+    def total(self) -> int:
+        return int(self.matrix.sum())
 
 
 def count_by_distance(
@@ -90,7 +95,7 @@ def count_by_distance(
     in the same sentence.  Chunks are summed a block of whole chunks of
     about ``BLOCK_TOKENS`` at a time.
     """
-    counts = [sparse.csr_array((n, n), dtype=np.float64) for _ in range(max_window)]
+    counts = [sparse.csr_array((n, n), dtype=np.int64) for _ in range(max_window)]
     block: list[tuple[np.ndarray, np.ndarray]] = []
     held = 0
 
@@ -102,7 +107,7 @@ def count_by_distance(
             context, target = ids[:-d], ids[d:]
             keep = (context >= 0) & (target >= 0) & (sentence[:-d] == sentence[d:])
             pairs = sparse.coo_array(
-                (np.ones(np.count_nonzero(keep)), (context[keep], target[keep])), shape=(n, n)
+                (np.ones(keep.sum(), np.int64), (context[keep], target[keep])), shape=(n, n)
             )
             counts[d - 1] = counts[d - 1] + pairs.tocsr()
         block.clear()
@@ -122,16 +127,14 @@ def combine(by_distance: Sequence[sparse.csr_array], config: ContextConfig) -> C
     """Build the counts of ``config`` from ``count_by_distance`` output.
 
     The backward window w is ``sum(D_d for d <= w)``, the forward window
-    its transpose and the symmetric type the sum of both.  Distance
-    weighting divides ``D_d`` by ``d``.
+    its transpose and the symmetric type the sum of both.
     """
     w = config.window_size
     if w > len(by_distance):
         raise ConfigurationError(
             f"window_size {w} needs counts up to distance {w}, got {len(by_distance)}"
         )
-    terms = [D / d if config.distance_weighting else D for d, D in enumerate(by_distance[:w], 1)]
-    backward = sum(terms[1:], terms[0].copy())
+    backward = sum(by_distance[1:w], by_distance[0].copy())
     if config.context_type == "asymmetric_backward":
         matrix = backward
     elif config.context_type == "asymmetric_forward":
@@ -149,8 +152,7 @@ def count_cooccurrences(
 
     For a target at position ``i``, the backward window covers positions
     ``i-w..i-1``, the forward window ``i+1..i+w``, and the symmetric type
-    both.  Each pair contributes weight 1, or ``1/distance`` when
-    distance weighting is on.
+    both.  Each pair counts once.
     """
     by_distance = count_by_distance(token_ids(corpus, vocab), len(vocab), config.window_size)
     return combine(by_distance, config)
@@ -166,10 +168,8 @@ def save_cooccurrence(cooc: CoocMatrix, path) -> None:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for start in range(0, len(order), WRITE_ENTRIES):
             part = order[start:start + WRITE_ENTRIES]
-            counts = [str(int(v)) if v.is_integer() else repr(v) for v in coo.data[part].tolist()]
-            fh.write("".join(map(
-                "{}\t{}\t{}\n".format, coo.row[part].tolist(), coo.col[part].tolist(), counts
-            )))
+            columns = (coo.row[part].tolist(), coo.col[part].tolist(), coo.data[part].tolist())
+            fh.write("".join(map("{}\t{}\t{}\n".format, *columns)))
 
 
 def load_cooccurrence(path) -> CoocMatrix:
@@ -188,28 +188,25 @@ def load_cooccurrence(path) -> CoocMatrix:
         raise DataError(f"{path}: non-square dims in header")
     try:
         config = ContextConfig.from_dict(header)
-    except ConfigurationError as exc:
+    except (ConfigurationError, DataError) as exc:
         raise DataError(f"{path}: {exc}") from None
-    rows, cols, values = [], [], []
+    entries = []
     triplets = read_rows(path, 3, "3 tab-separated fields", skip=1)
     for lineno, (row_text, col_text, count_text) in triplets:
         try:
-            row, col, value = int(row_text), int(col_text), float(count_text)
+            row, col = int(row_text), int(col_text)
         except ValueError:
             raise DataError(f"{path}:{lineno}: malformed triplet") from None
         if not (0 <= row < n and 0 <= col < n):
             raise DataError(f"{path}:{lineno}: index out of range")
-        if not 0 <= value < math.inf:
-            raise DataError(f"{path}:{lineno}: count {count_text} is not finite and >= 0")
-        rows.append(row)
-        cols.append(col)
-        values.append(value)
-    matrix = sparse.coo_array(
-        (np.array(values, dtype=np.float64),
-         (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-        shape=(n, n),
-    ).tocsr()
+        # digits only: no sign, point, exponent, nan or inf
+        value = int(count_text) if count_text.isdecimal() else -1
+        if not 0 <= value < 2**63:
+            raise DataError(f"{path}:{lineno}: count {count_text} is not an int64 >= 0")
+        entries.extend((row, col, value))
+    rows, cols, counts = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    matrix = sparse.coo_array((counts, (rows, cols)), shape=(n, n)).tocsr()
     # tocsr sums repeated (row, col) pairs, so fewer entries means a repeat
-    if matrix.nnz != len(values):
+    if matrix.nnz != len(counts):
         raise DataError(f"{path}: a (context, target) pair appears on more than one line")
     return CoocMatrix(matrix, config)

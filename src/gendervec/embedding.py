@@ -1,9 +1,9 @@
 """Dense word vectors from power-transformed co-occurrence counts.
 
-Counts are raised elementwise to a power ``alpha`` (default 0.5, which
-tempers high-frequency contexts), then a truncated SVD keeps the top-K
-right singular vectors; the row for a target word, optionally scaled by
-``sigma**sigma_power``, is its embedding.
+Integer counts are raised elementwise, as float64, to a power ``alpha``
+(default 0.5, which tempers high-frequency contexts); a truncated SVD
+keeps the top-K right singular vectors, and the row for a target word,
+optionally scaled by ``sigma**sigma_power``, is its embedding.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ class EmbeddingConfig(Record):
 
 
 def power_transform(cooc: CoocMatrix, alpha: float) -> sparse.csr_array:
-    """Raise every stored count to ``alpha``, preserving sparsity."""
+    """Raise every stored count, as float64, to ``alpha``, preserving sparsity."""
     if alpha <= 0:
         raise ConfigurationError(f"alpha must be > 0, got {alpha}")
-    out = cooc.matrix.copy()
+    out = cooc.matrix.astype(np.float64)
     with np.errstate(over="ignore"):
         out.data = np.power(out.data, alpha)
     if not np.all(np.isfinite(out.data)):
@@ -147,12 +147,10 @@ def _fix_signs(sigma: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingMatrix:
-    """Per-word dense vectors plus the configs that produced them."""
+    """Per-word dense vectors: row ``i`` of ``matrix`` is ``words[i]``'s."""
 
     words: tuple[str, ...]
     matrix: np.ndarray
-    context: ContextConfig | None = None
-    config: EmbeddingConfig | None = None
     _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -204,7 +202,7 @@ def embed_counts(cooc: CoocMatrix, vocab: Vocabulary, config: EmbeddingConfig) -
     transformed = transformed_counts(cooc, vocab, config)
     sigma, v = truncated_svd(transformed, config.k, seed=config.seed)
     vectors = scaled_vectors(sigma, v, config)
-    return EmbeddingMatrix(vocab.words, vectors, context=cooc.config, config=config)
+    return EmbeddingMatrix(vocab.words, vectors)
 
 
 def embed(

@@ -78,9 +78,9 @@ def _cast(tp, value):
         return tp.from_dict(value)
     if tp is int:
         return integer(value)
-    if tp in (bool, float) and isinstance(value, bool) != (tp is bool):
+    if tp is float and isinstance(value, bool):
         raise TypeError(value)
-    if tp in (bool, float, str):
+    if tp in (float, str):
         return tp(value)
     return value
 
@@ -112,7 +112,7 @@ class Record:
 
 def load_record(cls, path):
     """``cls.from_dict`` of the JSON file at ``path``; malformed JSON, or a
-    value the record's own checks reject, is a ``DataError`` naming ``path``."""
+    value the record rejects, is a ``DataError`` naming ``path``."""
     with open_text(path) as fh:
         try:
             data = json.load(fh)
@@ -120,7 +120,7 @@ def load_record(cls, path):
             raise DataError(f"{path}: malformed JSON: {exc}") from None
     try:
         return cls.from_dict(data)
-    except ConfigurationError as exc:
+    except (ConfigurationError, DataError) as exc:
         raise DataError(f"{path}: {exc}") from None
 
 

@@ -6,6 +6,7 @@ flag-over-config-over-default resolution.
 """
 
 import json
+import pathlib
 import shutil
 import struct
 
@@ -202,6 +203,29 @@ def test_tune_restricted_grid_and_grid_report(flow, tmp_path):
     assert "grid_accuracy.svg" in names
 
 
+def test_eval_checks_the_test_digest_that_tune_pinned(flow, tmp_path, capsys):
+    tune = tmp_path / "tune"
+    assert main([
+        "tune", "--corpus", flow["corpus.txt"], "--lexicon", flow["lexicon.tsv"],
+        "--out", str(tune), "--context-types", "asymmetric_backward", "--window-sizes", "1",
+        "--dim", "8", "--max-epochs", "15", "--hidden-size", "8",
+    ]) == 0
+    with open(tune / "grid.json", encoding="utf-8") as fh:
+        digest = json.load(fh)["test_digest"]
+    argv = ["eval", *_stage_inputs(flow, "eval"), "--n-perm", "500", "--stats-seed", "0"]
+    wrong = tmp_path / "wrong"
+    assert main([*argv, "--out", str(wrong), "--expected-test-digest", "0" * 64]) == 3
+    assert capsys.readouterr().err == (
+        f"error: test-set digest mismatch: expected {'0' * 64}, got {digest}\n"
+    )
+    assert not wrong.exists()
+    pinned = tmp_path / "pinned"
+    assert main([*argv, "--out", str(pinned), "--expected-test-digest", digest]) == 0
+    # the pinned evaluation is the flow's own, which read the digest from its split
+    for name in ("eval_report.json", "records.csv", "stats.json"):
+        assert (pinned / name).read_bytes() == pathlib.Path(flow["eval"], name).read_bytes()
+
+
 def test_missing_input_file_exits_three(tmp_path, capsys):
     rc = main(["ingest", "--corpus", str(tmp_path / "nope.txt"),
                "--out", str(tmp_path / "vocab.tsv")])
@@ -306,6 +330,20 @@ def test_bad_context_type_choice_is_a_usage_error(flow, tmp_path):
     assert exc.value.code == 2
 
 
+def test_distance_weighting_is_neither_a_flag_nor_a_config_key(flow, tmp_path, capsys):
+    argv = ["cooc", "--corpus", flow["corpus.txt"], "--vocab", flow["vocab.tsv"],
+            "--out", str(tmp_path / "c.txt"), "--context-type", "symmetric", "--window-size", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--distance-weighting"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"distance_weighting": False}), encoding="utf-8")
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert "unknown config keys ['distance_weighting']" in capsys.readouterr().err
+    assert not (tmp_path / "c.txt").exists()
+
+
 def test_missing_required_flag_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["split"])
@@ -340,7 +378,7 @@ def test_flag_overrides_config_file(flow, tmp_path):
 
 def test_config_keys_are_the_config_fields():
     assert cli.CONFIG_KEYS == {
-        "context_type", "window_size", "distance_weighting",
+        "context_type", "window_size",
         "K", "alpha", "sigma_power", "seed",
         "learning_rate", "momentum", "batch_size", "max_epochs", "patience",
         "hidden_size",
@@ -582,7 +620,40 @@ def test_output_of_the_wrong_kind_exits_before_reading_inputs(
                *(arg for f, path in outputs.items() for arg in (f, str(path)))])
     assert rc == 3
     assert capsys.readouterr().err == f"error: {wrong}: {message}\n"
+    if stage in ("tune", "eval", "report"):
+        # a missing directory under that file could not be made either
+        nested = wrong / "sub" / "dir"
+        rc = main([stage, *_absent_inputs(flow, tmp_path, stage), flag, str(nested)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {nested}: {wrong} is not a directory\n"
     assert generated == []
+
+
+@pytest.mark.parametrize("stage, first, second", [
+    ("synth", "--out-corpus", "--out-lexicon"),
+    ("label", "--out", "--summary"),
+    ("label", "--out", "--deciles"),
+    ("label", "--summary", "--deciles"),
+])
+def test_two_outputs_to_one_file_exit_before_reading_inputs(
+    flow, tmp_path, monkeypatch, capsys, stage, first, second
+):
+    generated = []
+    monkeypatch.setattr(synthetic, "generate_synthetic_language", generated.append)
+    monkeypatch.chdir(tmp_path)
+    flags = ["--out-corpus", "--out-lexicon"] if stage == "synth" else [
+        "--out", "--summary", "--deciles"]
+    outputs = {f: str(tmp_path / f.strip("-")) for f in flags}
+    # one file, named once by a relative and once by an absolute path
+    outputs[first], outputs[second] = "same.tsv", str(tmp_path / "same.tsv")
+    rc = main([stage, *_absent_inputs(flow, tmp_path, stage),
+               *(arg for f, path in outputs.items() for arg in (f, path))])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"error: {outputs[second]}: both {first} and {second} write it\n"
+    )
+    assert generated == []
+    assert not (tmp_path / "same.tsv").exists()
 
 
 @pytest.mark.parametrize("missing", ["--out-corpus", "--out-lexicon"])
@@ -863,6 +934,8 @@ def _malformed_grid(case) -> str:
     ).to_dict()
     if case == "a cell of window_size 9":
         grid["cells"][0]["context"]["window_size"] = 9
+    elif case == "a cell weighted by distance":
+        grid["cells"][0]["context"]["distance_weighting"] = True
     else:
         del grid["cells"][0]["context"]["context_type"]
     return {"not JSON": "{ nope", "a list": "[]", "null": "null"}.get(case, json.dumps(grid))
@@ -870,6 +943,7 @@ def _malformed_grid(case) -> str:
 
 @pytest.mark.parametrize("case", [
     "not JSON", "a list", "null", "a cell without context_type", "a cell of window_size 9",
+    "a cell weighted by distance",
 ])
 def test_report_with_malformed_grid_exits_three(flow, tmp_path, capsys, case):
     grid = tmp_path / "grid.json"
@@ -877,7 +951,10 @@ def test_report_with_malformed_grid_exits_three(flow, tmp_path, capsys, case):
     out = tmp_path / "report"
     rc = main(["report", "--eval-dir", flow["eval"], "--out", str(out), "--grid", str(grid)])
     assert rc == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if case == "a cell weighted by distance":
+        assert err == f"error: {grid}: ContextConfig: 'distance_weighting' must be false\n"
     assert not out.exists()  # nothing written before the grid is read
 
 

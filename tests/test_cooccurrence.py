@@ -59,14 +59,13 @@ def _reference_counts(corpus, vocab, config):
             for j in window:
                 if ids[j] < 0:
                     continue
-                weight = 1.0 / abs(i - j) if config.distance_weighting else 1.0
                 key = (ids[j], target)
-                counts[key] = counts.get(key, 0.0) + weight
+                counts[key] = counts.get(key, 0) + 1
     n = len(vocab)
     keys = sorted(counts)
     rows = np.array([k[0] for k in keys], dtype=np.int64)
     cols = np.array([k[1] for k in keys], dtype=np.int64)
-    data = np.array([counts[k] for k in keys], dtype=np.float64)
+    data = np.array([counts[k] for k in keys], dtype=np.int64)
     return sparse.csr_array((data, (rows, cols)), shape=(n, n))
 
 
@@ -93,21 +92,17 @@ def test_counts_match_reference_loop(seed, monkeypatch):
     corpus, vocab = _random_corpus(seed)
     assert any(tok not in vocab.ids for sentence in corpus for tok in sentence)
     by_distance = count_by_distance(token_ids(corpus, vocab), len(vocab), 5)
-    for weighting in (False, True):
-        for context_type in CONTEXT_TYPES:
-            for w in range(1, 6):
-                cfg = ContextConfig(context_type, w, distance_weighting=weighting)
-                expected = _reference_counts(corpus, vocab, cfg)
-                grid_cell = combine(by_distance, cfg).matrix
-                direct = count_cooccurrences(corpus, vocab, cfg).matrix
-                for got in (grid_cell, direct):
-                    assert np.array_equal(got.indptr, expected.indptr)
-                    assert np.array_equal(got.indices, expected.indices)
-                    if weighting:
-                        assert np.allclose(got.data, expected.data, rtol=1e-12, atol=0)
-                    else:
-                        assert np.array_equal(got.data, expected.data)
-                assert np.array_equal(grid_cell.data, direct.data)
+    for context_type in CONTEXT_TYPES:
+        for w in range(1, 6):
+            cfg = ContextConfig(context_type, w)
+            expected = _reference_counts(corpus, vocab, cfg)
+            grid_cell = combine(by_distance, cfg).matrix
+            direct = count_cooccurrences(corpus, vocab, cfg).matrix
+            for got in (grid_cell, direct):
+                assert got.dtype == np.int64
+                assert np.array_equal(got.indptr, expected.indptr)
+                assert np.array_equal(got.indices, expected.indices)
+                assert np.array_equal(got.data, expected.data)
 
 
 def test_count_by_distance_counts_exact_offsets():
@@ -141,9 +136,15 @@ def test_context_config_validation():
 
 
 def test_context_config_dict_roundtrip():
-    cfg = ContextConfig("asymmetric_forward", 3, distance_weighting=True)
-    assert set(cfg.to_dict()) == {"context_type", "window_size", "distance_weighting"}
+    cfg = ContextConfig("asymmetric_forward", 3)
+    assert cfg.to_dict() == {"context_type": "asymmetric_forward", "window_size": 3}
     assert ContextConfig.from_dict(cfg.to_dict()) == cfg
+    # a record written before counts were only ever unweighted still
+    # loads when it says so, and one weighted by distance never does
+    assert ContextConfig.from_dict({**cfg.to_dict(), "distance_weighting": False}) == cfg
+    for weighted in (True, "no", 1, None):
+        with pytest.raises(DataError, match="'distance_weighting' must be false"):
+            ContextConfig.from_dict({**cfg.to_dict(), "distance_weighting": weighted})
     # the cooc header carries the matrix dims next to the config
     header = {"rows": 4, "cols": 4, "context_type": "symmetric", "window_size": 2.0}
     loaded = ContextConfig.from_dict(header)
@@ -160,11 +161,6 @@ def test_context_config_dict_roundtrip():
     for bad in ("x", [1], float("inf"), 2.7, True):
         with pytest.raises(DataError, match="window_size"):
             ContextConfig.from_dict({"context_type": "symmetric", "window_size": bad})
-    # a flag is only ever true or false, never a truthy string
-    with pytest.raises(DataError, match="distance_weighting"):
-        ContextConfig.from_dict(
-            {"context_type": "symmetric", "window_size": 1, "distance_weighting": "no"}
-        )
 
 
 def test_backward_window_1_by_hand():
@@ -228,16 +224,6 @@ def test_oov_tokens_hold_position_but_add_nothing():
     assert cooc2.total == 1
 
 
-def test_distance_weighting():
-    corpus = [["a", "b", "c"]]
-    vocab = build_vocabulary(corpus)
-    cfg = ContextConfig("asymmetric_backward", 2, distance_weighting=True)
-    cooc = count_cooccurrences(corpus, vocab, cfg)
-    assert _pair_count(cooc, vocab, "b", "c") == pytest.approx(1.0)
-    assert _pair_count(cooc, vocab, "a", "c") == pytest.approx(0.5)
-    assert _pair_count(cooc, vocab, "a", "b") == pytest.approx(1.0)
-
-
 def test_entries_sorted_and_complete(tmp_path):
     # the saved file lists every stored triplet once, in (row, col) order
     vocab, corpus = _vocab_and_corpus()
@@ -245,23 +231,34 @@ def test_entries_sorted_and_complete(tmp_path):
     path = tmp_path / "cooc.txt"
     save_cooccurrence(cooc, path)
     lines = path.read_text(encoding="utf-8").splitlines()[1:]
-    entries = [(int(r), int(c), float(v)) for r, c, v in (line.split("\t") for line in lines)]
+    entries = [tuple(map(int, line.split("\t"))) for line in lines]
     assert entries == sorted(entries, key=lambda e: (e[0], e[1]))
     assert len(entries) == cooc.nnz
     assert all(cooc.matrix[r, c] == v for r, c, v in entries)
-    assert sum(v for _, _, v in entries) == pytest.approx(cooc.total)
+    assert sum(v for _, _, v in entries) == cooc.total
 
 
 def test_save_load_roundtrip(tmp_path):
     vocab, corpus = _vocab_and_corpus()
-    for weighting in (False, True):
-        cfg = ContextConfig("symmetric", 2, distance_weighting=weighting)
-        cooc = count_cooccurrences(corpus, vocab, cfg)
-        path = tmp_path / f"cooc_{weighting}.txt"
-        save_cooccurrence(cooc, path)
-        loaded = load_cooccurrence(path)
-        assert loaded.config == cfg
-        assert np.array_equal(loaded.matrix.toarray(), cooc.matrix.toarray())
+    cfg = ContextConfig("symmetric", 2)
+    cooc = count_cooccurrences(corpus, vocab, cfg)
+    path = tmp_path / "cooc.txt"
+    save_cooccurrence(cooc, path)
+    loaded = load_cooccurrence(path)
+    assert loaded.config == cfg
+    assert loaded.matrix.dtype == np.int64
+    assert np.array_equal(loaded.matrix.toarray(), cooc.matrix.toarray())
+    # a count file written with the key still loads when the key is false
+    lines = path.read_text(encoding="utf-8").split("\n", 1)
+    for weighted, loads in ((False, True), (True, False)):
+        header = {**json.loads(lines[0]), "distance_weighting": weighted}
+        path.write_text(json.dumps(header) + "\n" + lines[1], encoding="utf-8")
+        if loads:
+            assert load_cooccurrence(path).config == cfg
+        else:
+            message = f"{path}: ContextConfig: 'distance_weighting' must be false"
+            with pytest.raises(DataError, match=re.escape(message)):
+                load_cooccurrence(path)
 
 
 def test_load_rejects_garbage(tmp_path):
@@ -281,7 +278,7 @@ def test_load_rejects_garbage(tmp_path):
     path.write_text(json.dumps(header) + "\n0\t1\t2\n1\t2\t1\n0\t1\t5\n", encoding="utf-8")
     with pytest.raises(DataError, match="more than one line"):
         load_cooccurrence(path)
-    # counts must be finite and non-negative
+    # counts must be non-negative integers
     for count in ("-4", "nan", "inf"):
         path.write_text(json.dumps(header) + f"\n0\t1\t2\n1\t2\t{count}\n", encoding="utf-8")
         with pytest.raises(DataError, match=f"{path}:3: count {count} "):
@@ -298,7 +295,13 @@ _HEADER = {"rows": 3, "cols": 3, "context_type": "symmetric", "window_size": 1}
         ("0\t1\t2\t3\n", "2: expected 3 tab-separated fields"),
         ("0\t1\t2\nx\t1\t2\n", "3: malformed triplet"),
         ("0\t1.5\t2\n", "2: malformed triplet"),
-        ("0\t1\t2,5\n", "2: malformed triplet"),
+        ("0\t1\t2,5\n", "2: count 2,5 is not an int64 >= 0"),
+        ("0\t1\t1.5\n", "2: count 1.5 is not an int64 >= 0"),
+        ("0\t1\t2.0\n", "2: count 2.0 is not an int64 >= 0"),
+        ("0\t1\t2\n1\t2\tnan\n", "3: count nan is not an int64 >= 0"),
+        ("0\t1\tinf\n", "2: count inf is not an int64 >= 0"),
+        ("0\t1\t9223372036854775807\n0\t2\t9223372036854775808\n",
+         "3: count 9223372036854775808 is not an int64 >= 0"),
         ("0\t1\t2\n3\t0\t1\n", "3: index out of range"),
         ("0\t-1\t1\n", "2: index out of range"),
         ("99999999999999999999\t0\t1\n", "2: index out of range"),
@@ -306,7 +309,7 @@ _HEADER = {"rows": 3, "cols": 3, "context_type": "symmetric", "window_size": 1}
         ("0\t9\t1\n0\tx\t1\n1\t2\n", "2: index out of range"),
         ("x\t9\tnan\n", "2: malformed triplet"),
         ("9\t0\tnan\n", "2: index out of range"),
-        ("1\t1\t-0.5\n0\t9\t1\n", "2: count -0.5 is not finite and >= 0"),
+        ("1\t1\t-0.5\n0\t9\t1\n", "2: count -0.5 is not an int64 >= 0"),
     ],
 )
 def test_load_reports_the_first_bad_line(tmp_path, body, message):
@@ -321,21 +324,20 @@ def test_context_types_constant():
 
 
 def test_save_writes_exact_bytes(tmp_path):
-    # integral counts print as integers, even past 2**63; the rest as repr
-    values = np.array([2.0, 0.5, 1 / 3, 3.0, 1e20])
-    rows, cols = np.array([0, 0, 1, 2, 2]), np.array([1, 2, 0, 0, 2])
+    # counts print as the integers they are, up to the int64 maximum
+    values = np.array([2, 1, 3, 2**63 - 1], dtype=np.int64)
+    rows, cols = np.array([0, 1, 2, 2]), np.array([1, 0, 0, 2])
     matrix = sparse.csr_array((values, (rows, cols)), shape=(3, 3))
     path = tmp_path / "cooc.txt"
-    save_cooccurrence(CoocMatrix(matrix, ContextConfig("symmetric", 2, True)), path)
+    save_cooccurrence(CoocMatrix(matrix, ContextConfig("symmetric", 2)), path)
     assert path.read_bytes() == (
-        b'{"cols": 3, "context_type": "symmetric", "distance_weighting": true, '
-        b'"rows": 3, "window_size": 2}\n'
+        b'{"cols": 3, "context_type": "symmetric", "rows": 3, "window_size": 2}\n'
         b"0\t1\t2\n"
-        b"0\t2\t0.5\n"
-        b"1\t0\t0.3333333333333333\n"
+        b"1\t0\t1\n"
         b"2\t0\t3\n"
-        b"2\t2\t100000000000000000000\n"
+        b"2\t2\t9223372036854775807\n"
     )
+    assert np.array_equal(load_cooccurrence(path).matrix.toarray(), matrix.toarray())
 
 
 # Pieces that normalize to one token or several, with case, numbers,

@@ -257,9 +257,10 @@ def test_power_transform_rejects_bad_alpha():
 
 def test_power_transform_overflow_is_numerical_error():
     _, _, cooc = _toy_cooc()
-    cooc.matrix.data *= 1e300
+    # counts are whole numbers below 2**63, so only a large alpha overflows
+    cooc.matrix.data[:] = 10**18
     with pytest.raises(NumericalError):
-        power_transform(cooc, 8.0)
+        power_transform(cooc, 20.0)
 
 
 def test_embedding_config_validation_and_roundtrip():
@@ -357,9 +358,9 @@ def test_embed_empty_matrix_fails():
 
 def test_embed_overflowing_alpha_is_numerical_error():
     corpus, vocab, cooc = _toy_cooc()
-    cooc.matrix.data *= 1e100
+    cooc.matrix.data[:] = 10**18
     with pytest.raises(NumericalError):
-        embed_counts(cooc, vocab, EmbeddingConfig(k=1, alpha=4.0))
+        embed_counts(cooc, vocab, EmbeddingConfig(k=1, alpha=20.0))
 
 
 def test_sigma_power_rescales_columns():

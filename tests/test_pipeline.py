@@ -467,6 +467,32 @@ def test_run_from_manifest_is_byte_identical(language_files, tmp_path):
         assert a == b, f"{name} differs between identical replays"
 
 
+def test_manifest_with_the_weighting_key_replays_only_when_it_is_false(language_files, tmp_path):
+    corpus, lexicon = language_files
+    manifest = build_manifest(
+        corpus, lexicon, ContextConfig("asymmetric_backward", 1), EMB_CFG, TRAIN_CFG,
+        n_perm=200,
+    )
+    fresh = run_from_manifest(manifest, tmp_path / "fresh")
+    # the context as manifests carried it while counts could be weighted by distance
+    data = manifest.to_dict()
+    path = tmp_path / "manifest.json"
+    for weighted in (True, False):
+        context = {**data["context"], "distance_weighting": weighted}
+        path.write_text(json.dumps({**data, "context": context}), encoding="utf-8")
+        if weighted:
+            message = f"{path}: ContextConfig: 'distance_weighting' must be false"
+            with pytest.raises(DataError, match=re.escape(message)):
+                load_manifest(path)
+    loaded = load_manifest(path)
+    assert loaded == manifest
+    replay = run_from_manifest(loaded, tmp_path / "replay")
+    assert set(replay) == set(fresh)
+    for name in fresh:
+        with open(fresh[name], "rb") as a, open(replay[name], "rb") as b:
+            assert a.read() == b.read(), name
+
+
 def test_run_from_manifest_checks_input_digests(language_files, tmp_path):
     corpus, lexicon = language_files
     manifest = build_manifest(
