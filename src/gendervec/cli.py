@@ -4,10 +4,11 @@ Subcommands mirror the pipeline stages: ingest, cooc, embed, label,
 split, train, tune, eval, report, synth.  Every numeric option can come
 from a JSON config file (--config) using the exact field names of the
 underlying configs; explicit flags override the file.  Each subparser
-declares the records its stage builds (``builds``) and the paths it
-writes (``writes``); ``main`` builds the records, then checks every
-output path, and only then calls the stage with its records, so a bad
-option or output fails before any input is read.  Exit codes: 0 on
+declares the records its stage builds (``builds``), the files it reads
+(``reads``) and the paths it writes (``writes``); ``main`` builds the
+records, then checks every output path, and only then calls the stage
+with its records, so a bad option or output, or an output that would
+write over an input, fails before any input is read.  Exit codes: 0 on
 success, 2 for configuration problems, 3 for data problems, 4 for
 numerical failures.
 """
@@ -103,8 +104,11 @@ def _grid(args) -> list[cooccurrence.ContextConfig]:
 
 def _check_out_dirs(args) -> None:
     """Fail on an output file in a missing directory or that is a directory,
-    on an output directory that cannot be made, and on two outputs to one
-    file; ``args.writes`` names the dests, a ``/`` ending a directory's."""
+    on an output directory that cannot be made, on two outputs to one file
+    and on an output that is an input file; ``args.writes`` names the output
+    dests, a ``/`` ending a directory's, and ``args.reads`` the input dests."""
+    inputs = {os.path.realpath(path): "--" + dest.replace("_", "-")
+              for dest in (*args.reads, "config") if (path := getattr(args, dest, None))}
     flags = {}
     for dest in args.writes:
         path = getattr(args, dest.rstrip("/"))
@@ -123,7 +127,10 @@ def _check_out_dirs(args) -> None:
         elif os.path.isdir(path):
             raise DataError(f"{path}: is a directory")
         flag = "--" + dest.rstrip("/").replace("_", "-")
-        other = flags.setdefault(os.path.realpath(path), flag)
+        real = os.path.realpath(path)
+        if real in inputs:
+            raise DataError(f"{path}: {flag} would write over the input {inputs[real]}")
+        other = flags.setdefault(real, flag)
         if other != flag:
             raise DataError(f"{path}: both {other} and {flag} write it")
 
@@ -283,6 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_inputs(p, *names):
+        for name in names:
+            p.add_argument(f"--{name}", required=True)
+        p.set_defaults(reads=names)
+
     def add_config(p):
         p.add_argument("--config", help="JSON config file; flags override its fields")
 
@@ -301,15 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--hidden-size", dest="hidden_size", type=int)
 
     p = sub.add_parser("ingest", help="build a vocabulary TSV from a corpus")
-    p.add_argument("--corpus", required=True)
+    add_inputs(p, "corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--vocab-min-freq", dest="vocab_min_freq", type=int)
     add_config(p)
     p.set_defaults(func=cmd_ingest, builds=(pipeline.RunOptions,), writes=("out",))
 
     p = sub.add_parser("cooc", help="count windowed co-occurrences")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab", required=True)
+    add_inputs(p, "corpus", "vocab")
     p.add_argument("--out", required=True)
     p.add_argument("--context-type", dest="context_type", choices=cooccurrence.CONTEXT_TYPES)
     p.add_argument("--window-size", dest="window_size", type=int)
@@ -317,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cooc, builds=(cooccurrence.ContextConfig,), writes=("out",))
 
     p = sub.add_parser("embed", help="factor a cooc file into word vectors")
-    p.add_argument("--cooc", required=True)
-    p.add_argument("--vocab", required=True)
+    add_inputs(p, "cooc", "vocab")
     p.add_argument("--out", required=True)
     p.add_argument("--binary", action="store_true")
     add_embedding_opts(p)
@@ -326,9 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_embed, builds=(embedding.EmbeddingConfig,), writes=("out",))
 
     p = sub.add_parser("label", help="join embedding, lexicon and vocabulary")
-    p.add_argument("--embedding", required=True)
-    p.add_argument("--lexicon", required=True)
-    p.add_argument("--vocab", required=True)
+    add_inputs(p, "embedding", "lexicon", "vocab")
     p.add_argument("--out", required=True)
     p.add_argument("--min-freq", dest="min_freq", type=int)
     p.add_argument("--summary", help="write lexicon code counts as JSON")
@@ -338,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                    writes=("out", "summary", "deciles"))
 
     p = sub.add_parser("split", help="stratified train/dev/test split")
-    p.add_argument("--dataset", required=True)
+    add_inputs(p, "dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--split-seed", dest="split_seed", type=int)
     p.add_argument("--ratios", type=_comma_list, help="comma-separated train,dev,test ratios")
@@ -346,9 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_split, builds=(pipeline.RunOptions,), writes=("out",))
 
     p = sub.add_parser("train", help="train the gender classifier")
-    p.add_argument("--embedding", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--split", required=True)
+    add_inputs(p, "embedding", "dataset", "split")
     p.add_argument("--out", required=True)
     add_train_opts(p)
     p.add_argument("--seed", dest="seed", type=int)
@@ -356,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train, builds=(classifier.TrainConfig,), writes=("out",))
 
     p = sub.add_parser("tune", help="grid search over context configurations")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--lexicon", required=True)
+    add_inputs(p, "corpus", "lexicon")
     p.add_argument("--out", required=True)
     p.add_argument("--context-types", help="comma-separated subset of context types")
     p.add_argument("--window-sizes", help="comma-separated subset of window sizes")
@@ -373,10 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     ))
 
     p = sub.add_parser("eval", help="final evaluation on the held-out test set")
-    p.add_argument("--embedding", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--model", required=True)
+    add_inputs(p, "embedding", "dataset", "split", "model")
     p.add_argument("--out", required=True)
     p.add_argument("--expected-test-digest", dest="expected_test_digest")
     p.add_argument("--n-perm", dest="n_perm", type=int)
@@ -390,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embedding", help="needed for the 2-D projection plot")
     p.add_argument("--dataset", help="needed for the decile diagnostic")
     p.add_argument("--grid", help="grid.json from tune, for the accuracy-by-window plot")
-    p.set_defaults(func=cmd_report, builds=(), writes=("out/",))
+    p.set_defaults(func=cmd_report, builds=(), reads=("embedding", "dataset", "grid"),
+                   writes=("out/",))
 
     p = sub.add_parser("synth", help="generate a synthetic agreement language")
     p.add_argument("--out-corpus", dest="out_corpus", required=True)
@@ -403,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ambiguous-fraction", dest="ambiguous_fraction", type=float)
     p.add_argument("--ambiguous-flip", dest="ambiguous_flip", type=float)
     p.add_argument("--zipf-exponent", dest="zipf_exponent", type=float)
-    p.set_defaults(func=cmd_synth, builds=(synthetic.SyntheticSpec,),
+    p.set_defaults(func=cmd_synth, builds=(synthetic.SyntheticSpec,), reads=(),
                    writes=("out_corpus", "out_lexicon"))
 
     return parser

@@ -37,6 +37,10 @@ BLOCK_TOKENS = 1 << 16
 # Count triplets formatted and written at a time by save_cooccurrence.
 WRITE_ENTRIES = 1 << 16
 
+# Count-file rows of these bytes alone are read in bulk by numpy's C
+# parser; others, CRLF rows among them, line by line.
+ROW_BYTES = b"0123456789\t\n"
+
 
 @dataclass(frozen=True)
 class ContextConfig(Record):
@@ -81,7 +85,8 @@ class CoocMatrix:
 
     @property
     def total(self) -> int:
-        return int(self.matrix.sum())
+        # in Python ints: an int64 sum wraps past 2**63
+        return sum(self.matrix.data.tolist())
 
 
 def count_by_distance(
@@ -173,9 +178,12 @@ def save_cooccurrence(cooc: CoocMatrix, path) -> None:
 
 
 def load_cooccurrence(path) -> CoocMatrix:
-    # the header line alone: a text-mode read would decode the rows after it too
+    # in binary: the header line is the only text decoded here
     with open(path, "rb") as fh:
-        header_line = fh.readline()
+        header_line, body = fh.readline(), fh.read()
+    # rows of ROW_BYTES alone, not of newlines alone, go to numpy's C parser
+    plain = body.count(b"\n") < len(body) and not body.translate(None, ROW_BYTES)
+    del body
     try:
         header = json.loads(header_line.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError):
@@ -190,6 +198,25 @@ def load_cooccurrence(path) -> CoocMatrix:
         config = ContextConfig.from_dict(header)
     except (ConfigurationError, DataError) as exc:
         raise DataError(f"{path}: {exc}") from None
+    rows, cols, counts = _triplets(path, n, plain).T
+    matrix = sparse.coo_array((counts, (rows, cols)), shape=(n, n)).tocsr()
+    # tocsr sums repeated (row, col) pairs, so fewer entries means a repeat
+    if matrix.nnz != len(counts):
+        raise DataError(f"{path}: a (context, target) pair appears on more than one line")
+    return CoocMatrix(matrix, config)
+
+
+def _triplets(path, n: int, plain: bool) -> np.ndarray:
+    """The ``(row, col, count)`` rows: in bulk when ``plain`` and in range, else
+    line by line, which names the first bad line."""
+    if plain:
+        try:
+            bulk = np.loadtxt(path, np.int64, delimiter="\t", comments=None, skiprows=1,
+                              ndmin=2, encoding="utf-8")
+        except (ValueError, OverflowError):
+            bulk = None
+        if bulk is not None and bulk.shape[1] == 3 and not (bulk[:, :2] >= n).any():
+            return bulk
     entries = []
     triplets = read_rows(path, 3, "3 tab-separated fields", skip=1)
     for lineno, (row_text, col_text, count_text) in triplets:
@@ -204,9 +231,4 @@ def load_cooccurrence(path) -> CoocMatrix:
         if not 0 <= value < 2**63:
             raise DataError(f"{path}:{lineno}: count {count_text} is not an int64 >= 0")
         entries.extend((row, col, value))
-    rows, cols, counts = np.array(entries, dtype=np.int64).reshape(-1, 3).T
-    matrix = sparse.coo_array((counts, (rows, cols)), shape=(n, n)).tocsr()
-    # tocsr sums repeated (row, col) pairs, so fewer entries means a repeat
-    if matrix.nnz != len(counts):
-        raise DataError(f"{path}: a (context, target) pair appears on more than one line")
-    return CoocMatrix(matrix, config)
+    return np.array(entries, dtype=np.int64).reshape(-1, 3)

@@ -47,8 +47,8 @@ Sentence = list
 
 NUMBER_TOKEN = "NUMBER"
 
-# Characters of whole lines read at a time; larger chunks read no faster
-# and hold more memory.
+# Characters read at a time, cut back to the last line end; larger
+# reads are no faster and hold more memory.
 READ_BYTES = 1 << 14
 
 # Sentences of an iterable corpus turned into token ids at a time.
@@ -86,9 +86,18 @@ def read_chunks(path) -> Iterator[str]:
     Lines end at ``\\n`` only; a ``\\r`` stays in the text.  Invalid UTF-8
     is ``open_text``'s DataError, giving the bad byte's offset in the file.
     """
+    rest = ""
     with open_text(path, newline="\n") as fh:
-        while lines := fh.readlines(READ_BYTES):
-            yield "".join(lines)
+        while text := fh.read(READ_BYTES):
+            # the text after the last line end waits for the next read
+            cut = text.rfind("\n") + 1
+            if cut:
+                yield rest + text[:cut]
+                rest = text[cut:]
+            else:
+                rest += text
+    if rest:
+        yield rest
 
 
 def read_sentences(path) -> Iterator[Sentence]:

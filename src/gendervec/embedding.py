@@ -278,33 +278,36 @@ def save_embedding_binary(emb: EmbeddingMatrix, path) -> None:
             fh.write(np.ascontiguousarray(row, dtype="<f8").tobytes())
 
 
-def _read(fh, size: int, path) -> bytes:
-    buf = fh.read(size)
-    if len(buf) != size:
+def _field(data: memoryview, at: int, size: int, path) -> memoryview:
+    """The ``size`` bytes of ``data`` from ``at``; past its end is a DataError."""
+    if at + size > len(data):
         raise DataError(f"{path}: truncated embedding file")
-    return buf
+    return data[at:at + size]
 
 
 def load_embedding_binary(path) -> EmbeddingMatrix:
     with open(path, "rb") as fh:
-        magic = fh.read(len(EMBEDDING_MAGIC))
-        if magic != EMBEDDING_MAGIC:
-            raise DataError(f"{path}: bad magic {magic!r}")
-        n, k = struct.unpack("<QQ", _read(fh, 16, path))
-        # every row takes a 4-byte length and K float64 values
-        if len(EMBEDDING_MAGIC) + 16 + n * (4 + 8 * k) > os.fstat(fh.fileno()).st_size:
-            raise DataError(f"{path}: header promises {n} vectors of dim {k}, past the file end")
-        words: list[str] = []
-        rows = np.empty((n, k), dtype=np.float64)
-        for i in range(n):
-            (length,) = struct.unpack("<I", _read(fh, 4, path))
-            try:
-                words.append(_read(fh, length, path).decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                offset = fh.tell() - length + exc.start
-                raise DataError(f"{path}: invalid UTF-8 at byte offset {offset}") from None
-            rows[i] = np.frombuffer(_read(fh, 8 * k, path), dtype="<f8")
-    return _finite_embedding(words, rows, path)
+        data = memoryview(fh.read())
+    if data[:len(EMBEDDING_MAGIC)] != EMBEDDING_MAGIC:
+        raise DataError(f"{path}: bad magic {bytes(data[:len(EMBEDDING_MAGIC)])!r}")
+    at = len(EMBEDDING_MAGIC) + 16
+    n, k = struct.unpack("<QQ", _field(data, at - 16, 16, path))
+    # every row takes a 4-byte length and K float64 values
+    if at + n * (4 + 8 * k) > len(data):
+        raise DataError(f"{path}: header promises {n} vectors of dim {k}, past the file end")
+    words: list[str] = []
+    width = 8 * k
+    vectors = bytearray(n * width)
+    for i in range(n):
+        (length,) = struct.unpack("<I", _field(data, at, 4, path))
+        try:
+            words.append(str(_field(data, at + 4, length, path), "utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: invalid UTF-8 at byte offset {at + 4 + exc.start}") from None
+        at += 4 + length
+        vectors[i * width:(i + 1) * width] = _field(data, at, width, path)
+        at += width
+    return _finite_embedding(words, np.frombuffer(vectors, "<f8").reshape(n, k), path)
 
 
 def load_embedding(path) -> EmbeddingMatrix:

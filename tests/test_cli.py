@@ -656,6 +656,35 @@ def test_two_outputs_to_one_file_exit_before_reading_inputs(
     assert not (tmp_path / "same.tsv").exists()
 
 
+@pytest.mark.parametrize("stage, output, source", [
+    ("split", "--out", "--dataset"), ("ingest", "--out", "--corpus"),
+    ("embed", "--out", "--cooc"), ("embed", "--out", "--vocab"), ("cooc", "--out", "--corpus"),
+    ("label", "--summary", "--lexicon"), ("train", "--out", "--split"),
+    ("ingest", "--out", "--config"),
+])
+def test_output_over_an_input_exits_before_reading_it(
+    flow, tmp_path, monkeypatch, capsys, stage, output, source
+):
+    monkeypatch.chdir(tmp_path)
+    args = _stage_inputs(flow, stage) + (["--window-size", "1"] if stage == "cooc" else [])
+    if source == "--config":
+        pathlib.Path("same").write_text("{}", encoding="utf-8")
+        args += ["--config", "same"]
+    else:
+        shutil.copyfile(args[args.index(source) + 1], "same")
+        args[args.index(source) + 1] = "same"
+    before = pathlib.Path("same").read_bytes()
+    # the input named by a relative path, the output by an absolute one
+    outputs = {"--out": str(tmp_path / "out"), output: str(tmp_path / "same")}
+    rc = main([stage, *args, *(arg for f, path in outputs.items() for arg in (f, path))])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"error: {outputs[output]}: {output} would write over the input {source}\n"
+    )
+    assert pathlib.Path("same").read_bytes() == before
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("missing", ["--out-corpus", "--out-lexicon"])
 def test_synth_output_in_a_missing_directory_writes_nothing(tmp_path, monkeypatch, capsys, missing):
     generated = []

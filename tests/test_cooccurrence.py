@@ -319,6 +319,46 @@ def test_load_reports_the_first_bad_line(tmp_path, body, message):
         load_cooccurrence(path)
 
 
+def test_total_sums_counts_past_the_int64_range():
+    matrix = sparse.csr_array(np.array([[2**62, 2**62], [0, 1]], dtype=np.int64))
+    assert CoocMatrix(matrix, ContextConfig("symmetric", 1)).total == 2**63 + 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_count_files_load_in_bulk_and_line_by_line_alike(tmp_path, monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    # seed 0 writes no entry at all
+    dense = rng.integers(0, 2**63 - 1, (n, n), dtype=np.int64, endpoint=True)
+    dense[rng.random((n, n)) > (0.3 if seed else 0.0)] = 0
+    if seed:
+        dense[rng.integers(n), rng.integers(n)] = 2**63 - 1
+    path = tmp_path / "cooc.txt"
+    save_cooccurrence(CoocMatrix(sparse.csr_array(dense), ContextConfig("symmetric", 2)), path)
+    parsed_by_line = []
+    read_rows = cooccurrence.read_rows
+
+    def spy(*args, **kwargs):
+        parsed_by_line.append(args[0])
+        return read_rows(*args, **kwargs)
+
+    monkeypatch.setattr(cooccurrence, "read_rows", spy)
+    header, body = path.read_bytes().split(b"\n", 1)
+    twins = {
+        "as saved": body,
+        "blank lines and leading zeros": b"\n0" + body.replace(b"\n", b"\n\n0")[:-1] if body else b"\n",
+        "CRLF": body.replace(b"\n", b"\r\n"),
+    }
+    for name, twin in twins.items():
+        path.write_bytes(header + b"\n" + twin)
+        parsed_by_line.clear()
+        loaded = load_cooccurrence(path)
+        assert loaded.matrix.dtype == np.int64, name
+        assert np.array_equal(loaded.matrix.toarray(), dense), name
+        # numpy's parser reads every twin with a row but the CRLF one
+        assert parsed_by_line == ([] if dense.any() and name != "CRLF" else [path]), name
+
+
 def test_context_types_constant():
     assert CONTEXT_TYPES == ("asymmetric_backward", "asymmetric_forward", "symmetric")
 

@@ -12,6 +12,7 @@ from gendervec.corpus import (
     filter_by_frequency,
     load_vocabulary,
     normalize_line,
+    read_chunks,
     read_sentences,
     save_vocabulary,
     word_index,
@@ -228,3 +229,22 @@ def test_load_vocabulary_rejects_malformed_row(tmp_path):
         path.write_text(rows, encoding="utf-8")
         with pytest.raises(DataError, match=f"^{path}: .*{message}"):
             load_vocabulary(path)
+
+
+@pytest.mark.parametrize("read_bytes", range(1, 41))
+def test_read_chunks_are_whole_lines_that_join_to_the_file(tmp_path, monkeypatch, read_bytes):
+    monkeypatch.setattr("gendervec.corpus.READ_BYTES", read_bytes)
+    rng = random.Random(read_bytes)
+    lines = [_random_line(rng) + rng.choice(["", "", "\r"]) for _ in range(80)]
+    long_line = "en mycket lång rad " * 3
+    lines.insert(40, long_line)
+    path = tmp_path / "c.txt"
+    for text in ("\n".join(lines), "\n".join(lines) + "\n", "\n\n", ""):
+        path.write_bytes(text.encode("utf-8"))
+        chunks = list(read_chunks(path))
+        assert "".join(chunks) == text
+        assert all(chunk.endswith("\n") for chunk in chunks[:-1])
+        assert "" not in chunks
+        if long_line in text:
+            # longer than a read, and still inside one chunk
+            assert sum(f"\n{long_line}\n" in f"\n{chunk}" for chunk in chunks) == 1

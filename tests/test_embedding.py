@@ -428,6 +428,31 @@ def test_binary_roundtrip(tmp_path):
     assert np.array_equal(back.matrix, emb.matrix)
 
 
+def test_binary_errors_name_where_the_bytes_go_wrong(tmp_path):
+    emb = EmbeddingMatrix(["en", "två", "ett"], np.arange(6.0).reshape(3, 2))
+    path = tmp_path / "emb.bin"
+    save_embedding_binary(emb, path)
+    data = path.read_bytes()
+    # 24 header bytes, then per row a 4-byte length, the word and 16 bytes
+    second, third = 24 + 4 + 2 + 16, 24 + 4 + 2 + 16 + 4 + 4 + 16
+    truncated = "truncated embedding file"
+    cases = [
+        # a word that runs past the file end
+        (data[:third] + struct.pack("<I", 1000) + data[third + 4:], truncated),
+        # the file ends inside the last vector
+        (data[:-3], truncated),
+        # invalid UTF-8 in a middle word names its byte
+        (data.replace("två".encode(), b"tv\xff\xa5"), f"invalid UTF-8 at byte offset {second + 6}"),
+        # a bad word is found before the vector after it is missed
+        (data.replace(b"ett", b"e\xfft")[:-3], f"invalid UTF-8 at byte offset {third + 5}"),
+    ]
+    for content, message in cases:
+        path.write_bytes(content)
+        with pytest.raises(DataError) as info:
+            load_embedding_binary(path)
+        assert str(info.value) == f"{path}: {message}"
+
+
 def test_binary_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
