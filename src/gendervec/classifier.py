@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import CLASSES, LabeledSet
 from .errors import ConfigurationError, DataError, NumericalError
-from .records import Record, open_text
+from .records import Record, open_text, write_csv
 
 
 @dataclass(frozen=True)
@@ -377,14 +377,11 @@ def save_prediction_records(predictions: Predictions, path) -> None:
         predictions.proba.tolist(), predictions.entropy.tolist(),
         predictions.frequencies.tolist(),
     )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_FIELDS)
-        for word, gold, predicted, (p_uter, p_neuter), entropy, frequency in rows:
-            writer.writerow(
-                [word, CLASSES[gold], CLASSES[predicted], repr(p_uter), repr(p_neuter),
-                 repr(entropy), frequency]
-            )
+    write_csv(path, RECORD_FIELDS, (
+        (word, CLASSES[gold], CLASSES[predicted], repr(p_uter), repr(p_neuter),
+         repr(entropy), frequency)
+        for word, gold, predicted, (p_uter, p_neuter), entropy, frequency in rows
+    ))
 
 
 def load_prediction_records(path) -> Predictions:
@@ -407,6 +404,8 @@ def load_prediction_records(path) -> Predictions:
                 raise DataError(f"{where}: malformed row {row}") from None
             if rows[-1][-1] < 1:
                 raise DataError(f"{where}: frequency must be >= 1, got {row[6]}")
+            if not all(map(math.isfinite, rows[-1][3:6])):
+                raise DataError(f"{where}: p_uter, p_neuter and entropy must be finite")
     words, gold, predicted, p_uter, p_neuter, entropy, frequencies = (
         zip(*rows) if rows else [()] * len(RECORD_FIELDS)
     )

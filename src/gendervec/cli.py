@@ -16,7 +16,6 @@ numerical failures.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import pathlib
@@ -41,13 +40,10 @@ CONFIG_KEYS = {
 
 def _load_config(path) -> dict:
     try:
-        with records.open_text(path) as fh:
-            data = json.load(fh)
+        data = records.read_json(path)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: malformed JSON config: {exc}") from None
-    except DataError as exc:  # invalid UTF-8
+    except DataError as exc:  # malformed JSON or invalid UTF-8
         raise ConfigurationError(str(exc)) from None
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: config must be a JSON object")
@@ -84,9 +80,11 @@ def _comma_list(text: str) -> list[str]:
     return text.split(",")
 
 
-def _labeled_set(embedding_path, dataset_path) -> dataset.LabeledSet:
-    emb = embedding.load_embedding(embedding_path)
-    return dataset.join_with_embedding(dataset.load_dataset_table(dataset_path), emb)
+def _bundle(args) -> dataset.SplitBundle:
+    """The ``--split`` partitions of the ``--dataset`` table, with ``--embedding`` vectors."""
+    emb = embedding.load_embedding(args.embedding)
+    data = dataset.join_with_embedding(dataset.load_dataset_table(args.dataset), emb)
+    return dataset.bundle_from_manifest(dataset.load_split_manifest(args.split), data)
 
 
 def _grid(args) -> list[cooccurrence.ContextConfig]:
@@ -186,18 +184,15 @@ def cmd_label(args, run: pipeline.RunOptions) -> int:
 
 def cmd_split(args, run: pipeline.RunOptions) -> int:
     data = dataset.load_dataset_table(args.dataset)
-    parts = dataset.split_words_by_class(data, run.ratios, run.split_seed)
-    manifest = dataset.split_manifest(parts, run.split_seed, run.ratios)
-    dataset.save_split_manifest(manifest, args.out)
-    sizes = {name: len(words) for name, words in parts.items()}
+    bundle = dataset.stratified_split(data, run.ratios, run.split_seed)
+    records.write_json(args.out, bundle.manifest)
+    sizes = {name: len(getattr(bundle, name)) for name in dataset.PARTITION_NAMES}
     logger.info("wrote split %s to %s", sizes, args.out)
     return 0
 
 
 def cmd_train(args, config: classifier.TrainConfig) -> int:
-    data = _labeled_set(args.embedding, args.dataset)
-    manifest = dataset.load_split_manifest(args.split)
-    bundle = dataset.bundle_from_manifest(manifest, data)
+    bundle = _bundle(args)
     model = classifier.train(bundle.train, bundle.dev, config)
     classifier.save_model(model, args.out)
     acc = classifier.dev_accuracy(model, bundle.dev)
@@ -210,8 +205,7 @@ def cmd_tune(args, grid, emb_config, train_config, run) -> int:
     os.makedirs(args.out, exist_ok=True)
     grid_path = os.path.join(args.out, "grid.json")
     records.write_json(grid_path, result)
-    split_path = os.path.join(args.out, "split_manifest.json")
-    dataset.save_split_manifest(result.split_manifest, split_path)
+    records.write_json(os.path.join(args.out, "split_manifest.json"), result.split_manifest)
     for cell in result.cells:
         label = f"{cell.context.context_type} w={cell.context.window_size}"
         if cell.ok:
@@ -226,9 +220,7 @@ def cmd_tune(args, grid, emb_config, train_config, run) -> int:
 
 
 def cmd_eval(args, run: pipeline.RunOptions) -> int:
-    data = _labeled_set(args.embedding, args.dataset)
-    manifest = dataset.load_split_manifest(args.split)
-    bundle = dataset.bundle_from_manifest(manifest, data)
+    bundle = _bundle(args)
     model = classifier.load_model(args.model)
     # the manifest's own test_digest was checked when it was loaded
     evaluation = pipeline.final_evaluate(

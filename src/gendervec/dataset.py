@@ -10,9 +10,8 @@ same word partition regardless of which embedding produced the vectors.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .corpus import Vocabulary, row_lookup, word_index
 from .embedding import EmbeddingMatrix
 from .errors import ConfigurationError, DataError
 from .lexicon import CODE_TO_CLASS, GenderLexicon
-from .records import Record, integer, open_text, read_rows, write_json, write_rows
+from .records import Record, integer, read_json, read_rows, write_rows
 
 CLASSES = tuple(CODE_TO_CLASS.values())
 
@@ -187,9 +186,17 @@ def stratified_split(
     ratios: Sequence[float] = DEFAULT_RATIOS,
     seed: int = 0,
 ) -> SplitBundle:
-    """Stratified 80/10/10 split (or custom ratios) of a labeled set."""
+    """Stratified 80/10/10 split (or custom ratios) of a labeled set; its
+    manifest records the words per partition, the seed, the ratios and the
+    digest of the test words."""
     parts = split_words_by_class(data, ratios, seed)
-    return bundle_from_manifest(split_manifest(parts, seed, ratios), data)
+    manifest = {
+        "seed": seed,
+        "ratios": list(ratios),
+        "partitions": parts,
+        "test_digest": word_list_digest(parts["test"]),
+    }
+    return bundle_from_manifest(manifest, data)
 
 
 def word_list_digest(words: Iterable[str]) -> str:
@@ -198,31 +205,10 @@ def word_list_digest(words: Iterable[str]) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def split_manifest(
-    partitions: Mapping[str, Sequence[str]], seed: int, ratios: Sequence[float]
-) -> dict:
-    """JSON-ready record of a split: words per partition, seed, ratios and
-    the digest of the test words."""
-    return {
-        "seed": seed,
-        "ratios": list(ratios),
-        "partitions": {name: list(partitions[name]) for name in PARTITION_NAMES},
-        "test_digest": word_list_digest(partitions["test"]),
-    }
-
-
-def save_split_manifest(manifest: dict, path) -> None:
-    write_json(path, manifest)
-
-
 def load_split_manifest(path) -> dict:
     """A split manifest whose partitions are disjoint and whose
     ``test_digest`` is the digest of its test words."""
-    with open_text(path) as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError:
-            raise DataError(f"{path}: malformed split manifest JSON") from None
+    manifest = read_json(path)
     if not isinstance(manifest, dict):
         raise DataError(f"{path}: split manifest is not a JSON object")
     for key in ("seed", "ratios", "partitions"):

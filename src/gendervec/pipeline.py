@@ -39,12 +39,9 @@ from .dataset import (
     DecileReport,
     LabeledSet,
     SplitBundle,
-    bundle_from_manifest,
     class_ratio_by_decile,
     labeled_rows,
-    save_split_manifest,
-    split_manifest,
-    split_words_by_class,
+    stratified_split,
     validate_ratios,
     word_list_digest,
 )
@@ -66,11 +63,12 @@ from .metrics import (
 )
 from .records import OMIT, Record, load_record, write_json
 
-# Names perfbench/ wraps when it traces a run, and reads through; they
-# go with the run trace (ROADMAP item 4).
+# Names perfbench/ wraps when it traces a run, and reads through; split_words_by_class
+# and bundle_from_manifest are kept here for perfbench/tracer.py, which patches
+# both. They go with the run trace (ROADMAP item 4).
 from .classifier import train  # noqa: F401
 from .corpus import build_vocabulary, read_sentences  # noqa: F401
-from .dataset import build_dataset, stratified_split  # noqa: F401
+from .dataset import build_dataset, bundle_from_manifest, split_words_by_class  # noqa: F401
 from .embedding import embed  # noqa: F401
 
 # Tie-break order across context types when dev accuracies are equal.
@@ -244,7 +242,7 @@ def grid_search(
     probes; it holds about cells x (vocabulary + labeled words) x K x 8
     bytes between stages.  Each cell's vectors, model and dev accuracy
     are bit for bit those of ``embed_counts``, ``build_dataset``,
-    ``bundle_from_manifest`` and ``train`` on that cell alone.  A cell
+    ``stratified_split`` and ``train`` on that cell alone.  A cell
     failing for a reason of its own (all-zero counts, an ARPACK failure,
     non-finite vectors, a diverged probe) is recorded and skipped; if all
     fail, the first one's error is a DataError.  Ties on dev accuracy go
@@ -258,9 +256,7 @@ def grid_search(
         raise ConfigurationError("duplicate grid cells")
     vocab, lexicon = prepare_inputs(corpus_path, lexicon_path, options.vocab_min_freq)
     labeled = labeled_rows(vocab, lexicon, options.min_freq)
-    partitions = split_words_by_class(labeled, options.ratios, options.split_seed)
-    manifest = split_manifest(partitions, options.split_seed, options.ratios)
-    split = bundle_from_manifest(manifest, labeled)
+    split = stratified_split(labeled, options.ratios, options.split_seed)
     # every cell factors a |V| x |V| matrix and trains on this one split
     if embedding_config.k > len(vocab):
         raise ConfigurationError(
@@ -325,12 +321,12 @@ def grid_search(
         cells=tuple(ordered),
         best=cells[best],
         split_seed=options.split_seed,
-        test_digest=manifest["test_digest"],
-        split_manifest=manifest,
+        test_digest=split.manifest["test_digest"],
+        split_manifest=split.manifest,
         model=models[chosen],
         # copies, so the result does not hold every cell's rows
         bundle=SplitBundle(*(replace(part, vectors=block[chosen].copy())
-                             for part, block in zip(parts, blocks)), manifest=manifest),
+                             for part, block in zip(parts, blocks)), manifest=split.manifest),
     )
 
 
@@ -458,6 +454,6 @@ def run_from_manifest(manifest: RunManifest, out_dir) -> dict:
     for name in ("manifest.json", "split_manifest.json", "model.bin"):
         paths[name] = os.path.join(out_dir, name)
     save_manifest(manifest, paths["manifest.json"])
-    save_split_manifest(result.bundle.manifest, paths["split_manifest.json"])
+    write_json(paths["split_manifest.json"], result.bundle.manifest)
     save_model(result.model, paths["model.bin"])
     return paths

@@ -5,7 +5,9 @@ casts each value to its annotated type, raising ``DataError`` naming the
 key when it cannot, and ignores keys it does not know.  Field metadata
 covers the two exceptions: ``key(name)`` writes a field under another
 JSON key, and ``OMIT`` leaves it out of the dict.  ``write_json`` writes
-every JSON artifact (two-space indent, sorted keys, a final newline).
+every JSON artifact (two-space indent, sorted keys, a final newline), and
+``read_json`` reads every JSON file: the run and split manifests,
+``grid.json`` and a CLI config.  ``write_csv`` writes all six CSV files.
 
 ``read_rows`` reads all four tab-separated files (vocabulary, dataset
 table, lexicon, co-occurrence counts) by one rule: one row a line, blank
@@ -17,6 +19,7 @@ one ``DataError`` naming the file and the bad byte's offset.
 from __future__ import annotations
 
 import contextlib
+import csv
 import dataclasses
 import json
 import types
@@ -113,15 +116,21 @@ class Record:
 def load_record(cls, path):
     """``cls.from_dict`` of the JSON file at ``path``; malformed JSON, or a
     value the record rejects, is a ``DataError`` naming ``path``."""
-    with open_text(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: malformed JSON: {exc}") from None
+    data = read_json(path)
     try:
         return cls.from_dict(data)
     except (ConfigurationError, DataError) as exc:
         raise DataError(f"{path}: {exc}") from None
+
+
+def read_json(path):
+    """The JSON data of the file at ``path``; malformed JSON is a
+    ``DataError`` ``path: malformed JSON: <detail>``."""
+    with open_text(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: malformed JSON: {exc}") from None
 
 
 def write_json(path, data) -> None:
@@ -184,3 +193,11 @@ def write_rows(path, rows: typing.Iterable[typing.Iterable]) -> None:
     """Write each row's fields, as ``str`` gives them, on one tab-separated line."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
+
+
+def write_csv(path, header: typing.Sequence, rows: typing.Iterable[typing.Iterable]) -> None:
+    """Write ``header``, then each row, with ``csv.writer``'s defaults."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -6,9 +6,7 @@ are disposable and any external tool can re-render from the CSVs.
 
 from __future__ import annotations
 
-import csv
 import os
-from typing import Sequence
 
 import numpy as np
 
@@ -16,14 +14,8 @@ from .classifier import Predictions, errors_by_entropy, save_prediction_records
 from .dataset import CLASSES, DecileReport
 from .errors import DataError
 from .pipeline import GridResult
+from .records import write_csv
 from .svgplot import bars_svg, histogram_svg, lines_svg, scatter_svg
-
-
-def _write_csv(path, header: Sequence[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def emit_entropy_frequency(out_dir, predictions: Predictions) -> list[str]:
@@ -33,7 +25,7 @@ def emit_entropy_frequency(out_dir, predictions: Predictions) -> list[str]:
     entropy, correct = predictions.entropy, predictions.correct
     ln_freq = np.log(predictions.frequencies)
     scatter_csv = os.path.join(out_dir, "entropy_vs_frequency.csv")
-    _write_csv(
+    write_csv(
         scatter_csv,
         ("word", "entropy", "ln_frequency", "correct"),
         zip(predictions.words, map(repr, entropy.tolist()), map(repr, ln_freq.tolist()),
@@ -65,7 +57,7 @@ def emit_projection(out_dir, predictions: Predictions, projection: np.ndarray) -
         )
     gold, predicted = predictions.gold.tolist(), predictions.predicted.tolist()
     coords_csv = os.path.join(out_dir, "projection.csv")
-    _write_csv(
+    write_csv(
         coords_csv,
         ("word", "gold", "predicted", "x", "y"),
         (
@@ -87,7 +79,7 @@ def emit_projection(out_dir, predictions: Predictions, projection: np.ndarray) -
 def emit_deciles(out_dir, decile_report: DecileReport) -> list[str]:
     """Class balance per frequency decile."""
     csv_path = os.path.join(out_dir, "deciles.csv")
-    _write_csv(
+    write_csv(
         csv_path,
         ("decile", "size", "uter_share", "neuter_share"),
         (
@@ -114,7 +106,7 @@ def emit_deciles(out_dir, decile_report: DecileReport) -> list[str]:
 def emit_grid(out_dir, grid: GridResult) -> list[str]:
     """Dev accuracy per cell, as a table and one line per context type."""
     csv_path = os.path.join(out_dir, "grid_accuracy.csv")
-    _write_csv(
+    write_csv(
         csv_path,
         ("context_type", "window_size", "dev_accuracy", "error"),
         (

@@ -410,7 +410,7 @@ def test_malformed_config_json_exits_two(flow, tmp_path, capsys):
     rc = main(["embed", "--cooc", flow["cooc.bin"], "--vocab", flow["vocab.tsv"],
                "--out", str(tmp_path / "e.txt"), "--config", str(cfg)])
     assert rc == 2
-    assert "malformed JSON" in capsys.readouterr().err
+    assert f"{cfg}: malformed JSON: " in capsys.readouterr().err
 
 
 def test_unknown_config_keys_exit_two(flow, tmp_path, capsys):
@@ -765,9 +765,9 @@ def _out_of_range_input(flow, case, bad) -> list[str]:
         parts["test"].pop()
     elif case == "split seed -1":
         split["seed"] = -1
-    else:
+    elif case == "split ratios not a list":
         split["ratios"] = "x"
-    bad.write_text(json.dumps(split), encoding="utf-8")
+    bad.write_text("{ nope" if case == "split not JSON" else json.dumps(split), encoding="utf-8")
     return ["eval", "--embedding", flow["emb.bin"], "--dataset", flow["dataset.tsv"],
             "--split", str(bad), "--model", flow["model.bin"]]
 
@@ -775,13 +775,16 @@ def _out_of_range_input(flow, case, bad) -> list[str]:
 @pytest.mark.parametrize("case", [
     "cooc header window_size 9", "split partition not a list", "split ratios not a list",
     "split test word also in train", "split test_digest missing", "split test_digest mismatch",
-    "split seed -1",
+    "split seed -1", "split not JSON",
 ])
 def test_out_of_range_data_file_value_exits_three(flow, tmp_path, capsys, case):
     bad, out = tmp_path / "bad.json", tmp_path / "out"
     rc = main([*_out_of_range_input(flow, case, bad), "--out", str(out)])
     assert rc == 3
-    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
+    if case == "split not JSON":
+        assert err.startswith(f"error: {bad}: malformed JSON: ")
     assert not out.exists()
 
 
@@ -910,7 +913,9 @@ def test_report_with_embedding_lacking_a_test_word_exits_three(flow, tmp_path, c
     assert repr(test_word) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("column, value", [("p_uter", "abc"), ("frequency", "0"), ("gold", "nope")])
+@pytest.mark.parametrize("column, value", [
+    ("p_uter", "abc"), ("frequency", "0"), ("gold", "nope"), ("p_uter", "nan"), ("entropy", "inf"),
+])
 def test_report_with_malformed_records_exits_three(flow, tmp_path, capsys, column, value):
     eval_dir = tmp_path / "eval"
     eval_dir.mkdir()
@@ -984,6 +989,8 @@ def test_report_with_malformed_grid_exits_three(flow, tmp_path, capsys, case):
     assert err.startswith("error: ")
     if case == "a cell weighted by distance":
         assert err == f"error: {grid}: ContextConfig: 'distance_weighting' must be false\n"
+    if case == "not JSON":
+        assert err.startswith(f"error: {grid}: malformed JSON: ")
     assert not out.exists()  # nothing written before the grid is read
 
 

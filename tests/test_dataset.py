@@ -18,7 +18,6 @@ from gendervec.dataset import (
     load_dataset_table,
     load_split_manifest,
     save_dataset_table,
-    save_split_manifest,
     split_words_by_class,
     stratified_split,
     word_list_digest,
@@ -26,6 +25,7 @@ from gendervec.dataset import (
 from gendervec.embedding import EmbeddingMatrix
 from gendervec.errors import ConfigurationError, DataError
 from gendervec.lexicon import GenderLexicon
+from gendervec.records import write_json
 
 
 def _examples(n_uter, n_neuter, k=4, seed=0):
@@ -225,7 +225,7 @@ def test_manifest_roundtrip(tmp_path):
     data = _examples(8, 6)
     bundle = stratified_split(data, seed=13)
     path = tmp_path / "split.json"
-    save_split_manifest(bundle.manifest, path)
+    write_json(path, bundle.manifest)
     manifest = load_split_manifest(path)
     assert manifest["seed"] == 13
     assert manifest["test_digest"] == word_list_digest(ex.word for ex in bundle.test)
