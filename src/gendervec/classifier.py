@@ -406,6 +406,12 @@ def load_prediction_records(path) -> Predictions:
                 raise DataError(f"{where}: frequency must be >= 1, got {row[6]}")
             if not all(map(math.isfinite, rows[-1][3:6])):
                 raise DataError(f"{where}: p_uter, p_neuter and entropy must be finite")
+            p_uter, p_neuter, entropy = rows[-1][3:6]
+            # 1e-8 is output_entropy's tolerance
+            if not (0 <= p_uter <= 1 and 0 <= p_neuter <= 1) or abs(p_uter + p_neuter - 1) > 1e-8:
+                raise DataError(f"{where}: p_uter and p_neuter must be in [0, 1] and sum to 1")
+            if entropy < 0:
+                raise DataError(f"{where}: entropy must be >= 0, got {row[5]}")
     words, gold, predicted, p_uter, p_neuter, entropy, frequencies = (
         zip(*rows) if rows else [()] * len(RECORD_FIELDS)
     )

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands mirror the pipeline stages: ingest, cooc, embed, label,
-split, train, tune, eval, report, synth.  Every numeric option can come
-from a JSON config file (--config) using the exact field names of the
-underlying configs; explicit flags override the file.  Each subparser
+split, train, tune, eval, report, synth.  Each stage's option flags are
+the fields of the records it builds: a flag is the field's JSON key with
+``-`` for ``_`` (``FLAGS`` holds the few that differ) and takes the
+field's type, and the same key sets it in a JSON config file (--config);
+explicit flags override the file.  Each subparser
 declares the records its stage builds (``builds``), the files it reads
 (``reads``) and the paths it writes (``writes``); ``main`` builds the
 records, then checks every output path, and only then calls the stage
@@ -28,14 +30,9 @@ from .errors import ConfigurationError, DataError, GendervecError
 logger = logging.getLogger(__name__)
 
 # The fields of the three configs and of the run options.
-CONFIG_KEYS = {
-    k
-    for cls in (
-        cooccurrence.ContextConfig, embedding.EmbeddingConfig, classifier.TrainConfig,
-        pipeline.RunOptions,
-    )
-    for _, k in records.json_fields(cls)
-}
+CONFIG_KEYS = {k for cls in (cooccurrence.ContextConfig, embedding.EmbeddingConfig,
+                             classifier.TrainConfig, pipeline.RunOptions)
+               for _, k in records.json_fields(cls)}
 
 
 def _load_config(path) -> dict:
@@ -78,6 +75,18 @@ class Options:
 
 def _comma_list(text: str) -> list[str]:
     return text.split(",")
+
+
+# By JSON key, each record field's flag that is not its key with dashes,
+# and what its flag takes besides the field's type.
+FLAGS = {
+    "K": {"flag": "--dim", "help": "embedding dimensionality K"},
+    "noun_count": {"flag": "--nouns"},
+    "filler_count": {"flag": "--fillers"},
+    "sentence_count": {"flag": "--sentences"},
+    "context_type": {"choices": cooccurrence.CONTEXT_TYPES},
+    "ratios": {"type": _comma_list, "help": "comma-separated train,dev,test ratios"},
+}
 
 
 def _bundle(args) -> dataset.SplitBundle:
@@ -154,10 +163,8 @@ def cmd_cooc(args, config: cooccurrence.ContextConfig) -> int:
 
 
 def cmd_embed(args, emb_config: embedding.EmbeddingConfig) -> int:
-    cooc = cooccurrence.load_cooccurrence(args.cooc)
     vocab = corpus.load_vocabulary(args.vocab)
-    if len(vocab) != cooc.shape[1]:
-        raise DataError(f"{args.vocab}: {len(vocab)} words, but {args.cooc} counts {cooc.shape[1]}")
+    cooc = cooccurrence.load_cooccurrence(args.cooc, len(vocab), args.vocab)
     emb = embedding.embed_counts(cooc, vocab, emb_config)
     if args.binary:
         embedding.save_embedding_binary(emb, args.out)
@@ -200,7 +207,7 @@ def cmd_train(args, config: classifier.TrainConfig) -> int:
     return 0
 
 
-def cmd_tune(args, grid, emb_config, train_config, run) -> int:
+def cmd_tune(args, grid, run, emb_config, train_config) -> int:
     result = pipeline.grid_search(args.corpus, args.lexicon, grid, emb_config, train_config, run)
     os.makedirs(args.out, exist_ok=True)
     grid_path = os.path.join(args.out, "grid.json")
@@ -282,101 +289,67 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_inputs(p, *names):
-        for name in names:
-            p.add_argument(f"--{name}", required=True)
-        p.set_defaults(reads=names)
+    staged = []
 
-    def add_config(p):
-        p.add_argument("--config", help="JSON config file; flags override its fields")
+    def stage(name, help, func, *inputs, writes=("out",)):
+        """The subparser of stage ``name``: a required flag for each input,
+        then --out; --config is added last, after the stage's own flags."""
+        p = sub.add_parser(name, help=help)
+        staged.append(p)
+        for dest in inputs:
+            p.add_argument(f"--{dest}", required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=func, reads=inputs, writes=writes)
+        return p
 
-    def add_embedding_opts(p):
-        p.add_argument("--dim", dest="K", type=int, help="embedding dimensionality K")
-        p.add_argument("--alpha", dest="alpha", type=float)
-        p.add_argument("--sigma-power", dest="sigma_power", type=float)
-        p.add_argument("--seed", dest="seed", type=int)
+    def add_builds(p, *builds):
+        """Set the stage's ``builds``, with a flag for each field of each
+        record among them, or for each of the ``keys`` of a ``(record,
+        *keys)``; a key that two records share gets one flag."""
+        builds = [b if isinstance(b, tuple) else (b,) for b in builds]
+        p.set_defaults(builds=[b[0] for b in builds])
+        seen = set()
+        for cls, *keys in builds:
+            for f, k in records.json_fields(cls) if isinstance(cls, type) else ():
+                if k not in seen and (k in keys or not keys):
+                    seen.add(k)
+                    opts = {"dest": k, "type": records.field_types(cls)[f.name], **FLAGS.get(k, {})}
+                    p.add_argument(opts.pop("flag", "--" + k.replace("_", "-")), **opts)
 
-    def add_train_opts(p):
-        p.add_argument("--learning-rate", dest="learning_rate", type=float)
-        p.add_argument("--momentum", dest="momentum", type=float)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--max-epochs", dest="max_epochs", type=int)
-        p.add_argument("--patience", dest="patience", type=int)
-        p.add_argument("--hidden-size", dest="hidden_size", type=int)
+    p = stage("ingest", "build a vocabulary TSV from a corpus", cmd_ingest, "corpus")
+    add_builds(p, (pipeline.RunOptions, "vocab_min_freq"))
 
-    p = sub.add_parser("ingest", help="build a vocabulary TSV from a corpus")
-    add_inputs(p, "corpus")
-    p.add_argument("--out", required=True)
-    p.add_argument("--vocab-min-freq", dest="vocab_min_freq", type=int)
-    add_config(p)
-    p.set_defaults(func=cmd_ingest, builds=(pipeline.RunOptions,), writes=("out",))
+    p = stage("cooc", "count windowed co-occurrences", cmd_cooc, "corpus", "vocab")
+    add_builds(p, cooccurrence.ContextConfig)
 
-    p = sub.add_parser("cooc", help="count windowed co-occurrences")
-    add_inputs(p, "corpus", "vocab")
-    p.add_argument("--out", required=True)
-    p.add_argument("--context-type", dest="context_type", choices=cooccurrence.CONTEXT_TYPES)
-    p.add_argument("--window-size", dest="window_size", type=int)
-    add_config(p)
-    p.set_defaults(func=cmd_cooc, builds=(cooccurrence.ContextConfig,), writes=("out",))
-
-    p = sub.add_parser("embed", help="factor a cooc file into word vectors")
-    add_inputs(p, "cooc", "vocab")
-    p.add_argument("--out", required=True)
+    p = stage("embed", "factor a cooc file into word vectors", cmd_embed, "cooc", "vocab")
     p.add_argument("--binary", action="store_true")
-    add_embedding_opts(p)
-    add_config(p)
-    p.set_defaults(func=cmd_embed, builds=(embedding.EmbeddingConfig,), writes=("out",))
+    add_builds(p, embedding.EmbeddingConfig)
 
-    p = sub.add_parser("label", help="join embedding, lexicon and vocabulary")
-    add_inputs(p, "embedding", "lexicon", "vocab")
-    p.add_argument("--out", required=True)
-    p.add_argument("--min-freq", dest="min_freq", type=int)
+    p = stage("label", "join embedding, lexicon and vocabulary", cmd_label,
+              "embedding", "lexicon", "vocab", writes=("out", "summary", "deciles"))
+    add_builds(p, (pipeline.RunOptions, "min_freq"))
     p.add_argument("--summary", help="write lexicon code counts as JSON")
     p.add_argument("--deciles", help="write the class-per-decile diagnostic as JSON")
-    add_config(p)
-    p.set_defaults(func=cmd_label, builds=(pipeline.RunOptions,),
-                   writes=("out", "summary", "deciles"))
 
-    p = sub.add_parser("split", help="stratified train/dev/test split")
-    add_inputs(p, "dataset")
-    p.add_argument("--out", required=True)
-    p.add_argument("--split-seed", dest="split_seed", type=int)
-    p.add_argument("--ratios", type=_comma_list, help="comma-separated train,dev,test ratios")
-    add_config(p)
-    p.set_defaults(func=cmd_split, builds=(pipeline.RunOptions,), writes=("out",))
+    p = stage("split", "stratified train/dev/test split", cmd_split, "dataset")
+    add_builds(p, (pipeline.RunOptions, "split_seed", "ratios"))
 
-    p = sub.add_parser("train", help="train the gender classifier")
-    add_inputs(p, "embedding", "dataset", "split")
-    p.add_argument("--out", required=True)
-    add_train_opts(p)
-    p.add_argument("--seed", dest="seed", type=int)
-    add_config(p)
-    p.set_defaults(func=cmd_train, builds=(classifier.TrainConfig,), writes=("out",))
+    p = stage("train", "train the gender classifier", cmd_train, "embedding", "dataset", "split")
+    add_builds(p, classifier.TrainConfig)
 
-    p = sub.add_parser("tune", help="grid search over context configurations")
-    add_inputs(p, "corpus", "lexicon")
-    p.add_argument("--out", required=True)
+    p = stage("tune", "grid search over context configurations", cmd_tune,
+              "corpus", "lexicon", writes=("out/",))
     p.add_argument("--context-types", help="comma-separated subset of context types")
     p.add_argument("--window-sizes", help="comma-separated subset of window sizes")
-    p.add_argument("--min-freq", dest="min_freq", type=int)
-    p.add_argument("--vocab-min-freq", dest="vocab_min_freq", type=int)
-    p.add_argument("--split-seed", dest="split_seed", type=int)
-    p.add_argument("--ratios", type=_comma_list, help="comma-separated train,dev,test ratios")
-    add_embedding_opts(p)
-    add_train_opts(p)
-    add_config(p)
-    p.set_defaults(func=cmd_tune, writes=("out/",), builds=(
-        _grid, embedding.EmbeddingConfig, classifier.TrainConfig, pipeline.RunOptions,
-    ))
+    # one --seed feeds the embedding and the training config
+    add_builds(p, _grid, (pipeline.RunOptions, "min_freq", "vocab_min_freq", "split_seed",
+                          "ratios"), embedding.EmbeddingConfig, classifier.TrainConfig)
 
-    p = sub.add_parser("eval", help="final evaluation on the held-out test set")
-    add_inputs(p, "embedding", "dataset", "split", "model")
-    p.add_argument("--out", required=True)
+    p = stage("eval", "final evaluation on the held-out test set", cmd_eval,
+              "embedding", "dataset", "split", "model", writes=("out/",))
     p.add_argument("--expected-test-digest", dest="expected_test_digest")
-    p.add_argument("--n-perm", dest="n_perm", type=int)
-    p.add_argument("--stats-seed", dest="stats_seed", type=int)
-    add_config(p)
-    p.set_defaults(func=cmd_eval, builds=(pipeline.RunOptions,), writes=("out/",))
+    add_builds(p, (pipeline.RunOptions, "n_perm", "stats_seed"))
 
     p = sub.add_parser("report", help="emit SVG/CSV report files from an eval directory")
     p.add_argument("--eval-dir", dest="eval_dir", required=True)
@@ -390,17 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic agreement language")
     p.add_argument("--out-corpus", dest="out_corpus", required=True)
     p.add_argument("--out-lexicon", dest="out_lexicon", required=True)
-    p.add_argument("--nouns", dest="noun_count", type=int)
-    p.add_argument("--fillers", dest="filler_count", type=int)
-    p.add_argument("--sentences", dest="sentence_count", type=int)
-    p.add_argument("--seed", dest="seed", type=int)
-    p.add_argument("--agreement-noise", dest="agreement_noise", type=float)
-    p.add_argument("--ambiguous-fraction", dest="ambiguous_fraction", type=float)
-    p.add_argument("--ambiguous-flip", dest="ambiguous_flip", type=float)
-    p.add_argument("--zipf-exponent", dest="zipf_exponent", type=float)
-    p.set_defaults(func=cmd_synth, builds=(synthetic.SyntheticSpec,), reads=(),
-                   writes=("out_corpus", "out_lexicon"))
+    add_builds(p, synthetic.SyntheticSpec)
+    p.set_defaults(func=cmd_synth, reads=(), writes=("out_corpus", "out_lexicon"))
 
+    for p in staged:
+        p.add_argument("--config", help="JSON config file; flags override its fields")
     return parser
 
 

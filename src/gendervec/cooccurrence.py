@@ -177,7 +177,9 @@ def save_cooccurrence(cooc: CoocMatrix, path) -> None:
             fh.write("".join(map("{}\t{}\t{}\n".format, *columns)))
 
 
-def load_cooccurrence(path) -> CoocMatrix:
+def load_cooccurrence(path, vocab_size: int | None = None, vocab_path=None) -> CoocMatrix:
+    """Read ``save_cooccurrence`` output; a header of other than ``vocab_size``
+    words, if given, is a ``DataError`` naming ``vocab_path``, before the body is parsed."""
     # in binary: the header line is the only text decoded here
     with open(path, "rb") as fh:
         header_line, body = fh.readline(), fh.read()
@@ -194,6 +196,8 @@ def load_cooccurrence(path) -> CoocMatrix:
         raise DataError(f"{path}: header lacks non-negative integer rows and cols")
     if n_cols != n:
         raise DataError(f"{path}: non-square dims in header")
+    if vocab_size not in (None, n):
+        raise DataError(f"{vocab_path}: {vocab_size} words, but {path} counts {n}")
     try:
         config = ContextConfig.from_dict(header)
     except (ConfigurationError, DataError) as exc:

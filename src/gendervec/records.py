@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import types
 import typing
@@ -43,6 +44,12 @@ def json_fields(cls) -> list[tuple[dataclasses.Field, str]]:
         for f in dataclasses.fields(cls)
         if not f.metadata.get("omit")
     ]
+
+
+@functools.cache
+def field_types(cls) -> dict[str, typing.Any]:
+    """Each field's annotation by field name, resolved once per class."""
+    return typing.get_type_hints(cls)
 
 
 def required(f: dataclasses.Field) -> bool:
@@ -98,7 +105,7 @@ class Record:
     def from_dict(cls, data: dict):
         if not isinstance(data, dict):
             raise DataError(f"{cls.__name__}: expected a JSON object, got {type(data).__name__}")
-        hints = typing.get_type_hints(cls)
+        hints = field_types(cls)
         values = {}
         for f, k in json_fields(cls):
             if k in data:

@@ -12,7 +12,7 @@ import struct
 
 import pytest
 
-from gendervec import cli, cooccurrence, corpus, embedding, pipeline, synthetic
+from gendervec import cli, cooccurrence, corpus, embedding, pipeline, records, synthetic
 from gendervec.classifier import TrainConfig
 from gendervec.cli import main
 from gendervec.cooccurrence import ContextConfig
@@ -384,6 +384,52 @@ def test_config_keys_are_the_config_fields():
         "hidden_size",
         "min_freq", "vocab_min_freq", "split_seed", "ratios", "n_perm", "stats_seed",
     }
+
+
+EMBEDDING_FLAGS = [
+    ("--dim", "K", int), ("--alpha", "alpha", float),
+    ("--sigma-power", "sigma_power", float), ("--seed", "seed", int),
+]
+TRAIN_FLAGS = [
+    ("--learning-rate", "learning_rate", float), ("--momentum", "momentum", float),
+    ("--batch-size", "batch_size", int), ("--max-epochs", "max_epochs", int),
+    ("--patience", "patience", int), ("--hidden-size", "hidden_size", int),
+]
+RATIOS_FLAGS = [("--split-seed", "split_seed", int), ("--ratios", "ratios", cli._comma_list)]
+
+
+def test_each_stage_has_the_flags_of_the_record_fields_it_takes():
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    record_keys = cli.CONFIG_KEYS | {k for _, k in records.json_fields(synthetic.SyntheticSpec)}
+    flags = {
+        stage: sorted(
+            (flag, a.dest, a.choices or a.type)
+            for a in p._actions if a.dest in record_keys for flag in a.option_strings
+        )
+        for stage, p in subparsers.choices.items()
+    }
+    assert flags == {stage: sorted(expected) for stage, expected in {
+        "ingest": [("--vocab-min-freq", "vocab_min_freq", int)],
+        "cooc": [("--context-type", "context_type", cooccurrence.CONTEXT_TYPES),
+                 ("--window-size", "window_size", int)],
+        "embed": EMBEDDING_FLAGS,
+        "label": [("--min-freq", "min_freq", int)],
+        "split": RATIOS_FLAGS,
+        # one --seed feeds the embedding and the training config
+        "train": [*TRAIN_FLAGS, ("--seed", "seed", int)],
+        "tune": [("--min-freq", "min_freq", int), ("--vocab-min-freq", "vocab_min_freq", int),
+                 *RATIOS_FLAGS, *EMBEDDING_FLAGS, *TRAIN_FLAGS],
+        "eval": [("--n-perm", "n_perm", int), ("--stats-seed", "stats_seed", int)],
+        "report": [],
+        "synth": [
+            ("--nouns", "noun_count", int), ("--fillers", "filler_count", int),
+            ("--sentences", "sentence_count", int), ("--seed", "seed", int),
+            ("--agreement-noise", "agreement_noise", float),
+            ("--ambiguous-fraction", "ambiguous_fraction", float),
+            ("--ambiguous-flip", "ambiguous_flip", float),
+            ("--zipf-exponent", "zipf_exponent", float),
+        ],
+    }.items()}
 
 
 def test_options_build_from_config_file_and_flags(tmp_path):
@@ -843,6 +889,22 @@ def test_embed_of_counts_and_a_vocabulary_of_other_sizes_exits_three(flow, tmp_p
     assert not out.exists()
 
 
+def test_embed_of_a_count_header_larger_than_the_vocabulary_exits_three(flow, tmp_path, capsys):
+    # 10**12 rows would be an 8 TB index array if the matrix were built
+    with open(flow["cooc.bin"], encoding="utf-8") as fh:
+        header = json.loads(fh.readline())
+    big = tmp_path / "big.txt"
+    big.write_text(json.dumps({**header, "rows": 10**12, "cols": 10**12}) + "\n0\t0\t1\n",
+                   encoding="utf-8")
+    n = len(corpus.load_vocabulary(flow["vocab.tsv"]))
+    out = tmp_path / "e.txt"
+    rc = main(["embed", "--cooc", str(big), "--vocab", flow["vocab.tsv"], "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {flow['vocab.tsv']}: {n} words, but {big} counts {10**12}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stage, bad_file", [
     ("train", "embedding"), ("eval", "embedding"), ("eval", "model"),
 ])
@@ -915,6 +977,7 @@ def test_report_with_embedding_lacking_a_test_word_exits_three(flow, tmp_path, c
 
 @pytest.mark.parametrize("column, value", [
     ("p_uter", "abc"), ("frequency", "0"), ("gold", "nope"), ("p_uter", "nan"), ("entropy", "inf"),
+    ("p_uter", "-3.5"), ("p_neuter", "0.9"), ("entropy", "-1.0"),
 ])
 def test_report_with_malformed_records_exits_three(flow, tmp_path, capsys, column, value):
     eval_dir = tmp_path / "eval"
