@@ -406,15 +406,19 @@ def load_prediction_records(path) -> Predictions:
                 raise DataError(f"{where}: frequency must be >= 1, got {row[6]}")
             if not all(map(math.isfinite, rows[-1][3:6])):
                 raise DataError(f"{where}: p_uter, p_neuter and entropy must be finite")
-            p_uter, p_neuter, entropy = rows[-1][3:6]
+            predicted, p_uter, p_neuter, entropy = rows[-1][2:6]
             # 1e-8 is output_entropy's tolerance
             if not (0 <= p_uter <= 1 and 0 <= p_neuter <= 1) or abs(p_uter + p_neuter - 1) > 1e-8:
                 raise DataError(f"{where}: p_uter and p_neuter must be in [0, 1] and sum to 1")
-            if entropy < 0:
-                raise DataError(f"{where}: entropy must be >= 0, got {row[5]}")
-    words, gold, predicted, p_uter, p_neuter, entropy, frequencies = (
-        zip(*rows) if rows else [()] * len(RECORD_FIELDS)
-    )
+            # a tie goes to uter, as predict_records' argmax breaks it
+            if predicted != int(p_neuter > p_uter):
+                raise DataError(f"{where}: predicted must be the more probable class, got {row[2]}")
+            if abs(entropy - output_entropy((p_uter, p_neuter))) > 1e-8:
+                raise DataError(f"{where}: entropy must be that of p_uter and p_neuter, "
+                                f"got {row[5]}")
+    if not rows:
+        raise DataError(f"{path}: no prediction rows")
+    words, gold, predicted, p_uter, p_neuter, entropy, frequencies = zip(*rows)
     return Predictions(
         words, np.array(gold, dtype=np.int64), np.array(predicted, dtype=np.int64),
         np.column_stack([p_uter, p_neuter]), np.array(entropy),
@@ -454,6 +458,8 @@ def load_model(path) -> MLPModel:
     fixed = {"activation": "relu", "params": list(MLPModel.PARAM_NAMES)}
     if type(seed) is not int or any(header.get(k, v) != v for k, v in fixed.items()):
         raise DataError(f"{path}: unsupported model header {header!r}")
+    if seed < 0:
+        raise DataError(f"{path}: seed must be >= 0, got {seed}")
     k, h, out = sizes
     expected = (k * h + h + h * out + out) * 8
     if len(blob) != expected:

@@ -71,10 +71,9 @@ def truncated_svd(matrix, k: int, *, seed: int = 0) -> tuple[np.ndarray, np.ndar
     ----------
     matrix : (m, n) ndarray or scipy sparse array
     k : number of singular triplets to keep, ``1 <= k <= min(m, n)``
-    seed : seeds ARPACK's start vector; fixed seed means bitwise
-        reproducible output on one platform, except where ARPACK asks
-        for a restart vector (exactly rank-deficient input with ``k``
-        above the rank), which it draws unseeded
+    seed : seeds ARPACK's start vector and any restart vector it asks
+        for (exactly rank-deficient input with ``k`` above the rank); a
+        fixed seed means bitwise reproducible output on one platform
 
     Returns
     -------
@@ -111,9 +110,11 @@ def ritz_factors(matrix, k: int, *, seed: int = 0) -> tuple[np.ndarray, np.ndarr
     gram = LinearOperator(
         (rank_cap, rank_cap), matvec=lambda v: a_h.dot(a.dot(v)), dtype=matrix.dtype
     )
-    v0 = np.random.default_rng(seed).standard_normal(rank_cap)
+    # the start vector and every restart vector come from one seeded generator
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(rank_cap)
     try:
-        _, q = eigsh(gram, k=k, v0=v0)
+        _, q = eigsh(gram, k=k, v0=v0, rng=rng)
     except ArpackError as exc:
         raise NumericalError(f"truncated SVD failed: {exc}") from None
     # ARPACK's eigenvectors need not be exactly orthonormal

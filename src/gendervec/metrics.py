@@ -40,43 +40,6 @@ def confusion_matrix(predictions: Predictions) -> np.ndarray:
     return np.bincount(predictions.gold * n + predictions.predicted, minlength=n * n).reshape(n, n)
 
 
-def accuracy(confusion: np.ndarray) -> float:
-    """Share of agreeing (gold, predicted) pairs."""
-    total = int(confusion.sum())
-    if total == 0:
-        raise DataError("empty confusion matrix")
-    return int(np.trace(confusion)) / total
-
-
-def precision_recall_f(confusion: np.ndarray, cls: str) -> tuple[float, float, float]:
-    """One-vs-rest precision, recall and F-score for ``cls``.
-
-    Degenerate denominators yield 0.0 with a logged warning rather than
-    an error, so an all-one-class prediction still produces a report.
-    """
-    if cls not in CLASSES:
-        raise ConfigurationError(f"unknown class {cls!r}")
-    c = CLASSES.index(cls)
-    tp = int(confusion[c, c])
-    predicted = int(confusion[:, c].sum())
-    support = int(confusion[c].sum())
-    if predicted == 0:
-        logger.warning("no predictions for class %r; precision set to 0", cls)
-        precision = 0.0
-    else:
-        precision = tp / predicted
-    if support == 0:
-        logger.warning("no gold members for class %r; recall set to 0", cls)
-        recall = 0.0
-    else:
-        recall = tp / support
-    if precision + recall == 0.0:
-        f_score = 0.0
-    else:
-        f_score = 2.0 * precision * recall / (precision + recall)
-    return precision, recall, f_score
-
-
 def zero_rule_baseline(labels: Iterable[str]) -> float:
     """Accuracy of always predicting the most common label."""
     counts = np.unique(np.asarray(list(labels)), return_counts=True)[1]
@@ -334,24 +297,36 @@ def build_eval_report(predictions: Predictions) -> EvalReport:
         raise DataError("no prediction records to evaluate")
     confusion = confusion_matrix(predictions)
     counts = confusion.tolist()
-    supports = {cls: sum(counts[c]) for c, cls in enumerate(CLASSES)}
-    per_class = {}
-    for cls in CLASSES:
-        precision, recall, f_score = precision_recall_f(confusion, cls)
-        per_class[cls] = {
-            "precision": precision,
-            "recall": recall,
-            "f_score": f_score,
+    hits = np.diagonal(confusion)
+    predicted = confusion.sum(axis=0)
+    support = confusion.sum(axis=1)
+    for cls, n_predicted, n_gold in zip(CLASSES, predicted, support):
+        if not n_predicted:
+            logger.warning("no predictions for class %r; precision set to 0", cls)
+        if not n_gold:
+            logger.warning("no gold members for class %r; recall set to 0", cls)
+    # an empty row or column has no hits, so its score divides 0 by 1
+    precision = hits / np.maximum(predicted, 1)
+    recall = hits / np.maximum(support, 1)
+    f_score = np.divide(2.0 * precision * recall, precision + recall,
+                        out=np.zeros(len(CLASSES)), where=precision + recall > 0)
+    per_class = {
+        cls: {
+            "precision": float(precision[c]),
+            "recall": float(recall[c]),
+            "f_score": float(f_score[c]),
             # recall doubles as the class accuracy used by weighted accuracy
-            "accuracy": recall,
-            "support": supports[cls],
+            "accuracy": float(recall[c]),
+            "support": int(support[c]),
         }
+        for c, cls in enumerate(CLASSES)
+    }
     total = len(predictions)
     overall = {
         "aggregation": "support-weighted one-vs-rest average over classes",
-        "precision": sum(per_class[c]["precision"] * supports[c] for c in CLASSES) / total,
-        "recall": sum(per_class[c]["recall"] * supports[c] for c in CLASSES) / total,
-        "f_score": sum(per_class[c]["f_score"] * supports[c] for c in CLASSES) / total,
+        "precision": float((precision * support).sum() / total),
+        "recall": float((recall * support).sum() / total),
+        "f_score": float((f_score * support).sum() / total),
     }
 
     def summary(values: np.ndarray):
@@ -369,7 +344,7 @@ def build_eval_report(predictions: Predictions) -> EvalReport:
         confusion={
             g: {p: counts[i][j] for j, p in enumerate(CLASSES)} for i, g in enumerate(CLASSES)
         },
-        accuracy=accuracy(confusion),
+        accuracy=int(hits.sum()) / total,
         baseline_accuracy=zero_rule_baseline(predictions.gold.tolist()),
         per_class=per_class,
         overall=overall,

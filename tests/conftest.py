@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from gendervec import corpus
+from gendervec import classifier, corpus, metrics
+from gendervec.dataset import CLASSES
 
 
 @pytest.fixture
@@ -15,3 +17,21 @@ def chunk_reads(monkeypatch) -> list:
 
     monkeypatch.setattr(corpus, "read_chunks", counting_read)
     return reads
+
+
+@pytest.fixture
+def report_from_confusion():
+    """``build_eval_report`` on predictions that hold ``cm[g, p]`` words of
+    gold class ``g`` predicted as ``p``, indexed over ``CLASSES``."""
+
+    def build(cm):
+        cm = np.asarray(cm)
+        gold, predicted = np.divmod(np.arange(cm.size), cm.shape[1])
+        gold, predicted = np.repeat(gold, cm.ravel()), np.repeat(predicted, cm.ravel())
+        n = gold.size
+        return metrics.build_eval_report(classifier.Predictions(
+            tuple(f"w{i}" for i in range(n)), gold, predicted,
+            np.eye(len(CLASSES))[predicted], np.zeros(n), np.ones(n, dtype=np.int64),
+        ))
+
+    return build

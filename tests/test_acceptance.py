@@ -18,12 +18,7 @@ from gendervec import lexicon, pipeline, synthetic
 from gendervec.classifier import MLPModel, TrainConfig, gradient_check
 from gendervec.cooccurrence import ContextConfig
 from gendervec.embedding import EmbeddingConfig, truncated_svd
-from gendervec.metrics import (
-    accuracy,
-    fisher_pitman_permutation,
-    kendall_tau_b,
-    precision_recall_f,
-)
+from gendervec.metrics import fisher_pitman_permutation, kendall_tau_b
 
 
 # ---------------------------------------------------------------------------
@@ -112,20 +107,20 @@ def synthetic_study(tmp_path_factory):
     return {"cells": cells, "elapsed": elapsed}
 
 
-def test_confusion_counts_reproduce_headline_metrics():
-    # fixed reference counts and the percentages they must reproduce,
-    # each within 0.05 points
+def test_confusion_counts_reproduce_headline_metrics(report_from_confusion):
+    # fixed reference counts and the percentages the eval report must
+    # reproduce from them, each within 0.05 points
     # indexed [gold, predicted] over (uter, neuter)
-    cm = np.array([[1430, 69], [102, 542]])
-    assert abs(100.0 * accuracy(cm) - 92.02) <= 0.05
-    p, r, f = precision_recall_f(cm, "neuter")
-    assert abs(100.0 * p - 88.70) <= 0.05
-    assert abs(100.0 * r - 84.16) <= 0.05
-    assert abs(100.0 * f - 86.37) <= 0.05
-    p, r, f = precision_recall_f(cm, "uter")
-    assert abs(100.0 * p - 93.34) <= 0.05
-    assert abs(100.0 * r - 95.40) <= 0.05
-    assert abs(100.0 * f - 94.36) <= 0.05
+    report = report_from_confusion(np.array([[1430, 69], [102, 542]]))
+    assert abs(100.0 * report.accuracy - 92.02) <= 0.05
+    neuter = report.per_class["neuter"]
+    assert abs(100.0 * neuter["precision"] - 88.70) <= 0.05
+    assert abs(100.0 * neuter["recall"] - 84.16) <= 0.05
+    assert abs(100.0 * neuter["f_score"] - 86.37) <= 0.05
+    uter = report.per_class["uter"]
+    assert abs(100.0 * uter["precision"] - 93.34) <= 0.05
+    assert abs(100.0 * uter["recall"] - 95.40) <= 0.05
+    assert abs(100.0 * uter["f_score"] - 94.36) <= 0.05
 
 
 def test_weighted_accuracy_formula():

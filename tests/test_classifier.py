@@ -406,7 +406,7 @@ def test_model_load_validation(tmp_path):
     header = json.loads(header)
     for bad in (
         {}, [], header | {"layer_sizes": [10, 64]}, header | {"layer_sizes": ["a", 64, 2]},
-        header | {"layer_sizes": [10.0, 64, 2]}, header | {"seed": "x"},
+        header | {"layer_sizes": [10.0, 64, 2]}, header | {"seed": "x"}, header | {"seed": -1},
         header | {"activation": "tanh"}, header | {"params": ["b2", "w2", "b1", "w1"]},
     ):
         path.write_bytes(json.dumps(bad).encode("utf-8") + b"\n" + blob)

@@ -975,27 +975,45 @@ def test_report_with_embedding_lacking_a_test_word_exits_three(flow, tmp_path, c
     assert repr(test_word) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("column, value", [
-    ("p_uter", "abc"), ("frequency", "0"), ("gold", "nope"), ("p_uter", "nan"), ("entropy", "inf"),
-    ("p_uter", "-3.5"), ("p_neuter", "0.9"), ("entropy", "-1.0"),
-])
-def test_report_with_malformed_records_exits_three(flow, tmp_path, capsys, column, value):
+def _report_on_records(flow, tmp_path, edit):
+    """Exit code and output path of ``report`` on a copy of the eval
+    directory whose records.csv lines are ``edit(header, first, rest)``."""
     eval_dir = tmp_path / "eval"
     eval_dir.mkdir()
     for name in ("eval_report.json", "stats.json"):
         shutil.copyfile(f"{flow['eval']}/{name}", eval_dir / name)
     with open(f"{flow['eval']}/records.csv", encoding="utf-8") as fh:
         header, first, *rest = fh.read().splitlines()
-    cells = first.split(",")
-    cells[header.split(",").index(column)] = value
     (eval_dir / "records.csv").write_text(
-        "\n".join([header, ",".join(cells), *rest]) + "\n", encoding="utf-8"
+        "\n".join(edit(header, first, rest)) + "\n", encoding="utf-8"
     )
     out = tmp_path / "report"
-    rc = main(["report", "--eval-dir", str(eval_dir), "--out", str(out)])
+    return main(["report", "--eval-dir", str(eval_dir), "--out", str(out)]), out
+
+
+@pytest.mark.parametrize("column, value", [
+    ("p_uter", "abc"), ("frequency", "0"), ("gold", "nope"), ("p_uter", "nan"), ("entropy", "inf"),
+    ("p_uter", "-3.5"), ("p_neuter", "0.9"), ("entropy", "-1.0"), ("entropy", "0.5"),
+    pytest.param("predicted", {"uter": "neuter", "neuter": "uter"}, id="predicted-flipped"),
+])
+def test_report_with_malformed_records_exits_three(flow, tmp_path, capsys, column, value):
+    def edit(header, first, rest):
+        cells = first.split(",")
+        i = header.split(",").index(column)
+        cells[i] = value[cells[i]] if isinstance(value, dict) else value
+        return [header, ",".join(cells), *rest]
+
+    rc, out = _report_on_records(flow, tmp_path, edit)
     assert rc == 3
     assert "records.csv:2" in capsys.readouterr().err
     assert not out.exists()  # nothing written before the records are read
+
+
+def test_report_with_header_only_records_exits_three(flow, tmp_path, capsys):
+    rc, out = _report_on_records(flow, tmp_path, lambda header, first, rest: [header])
+    assert rc == 3
+    assert "records.csv: no prediction rows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_with_missing_stats_exits_three(flow, tmp_path, capsys):

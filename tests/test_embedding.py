@@ -192,13 +192,17 @@ def test_matches_svds_bit_for_bit(make, k, seed):
 
 @pytest.mark.parametrize("k", [5, 20])
 def test_k_above_the_rank(k):
-    # rank 3 with k above it: ARPACK asks for restart vectors, which it
-    # draws unseeded, so only the values past the rank may vary
+    # rank 3 with k above it: ARPACK asks for restart vectors, which the
+    # seed draws too, so repeated calls agree bit for bit
     mat = block_diag(np.ones((70, 70)), 2 * np.ones((60, 60)), 3 * np.ones((70, 70)))
     sigma, v = truncated_svd(mat, k, seed=0)
     assert np.allclose(sigma[:3], [210.0, 120.0, 70.0])
     assert np.allclose(sigma[3:], 0.0, atol=1e-8)
     assert np.allclose(v.T @ v, np.eye(k), atol=1e-8)
+    for _ in range(3):
+        again_sigma, again_v = truncated_svd(mat, k, seed=0)
+        assert again_sigma.tobytes() == sigma.tobytes()
+        assert again_v.tobytes() == v.tobytes()
 
 
 def test_factorizations_never_call_numpy_linalg(monkeypatch):

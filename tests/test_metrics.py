@@ -12,13 +12,11 @@ from gendervec.classifier import Predictions
 from gendervec.dataset import CLASSES
 from gendervec.errors import DataError
 from gendervec.metrics import (
-    accuracy,
     build_eval_report,
     confusion_matrix,
     entropy_frequency_analysis,
     fisher_pitman_permutation,
     kendall_tau_b,
-    precision_recall_f,
     zero_rule_baseline,
 )
 from gendervec.records import write_json
@@ -91,36 +89,61 @@ def test_confusion_matrix_accessors():
 PUBLISHED = np.array([[1430, 69], [102, 542]])
 
 
-def test_accuracy_published_counts():
+def test_accuracy_published_counts(report_from_confusion):
     cm = PUBLISHED
     assert cm.sum() == 2143
     assert np.trace(cm) == 1972
-    assert abs(accuracy(cm) - 0.9202) <= 0.0005
+    assert abs(report_from_confusion(cm).accuracy - 0.9202) <= 0.0005
 
 
-def test_precision_recall_f_published_counts():
-    cm = PUBLISHED
-    p_n, r_n, f_n = precision_recall_f(cm, "neuter")
-    assert abs(p_n - 0.8870) <= 0.0005
-    assert abs(r_n - 0.8416) <= 0.0005
-    assert abs(f_n - 0.8637) <= 0.0005
-    p_u, r_u, f_u = precision_recall_f(cm, "uter")
-    assert abs(p_u - 0.9334) <= 0.0005
-    assert abs(r_u - 0.9540) <= 0.0005
-    assert abs(f_u - 0.9436) <= 0.0005
+def test_precision_recall_f_published_counts(report_from_confusion):
+    per_class = report_from_confusion(PUBLISHED).per_class
+    neuter = per_class["neuter"]
+    assert abs(neuter["precision"] - 0.8870) <= 0.0005
+    assert abs(neuter["recall"] - 0.8416) <= 0.0005
+    assert abs(neuter["f_score"] - 0.8637) <= 0.0005
+    uter = per_class["uter"]
+    assert abs(uter["precision"] - 0.9334) <= 0.0005
+    assert abs(uter["recall"] - 0.9540) <= 0.0005
+    assert abs(uter["f_score"] - 0.9436) <= 0.0005
 
 
-def test_accuracy_empty_confusion():
+def test_accuracy_empty_confusion(report_from_confusion):
     with pytest.raises(DataError):
-        accuracy(np.zeros((2, 2), dtype=np.int64))
+        report_from_confusion(np.zeros((2, 2), dtype=np.int64))
 
 
-def test_precision_degenerate_class_is_zero(caplog):
+def test_precision_degenerate_class_is_zero(report_from_confusion, caplog):
     cm = np.array([[5, 0], [0, 0]])
     with caplog.at_level(logging.WARNING):
-        p, r, f = precision_recall_f(cm, "neuter")
-    assert (p, r, f) == (0.0, 0.0, 0.0)
+        neuter = report_from_confusion(cm).per_class["neuter"]
+    assert (neuter["precision"], neuter["recall"], neuter["f_score"]) == (0.0, 0.0, 0.0)
     assert any("neuter" in rec.message for rec in caplog.records)
+
+
+@pytest.mark.parametrize("cm", [
+    PUBLISHED, [[5, 0], [0, 0]], [[0, 0], [0, 5]], [[0, 3], [0, 4]], [[0, 1], [1, 0]], [[2, 1], [0, 7]],
+])
+def test_report_scores_equal_the_per_class_formulas(report_from_confusion, cm):
+    # the textbook one-class-at-a-time formulas on Python ints, each
+    # degenerate denominator giving 0.0: the report's arrays do the
+    # same float operations, so the scores are equal, not just close
+    cm = np.asarray(cm).tolist()
+    report = report_from_confusion(cm)
+    n = sum(map(sum, cm))
+    expected = {}
+    for c, cls in enumerate(CLASSES):
+        tp, predicted, support = cm[c][c], cm[0][c] + cm[1][c], sum(cm[c])
+        p = tp / predicted if predicted else 0.0
+        r = tp / support if support else 0.0
+        f = 2.0 * p * r / (p + r) if p + r else 0.0
+        expected[cls] = {"precision": p, "recall": r, "f_score": f, "accuracy": r,
+                         "support": support}
+    assert report.per_class == expected
+    assert report.accuracy == (cm[0][0] + cm[1][1]) / n
+    for name in ("precision", "recall", "f_score"):
+        weighted = sum(expected[cls][name] * expected[cls]["support"] for cls in CLASSES)
+        assert report.overall[name] == weighted / n
 
 
 def test_zero_rule_baseline():
