@@ -78,26 +78,32 @@ def _forward(params: list[np.ndarray], x: np.ndarray) -> tuple[np.ndarray, np.nd
     ``w1, b1, w2, b2`` stack on a leading axis, each on its own
     ``(batch, input_dim)`` slice of ``x``."""
     w1, b1, w2, b2 = params
-    hidden_out = np.maximum(x @ w1 + b1[:, None], 0.0)
-    return hidden_out, _softmax(hidden_out @ w2 + b2[:, None])
+    hidden_out = x @ w1
+    hidden_out += b1[:, None]
+    np.maximum(hidden_out, 0.0, out=hidden_out)
+    logits = hidden_out @ w2
+    logits += b2[:, None]
+    return hidden_out, _softmax(logits)
 
 
-def _backprop(params: list[np.ndarray], x: np.ndarray, y: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Each stacked network's mean cross-entropy on gold classes ``y`` and
-    its gradient, laid out like ``flat``.  Training and ``gradient_check``
-    both run this."""
+def _backprop(params: list[np.ndarray], x: np.ndarray, y: np.ndarray,
+              grad: list[np.ndarray]) -> np.ndarray:
+    """Each stacked network's mean cross-entropy on gold classes ``y``; its
+    gradient goes into ``grad``, the ``_split_params`` parts of a buffer
+    laid out like ``flat``.  Training and ``gradient_check`` both run this."""
     hidden_out, proba = _forward(params, x)
-    w2 = params[2]
-    dlogits = proba.copy()
+    loss = _cross_entropy(proba, y)
+    dlogits = proba
     dlogits[:, np.arange(len(y)), y] -= 1.0
     dlogits /= len(y)
+    dz1 = dlogits @ params[2].swapaxes(-1, -2)
     # the ReLU passes gradient exactly where its output is positive
-    dz1 = (dlogits @ w2.swapaxes(-1, -2)) * (hidden_out > 0.0)
-    grad = [x.swapaxes(-1, -2) @ dz1, dz1.sum(axis=-2),
-            hidden_out.swapaxes(-1, -2) @ dlogits, dlogits.sum(axis=-2)]
-    flat_grad = [g.reshape(len(x), math.prod(g.shape[1:])) for g in grad]
-    return _cross_entropy(proba, y), np.concatenate(flat_grad, axis=1)
+    dz1 *= hidden_out > 0.0
+    np.matmul(x.swapaxes(-1, -2), dz1, out=grad[0])
+    np.sum(dz1, axis=-2, out=grad[1])
+    np.matmul(hidden_out.swapaxes(-1, -2), dlogits, out=grad[2])
+    np.sum(dlogits, axis=-2, out=grad[3])
+    return loss
 
 
 class MLPModel:
@@ -151,7 +157,9 @@ class MLPModel:
 
     def loss_and_gradients(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         """Backprop: mean cross-entropy and its gradient, laid out like ``flat``."""
-        loss, grad = _backprop(*self._stack_of_one(x), y)
+        params, x = self._stack_of_one(x)
+        grad = np.empty((1, self.flat.size))
+        loss = _backprop(params, x, y, _split_params(grad, *self.w1.shape))
         return float(loss[0]), grad[0]
 
 
@@ -213,23 +221,27 @@ def train_stack(
     rng = np.random.default_rng(config.seed)
     h = config.hidden_size
     flat = np.tile(MLPModel.initialize(k, h, rng).flat, (c, 1))
-    live = _Live(np.arange(c), x_train, x_dev, flat, np.zeros_like(flat), flat.copy(),
+    live = _Live(np.arange(c), flat, np.zeros_like(flat), flat.copy(),
                  np.full(c, -1.0), np.zeros(c, dtype=np.int64))
     results: list = [None] * c
     for epoch in range(config.max_epochs):
         order = rng.permutation(n)
+        grad = np.empty_like(live.flat)
+        params, parts = _split_params(live.flat, k, h), _split_params(grad, k, h)
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            params = _split_params(live.flat, k, h)
-            loss, grad = _backprop(params, live.x_train[:, batch], y_train[batch])
+            loss = _backprop(params, x_train[live.slot[:, None], batch], y_train[batch], parts)
             finite = np.isfinite(loss)
             if not finite.all():
                 for slot, _ in live.drop(~finite):
                     results[slot] = NumericalError(f"non-finite training loss at epoch {epoch + 1}")
                 grad = grad[finite]
-            live.velocity = config.momentum * live.velocity - config.learning_rate * grad
+                params, parts = _split_params(live.flat, k, h), _split_params(grad, k, h)
+            live.velocity *= config.momentum
+            grad *= config.learning_rate
+            live.velocity -= grad
             live.flat += live.velocity
-        proba = _forward(_split_params(live.flat, k, h), live.x_dev)[1]
+        proba = _forward(params, x_dev[live.slot])[1]
         hits = np.argmax(proba, axis=-1) == y_dev
         acc = hits.mean(axis=-1)
         improved = acc > live.best_acc
@@ -247,11 +259,11 @@ def train_stack(
 @dataclass
 class _Live:
     """The networks of a ``train_stack`` call still training: row ``i``
-    of every array belongs to the network of result slot ``slot[i]``."""
+    of every array belongs to the network of result slot ``slot[i]``, and
+    reads its inputs at ``x_train[slot[i]]`` and ``x_dev[slot[i]]``, so a
+    network leaving the stack copies no rows."""
 
     slot: np.ndarray
-    x_train: np.ndarray
-    x_dev: np.ndarray
     flat: np.ndarray
     velocity: np.ndarray
     best: np.ndarray
@@ -385,9 +397,10 @@ def save_prediction_records(predictions: Predictions, path) -> None:
 
 
 def load_prediction_records(path) -> Predictions:
-    """Read ``save_prediction_records`` output; a bad row is a ``DataError``
-    naming ``path:line``."""
+    """Read ``save_prediction_records`` output; a bad row, or a word's
+    second row, is a ``DataError`` naming ``path:line``."""
     rows = []
+    lines: dict[str, int] = {}
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -397,6 +410,8 @@ def load_prediction_records(path) -> Predictions:
             where = f"{path}:{reader.line_num}"
             if len(row) != len(RECORD_FIELDS):
                 raise DataError(f"{where}: malformed row {row}")
+            if lines.setdefault(row[0], reader.line_num) != reader.line_num:
+                raise DataError(f"{where}: {row[0]!r} repeats the row of line {lines[row[0]]}")
             try:
                 rows.append((row[0], CLASSES.index(row[1]), CLASSES.index(row[2]),
                              float(row[3]), float(row[4]), float(row[5]), int(row[6])))

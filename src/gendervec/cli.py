@@ -23,7 +23,7 @@ import os
 import pathlib
 import sys
 
-from . import classifier, cooccurrence, corpus, dataset, embedding, lexicon
+from . import classifier, cooccurrence, corpus, dataset, embedding, lexicon, metrics
 from . import pipeline, records, report, synthetic
 from .errors import ConfigurationError, DataError, GendervecError
 
@@ -254,9 +254,13 @@ def cmd_report(args) -> int:
     if args.dataset:
         decile_report = dataset.class_ratio_by_decile(dataset.load_dataset_table(args.dataset))
     grid = records.load_record(pipeline.GridResult, args.grid) if args.grid else None
-    # eval already wrote the report and the statistics; carry them as they are
+    # eval already wrote the report and the statistics; carry them as they
+    # are, once the report is the one the records score
     names = ("eval_report.json", "stats.json")
     carried = [pathlib.Path(args.eval_dir, name).read_bytes() for name in names]
+    if carried[0] != records.json_text(metrics.build_eval_report(predictions)).encode():
+        raise DataError(f"{os.path.join(args.eval_dir, names[0])}: not the report of "
+                        f"{os.path.join(args.eval_dir, 'records.csv')}")
     os.makedirs(args.out, exist_ok=True)
     paths = [os.path.join(args.out, name) for name in names]
     for path, data in zip(paths, carried):

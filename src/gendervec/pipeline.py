@@ -239,10 +239,12 @@ def grid_search(
     by stage over every cell: ``ritz_factors`` (scipy) for each cell's
     combined counts, then ``singular_vectors`` (numpy), taking each
     cell's train, dev and test rows, then one ``train_stack`` for all
-    probes; it holds about cells x (vocabulary + labeled words) x K x 8
-    bytes between stages.  Each cell's vectors, model and dev accuracy
-    are bit for bit those of ``embed_counts``, ``build_dataset``,
-    ``stratified_split`` and ``train`` on that cell alone.  A cell
+    probes.  One slot per cell, vocabulary x K floats, holds the cell's
+    Ritz basis and then a stacked cell's rows, so the grid holds about
+    cells x vocabulary x K x 8 bytes between stages.  Each cell's
+    vectors, model and dev accuracy are bit for bit those of
+    ``embed_counts``, ``build_dataset``, ``stratified_split`` and
+    ``train`` on that cell alone.  A cell
     failing for a reason of its own (all-zero counts, an ARPACK failure,
     non-finite vectors, a diverged probe) is recorded and skipped; if all
     fail, the first one's error is a DataError.  Ties on dev accuracy go
@@ -275,28 +277,44 @@ def grid_search(
     def fail(i: int, exc: GendervecError) -> None:
         results[i] = CellResult(cells[i], None, None, f"{type(exc).__name__}: {exc}")
 
+    # one slot per cell holds its Ritz basis q.T (K x |V|, C order, as the
+    # product in singular_vectors reads it), then the rows of a stacked cell;
+    # np.empty leaves the pages no cell writes out of memory
+    k, size = embedding_config.k, len(vocab)
+    slots = np.empty((len(cells), size * k))
     factors = {}
     for i, context in enumerate(cells):
         try:
             counts = transformed_counts(combine(by_distance, context), vocab, embedding_config)
-            factors[i] = ritz_factors(counts, embedding_config.k, seed=embedding_config.seed)
+            s, w, q = ritz_factors(counts, k, seed=embedding_config.seed)
         except GendervecError as exc:
             fail(i, exc)
+            continue
+        if q is not None:
+            basis = slots[len(factors)].reshape(k, size)
+            basis[...] = q.T
+            q = basis.T
+        factors[i] = s, w, q
     parts = (split.train, split.dev, split.test)
     ids = [row_lookup(vocab.ids, part.words, "the vocabulary") for part in parts]
-    blocks = [np.empty((len(factors), len(rows), embedding_config.k)) for rows in ids]
+    labeled_ids = np.concatenate(ids)
     stacked = []
     for i in list(factors):
         try:
-            sigma, v = singular_vectors(factors.pop(i), embedding_config.k)
+            sigma, v = singular_vectors(factors.pop(i), k)
             vectors = scaled_vectors(sigma, v, embedding_config)
         except GendervecError as exc:
             fail(i, exc)
             continue
-        for block, rows in zip(blocks, ids):
-            block[len(stacked)] = vectors[rows]
+        # the labeled words are vocabulary words, so their rows fit in a
+        # slot, and every slot up to this cell's holds a used basis
+        np.take(vectors, labeled_ids, axis=0,
+                out=slots[len(stacked), : labeled_ids.size * k].reshape(-1, k))
         stacked.append(i)
-    x_train, x_dev, _ = blocks = [block[: len(stacked)] for block in blocks]
+    stacked_rows = slots[: len(stacked), : labeled_ids.size * k].reshape(
+        len(stacked), labeled_ids.size, k)
+    x_train, x_dev, _ = blocks = np.split(
+        stacked_rows, np.cumsum([len(rows) for rows in ids[:2]]), axis=1)
     models = train_stack(x_train, split.train.labels, x_dev, split.dev.labels, train_config)
     for i, x, model in zip(stacked, x_dev, models):
         if isinstance(model, GendervecError):

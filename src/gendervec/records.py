@@ -140,12 +140,17 @@ def read_json(path):
             raise DataError(f"{path}: malformed JSON: {exc}") from None
 
 
-def write_json(path, data) -> None:
-    """Write a ``Record`` or plain JSON data as an artifact file."""
+def json_text(data) -> str:
+    """The artifact text of a ``Record`` or plain JSON data."""
     if isinstance(data, Record):
         data = data.to_dict()
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path, data) -> None:
+    """Write ``json_text(data)`` as an artifact file."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        fh.write(json_text(data))
 
 
 def read_rows(

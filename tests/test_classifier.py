@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -277,6 +278,22 @@ def test_stack_stops_each_network_on_patience_or_at_max_epochs():
     assert stops[0] < cfg.max_epochs < min(stops[1:])
     longer = train(*pairs[2], replace(cfg, max_epochs=cfg.max_epochs + 10))
     assert longer.flat.tobytes() != stacked[2].flat.tobytes()
+
+
+def test_stack_copies_no_inputs_when_networks_stop():
+    # labels unrelated to the inputs, so each network stops at its own epoch
+    rng = np.random.default_rng(0)
+    x_train, x_dev = rng.standard_normal((8, 2000, 50)), rng.standard_normal((8, 100, 50))
+    y_train, y_dev = rng.integers(0, 2, 2000), rng.integers(0, 2, 100)
+    cfg = TrainConfig(max_epochs=20, hidden_size=8, patience=2, seed=0)
+    tracemalloc.start()
+    try:
+        models = train_stack(x_train, y_train, x_dev, y_dev, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(model, MLPModel) for model in models)
+    assert peak < x_train.nbytes / 2
 
 
 def test_train_config_validation_and_roundtrip():

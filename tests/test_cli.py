@@ -995,18 +995,39 @@ def _report_on_records(flow, tmp_path, edit):
     ("p_uter", "abc"), ("frequency", "0"), ("gold", "nope"), ("p_uter", "nan"), ("entropy", "inf"),
     ("p_uter", "-3.5"), ("p_neuter", "0.9"), ("entropy", "-1.0"), ("entropy", "0.5"),
     pytest.param("predicted", {"uter": "neuter", "neuter": "uter"}, id="predicted-flipped"),
+    pytest.param("word", None, id="repeated-row"),
 ])
 def test_report_with_malformed_records_exits_three(flow, tmp_path, capsys, column, value):
+    words = []
+
     def edit(header, first, rest):
         cells = first.split(",")
+        if value is None:  # the first row twice
+            words.append(cells[0])
+            return [header, first, first, *rest]
         i = header.split(",").index(column)
         cells[i] = value[cells[i]] if isinstance(value, dict) else value
         return [header, ",".join(cells), *rest]
 
     rc, out = _report_on_records(flow, tmp_path, edit)
     assert rc == 3
-    assert "records.csv:2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if words:
+        assert f"records.csv:3: {words[0]!r} repeats the row of line 2" in err
+    else:
+        assert "records.csv:2" in err
     assert not out.exists()  # nothing written before the records are read
+
+
+def test_report_on_records_its_report_does_not_score_exits_three(flow, tmp_path, capsys):
+    def drop_last(header, first, rest):  # the carried report still counts it
+        return [header, first, *rest[:-1]]
+
+    rc, out = _report_on_records(flow, tmp_path, drop_last)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "eval_report.json: not the report of " in err and "records.csv" in err
+    assert not out.exists()
 
 
 def test_report_with_header_only_records_exits_three(flow, tmp_path, capsys):

@@ -249,6 +249,51 @@ def test_grid_cells_equal_each_cell_run_alone(language_files, monkeypatch):
     assert len(result.cells) == 15 and result.best != diverging
 
 
+def test_grid_cells_after_a_singular_vectors_failure_equal_each_cell_run_alone(
+        language_files, monkeypatch):
+    corpus, lexicon = language_files
+    real_scaled_vectors, calls = pipeline.scaled_vectors, []
+
+    def scaled_vectors_failing_once(sigma, v, config):
+        calls.append(None)
+        if len(calls) == 8:  # the middle one of the fifteen cells
+            raise NumericalError("synthetic singular-vectors failure")
+        return real_scaled_vectors(sigma, v, config)
+
+    real_train_stack, stacks = pipeline.train_stack, []
+
+    def recorded_train_stack(x_train, y_train, x_dev, y_dev, config):
+        models = real_train_stack(x_train, y_train, x_dev, y_dev, config)
+        stacks.append((x_train.copy(), x_dev.copy(), models))
+        return models
+
+    monkeypatch.setattr(pipeline, "scaled_vectors", scaled_vectors_failing_once)
+    monkeypatch.setattr(pipeline, "train_stack", recorded_train_stack)
+    result = grid_search(corpus, lexicon, default_grid(), EMB_CFG, TRAIN_CFG)
+    failed = [i for i, cell in enumerate(result.cells) if not cell.ok]
+    assert failed == [7]
+    assert result.cells[7].error == "NumericalError: synthetic singular-vectors failure"
+    # every cell after the failed one writes its rows into the slot before its own
+    (x_train, x_dev, models), = stacks
+    vocab, lex = pipeline.prepare_inputs(corpus, lexicon)
+    by_distance = cooccurrence.count_by_distance(read_token_ids(corpus, vocab), len(vocab), 5)
+    ok = [cell for cell in result.cells if cell.ok]
+    assert len(ok) == len(models) == 14
+    for j, cell in enumerate(ok):
+        emb = embedding.embed_counts(cooccurrence.combine(by_distance, cell.context), vocab,
+                                     EMB_CFG)
+        bundle = bundle_from_manifest(result.split_manifest, build_dataset(emb, lex, vocab))
+        assert x_train[j].tobytes() == bundle.train.vectors.tobytes()
+        assert x_dev[j].tobytes() == bundle.dev.vectors.tobytes()
+        model = train(bundle.train, bundle.dev, TRAIN_CFG)
+        assert models[j].flat.tobytes() == model.flat.tobytes()
+        assert cell.dev_accuracy == float(correct_predictions(model, bundle.dev).mean())
+        if cell.context == result.best:
+            for name in ("train", "dev", "test"):
+                ours, theirs = getattr(result.bundle, name), getattr(bundle, name)
+                assert ours.vectors.tobytes() == theirs.vectors.tobytes()
+
+
 def test_grid_search_records_cells_without_counts(tmp_path):
     # Each x<k> occurs once and is filtered out, so no two vocabulary
     # words are adjacent: the w=1 cells have no count, the w=2 cells do.
