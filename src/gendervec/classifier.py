@@ -12,41 +12,25 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
 from .dataset import CLASSES, LabeledSet
 from .errors import ConfigurationError, DataError, NumericalError
-from .records import Record, open_text, write_csv
+from .records import Record, bounds, open_text, write_csv
 
 
 @dataclass(frozen=True)
 class TrainConfig(Record):
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    batch_size: int = 64
-    max_epochs: int = 200
-    patience: int = 10
-    hidden_size: int = 64
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigurationError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ConfigurationError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience < 1:
-            raise ConfigurationError(f"patience must be >= 1, got {self.patience}")
-        if self.hidden_size < 1:
-            raise ConfigurationError(f"hidden_size must be >= 1, got {self.hidden_size}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+    learning_rate: float = field(default=0.05, metadata=bounds(0, open_lo=True))
+    momentum: float = field(default=0.9, metadata=bounds(0, 1, open_hi=True))
+    batch_size: int = field(default=64, metadata=bounds(1))
+    max_epochs: int = field(default=200, metadata=bounds(1))
+    patience: int = field(default=10, metadata=bounds(1))
+    hidden_size: int = field(default=64, metadata=bounds(1))
+    seed: int = field(default=0, metadata=bounds(0))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -292,7 +276,7 @@ def output_entropy(distribution: Sequence[float]) -> float:
     if np.any(p < 0):
         raise DataError(f"negative probability in {p.tolist()}")
     total = float(p.sum())
-    if abs(total - 1.0) > 1e-8:
+    if not abs(total - 1.0) <= 1e-8:
         raise DataError(f"distribution sums to {total!r}, not 1")
     nonzero = p[p > 0]
     return float(-(nonzero * np.log(nonzero)).sum())

@@ -3,16 +3,16 @@
 Subcommands mirror the pipeline stages: ingest, cooc, embed, label,
 split, train, tune, eval, report, synth.  Each stage's option flags are
 the fields of the records it builds: a flag is the field's JSON key with
-``-`` for ``_`` (``FLAGS`` holds the few that differ) and takes the
-field's type, and the same key sets it in a JSON config file (--config);
-explicit flags override the file.  Each subparser
-declares the records its stage builds (``builds``), the files it reads
-(``reads``) and the paths it writes (``writes``); ``main`` builds the
-records, then checks every output path, and only then calls the stage
-with its records, so a bad option or output, or an output that would
-write over an input, fails before any input is read.  Exit codes: 0 on
-success, 2 for configuration problems, 3 for data problems, 4 for
-numerical failures.
+``-`` for ``_``, takes the field's type and any choices its rule lists
+(``FLAGS`` holds the few flag names and extras that differ), and the
+same key sets it in a JSON config file (--config); explicit flags
+override the file.  Each subparser declares the records its stage builds
+(``builds``), the files it reads (``reads``) and the paths it writes
+(``writes``); ``main`` builds the records, then checks every output path,
+and only then calls the stage with its records, so a bad option or
+output, or an output that would write over an input, fails before any
+input is read.  Exit codes: 0 on success, 2 for configuration problems,
+3 for data problems, 4 for numerical failures.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ FLAGS = {
     "noun_count": {"flag": "--nouns"},
     "filler_count": {"flag": "--fillers"},
     "sentence_count": {"flag": "--sentences"},
-    "context_type": {"choices": cooccurrence.CONTEXT_TYPES},
     "ratios": {"type": _comma_list, "help": "comma-separated train,dev,test ratios"},
 }
 
@@ -212,7 +211,7 @@ def cmd_tune(args, grid, run, emb_config, train_config) -> int:
     os.makedirs(args.out, exist_ok=True)
     grid_path = os.path.join(args.out, "grid.json")
     records.write_json(grid_path, result)
-    records.write_json(os.path.join(args.out, "split_manifest.json"), result.split_manifest)
+    records.write_json(os.path.join(args.out, "split_manifest.json"), result.bundle.manifest)
     for cell in result.cells:
         label = f"{cell.context.context_type} w={cell.context.window_size}"
         if cell.ok:
@@ -317,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
             for f, k in records.json_fields(cls) if isinstance(cls, type) else ():
                 if k not in seen and (k in keys or not keys):
                     seen.add(k)
-                    opts = {"dest": k, "type": records.field_types(cls)[f.name], **FLAGS.get(k, {})}
+                    opts = {"dest": k, "type": records.field_types(cls)[f.name], **FLAGS.get(k, {}),
+                            "choices": getattr(f.metadata.get("rule"), "choices", None)}
                     p.add_argument(opts.pop("flag", "--" + k.replace("_", "-")), **opts)
 
     p = stage("ingest", "build a vocabulary TSV from a corpus", cmd_ingest, "corpus")

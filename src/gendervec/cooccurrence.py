@@ -15,7 +15,7 @@ distance whose ids are both known and whose sentence is the same.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,12 +23,9 @@ from scipy import sparse
 
 from .corpus import Sentence, Vocabulary, token_ids
 from .errors import ConfigurationError, DataError
-from .records import Record, read_rows
+from .records import Record, bounds, one_of, read_rows
 
 CONTEXT_TYPES = ("asymmetric_backward", "asymmetric_forward", "symmetric")
-
-# Largest supported window size.
-MAX_WINDOW = 5
 
 # Tokens counted at a time, in whole chunks or batches; bounds counting
 # memory whatever the corpus size.
@@ -44,18 +41,8 @@ ROW_BYTES = b"0123456789\t\n"
 
 @dataclass(frozen=True)
 class ContextConfig(Record):
-    context_type: str
-    window_size: int
-
-    def __post_init__(self):
-        if self.context_type not in CONTEXT_TYPES:
-            raise ConfigurationError(
-                f"context_type must be one of {CONTEXT_TYPES}, got {self.context_type!r}"
-            )
-        if self.window_size < 1:
-            raise ConfigurationError(f"window_size must be >= 1, got {self.window_size}")
-        if self.window_size > MAX_WINDOW:
-            raise ConfigurationError(f"window_size {self.window_size} exceeds {MAX_WINDOW}")
+    context_type: str = field(metadata=one_of(CONTEXT_TYPES))
+    window_size: int = field(metadata=bounds(1, 5))
 
     @classmethod
     def from_dict(cls, data: dict):

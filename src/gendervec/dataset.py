@@ -145,9 +145,9 @@ def apportion(total: int, ratios: Sequence[float]) -> list[int]:
 def validate_ratios(ratios: Sequence[float]) -> tuple[float, float, float]:
     if len(ratios) != 3:
         raise ConfigurationError(f"expected 3 ratios, got {len(ratios)}")
-    if any(r <= 0 for r in ratios):
+    if not all(r > 0 for r in ratios):  # written so that NaN fails it, as below
         raise ConfigurationError(f"ratios must be positive, got {tuple(ratios)}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
+    if not abs(sum(ratios) - 1.0) <= 1e-9:
         raise ConfigurationError(f"ratios must sum to 1, got {tuple(ratios)}")
     return (float(ratios[0]), float(ratios[1]), float(ratios[2]))
 

@@ -20,30 +20,22 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 from .cooccurrence import ContextConfig, CoocMatrix, count_cooccurrences
 from .corpus import Sentence, Vocabulary, row_lookup, word_index
 from .errors import ConfigurationError, DataError, NumericalError
-from .records import Record, key, open_text
+from .records import Record, bounds, key, open_text
 
 EMBEDDING_MAGIC = b"RSVEMB01"
 
 
 @dataclass(frozen=True)
 class EmbeddingConfig(Record):
-    k: int = field(default=50, metadata=key("K"))
-    alpha: float = 0.5
-    sigma_power: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ConfigurationError(f"K must be >= 1, got {self.k}")
-        if self.alpha <= 0:
-            raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+    k: int = field(default=50, metadata=key("K") | bounds(1))
+    alpha: float = field(default=0.5, metadata=bounds(0, open_lo=True))
+    sigma_power: float = field(default=0.0, metadata=bounds())
+    seed: int = field(default=0, metadata=bounds(0))
 
 
 def power_transform(cooc: CoocMatrix, alpha: float) -> sparse.csr_array:
     """Raise every stored count, as float64, to ``alpha``, preserving sparsity."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ConfigurationError(f"alpha must be > 0, got {alpha}")
     out = cooc.matrix.astype(np.float64)
     with np.errstate(over="ignore"):

@@ -61,7 +61,7 @@ from .metrics import (
     build_eval_report,
     entropy_frequency_analysis,
 )
-from .records import OMIT, Record, load_record, write_json
+from .records import OMIT, Record, bounds, load_record, write_json
 
 # Names perfbench/ wraps when it traces a run, and reads through; split_words_by_class
 # and bundle_from_manifest are kept here for perfbench/tracer.py, which patches
@@ -80,19 +80,15 @@ class RunOptions(Record):
     """The run-level options beside the three configs: frequency filters,
     the split, and the permutation test of the final evaluation."""
 
-    min_freq: int = 0
-    vocab_min_freq: int = 0
-    split_seed: int = 0
+    min_freq: int = field(default=0, metadata=bounds(0))
+    vocab_min_freq: int = field(default=0, metadata=bounds(0))
+    split_seed: int = field(default=0, metadata=bounds(0))
     ratios: tuple[float, float, float] = DEFAULT_RATIOS
-    n_perm: int = 10_000
-    stats_seed: int = 0
+    n_perm: int = field(default=10_000, metadata=bounds(1))
+    stats_seed: int = field(default=0, metadata=bounds(0))
 
     def __post_init__(self):
-        for name in ("min_freq", "vocab_min_freq", "split_seed", "stats_seed"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.n_perm < 1:
-            raise ConfigurationError(f"n_perm must be >= 1, got {self.n_perm}")
+        super().__post_init__()
         validate_ratios(self.ratios)
 
 
@@ -191,10 +187,15 @@ class GridResult(Record):
     best: ContextConfig
     split_seed: int
     test_digest: str
-    # grid.json omits these (None on load): the pinned split, the chosen model and bundle.
-    split_manifest: dict | None = field(default=None, metadata=OMIT)
+    # grid.json omits these (None on load): the chosen model and its bundle.
     model: MLPModel | None = field(default=None, metadata=OMIT)
     bundle: SplitBundle | None = field(default=None, metadata=OMIT)
+
+    # The pinned split's manifest, kept for perfbench/workloads.py, which reads
+    # it here; it goes with the run trace (ROADMAP item 4). Read bundle.manifest.
+    @property
+    def split_manifest(self) -> dict | None:
+        return self.bundle.manifest if self.bundle is not None else None
 
     def cell(self, context_type: str, window_size: int) -> CellResult:
         for c in self.cells:
@@ -340,7 +341,6 @@ def grid_search(
         best=cells[best],
         split_seed=options.split_seed,
         test_digest=split.manifest["test_digest"],
-        split_manifest=split.manifest,
         model=models[chosen],
         # copies, so the result does not hold every cell's rows
         bundle=SplitBundle(*(replace(part, vectors=block[chosen].copy())

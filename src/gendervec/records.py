@@ -4,8 +4,11 @@
 casts each value to its annotated type, raising ``DataError`` naming the
 key when it cannot, and ignores keys it does not know.  Field metadata
 covers the two exceptions: ``key(name)`` writes a field under another
-JSON key, and ``OMIT`` leaves it out of the dict.  ``write_json`` writes
-every JSON artifact (two-space indent, sorted keys, a final newline), and
+JSON key, and ``OMIT`` leaves it out of the dict.  It also holds each
+config field's ``Rule`` (``bounds``, ``one_of``), which ``__post_init__``
+checks: any other value, NaN and infinity too, is a ``ConfigurationError``
+``<key> must be <rule>, got <value!r>``.  ``write_json`` writes every JSON
+artifact (two-space indent, sorted keys, a final newline), and
 ``read_json`` reads every JSON file: the run and split manifests,
 ``grid.json`` and a CLI config.  ``write_csv`` writes all six CSV files.
 
@@ -23,6 +26,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import types
 import typing
 from itertools import islice
@@ -35,6 +39,43 @@ OMIT = {"omit": True}
 def key(name: str) -> dict:
     """Field metadata that writes the field under the JSON key ``name``."""
     return {"key": name}
+
+
+@dataclasses.dataclass(frozen=True)
+class Rule:
+    """What a config field accepts: one of ``choices`` if set, else a number
+    from ``lo`` to ``hi``; a None bound is absent, an ``open_`` one excludes its end."""
+
+    lo: float | None = None
+    hi: float | None = None
+    open_lo: bool = False
+    open_hi: bool = False
+    choices: tuple | None = None
+
+    def admits(self, value) -> bool:
+        if self.choices is not None:
+            return value in self.choices
+        # each comparison holds of numbers alone, so NaN fails it
+        return ((self.lo is None or (value > self.lo if self.open_lo else value >= self.lo))
+                and (self.hi is None or (value < self.hi if self.open_hi else value <= self.hi)))
+
+    def __str__(self) -> str:
+        if self.choices is not None:
+            return f"one of {self.choices}"
+        if self.hi is not None:
+            left, right = "(" if self.open_lo else "[", ")" if self.open_hi else "]"
+            return f"in {left}{self.lo}, {self.hi}{right}"
+        return "finite" if self.lo is None else f"{'>' if self.open_lo else '>='} {self.lo}"
+
+
+def bounds(lo=None, hi=None, *, open_lo: bool = False, open_hi: bool = False) -> dict:
+    """Field metadata: a ``Rule`` from ``lo`` to ``hi``, or with neither, a finite float."""
+    return {"rule": Rule(lo, hi, open_lo, open_hi)}
+
+
+def one_of(values) -> dict:
+    """Field metadata: a ``Rule`` that the value is one of ``values``."""
+    return {"rule": Rule(choices=tuple(values))}
 
 
 def json_fields(cls) -> list[tuple[dataclasses.Field, str]]:
@@ -97,6 +138,14 @@ def _cast(tp, value):
 
 class Record:
     """Mixin for dataclasses that travel as JSON objects."""
+
+    def __post_init__(self):
+        for f, k in json_fields(type(self)):
+            rule, value = f.metadata.get("rule"), getattr(self, f.name)
+            if rule is not None and not rule.admits(value):
+                raise ConfigurationError(f"{k} must be {rule}, got {value!r}")
+            if rule is not None and isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{k} must be finite, got {value!r}")
 
     def to_dict(self) -> dict:
         return {k: _plain(getattr(self, f.name)) for f, k in json_fields(type(self))}

@@ -24,7 +24,7 @@ import numpy as np
 from .dataset import apportion
 from .errors import ConfigurationError
 from .lexicon import CODE_NEUTER, CODE_UTER, GenderLexicon
-from .records import Record
+from .records import Record, bounds
 
 _SYLLABLES = (
     "ba", "be", "bo", "da", "de", "do", "fa", "fe", "fo", "ga", "ge", "go",
@@ -50,35 +50,22 @@ WRITE_TOKENS = 1 << 16  # tokens joined and written at a time by write_corpus
 
 @dataclass(frozen=True)
 class SyntheticSpec(Record):
-    noun_count: int = 1000
-    filler_count: int = 40
-    sentence_count: int = 100_000
-    seed: int = 0
-    agreement_noise: float = 0.0
-    ambiguous_fraction: float = 0.0
-    ambiguous_flip: float = 0.45
-    zipf_exponent: float = 1.0
+    noun_count: int = field(default=1000, metadata=bounds(len(NOUN_CLASSES)))
+    filler_count: int = field(default=40, metadata=bounds(1))
+    sentence_count: int = field(default=100_000, metadata=bounds(1))
+    seed: int = field(default=0, metadata=bounds(0))
+    agreement_noise: float = field(default=0.0, metadata=bounds(0, 1))
+    ambiguous_fraction: float = field(default=0.0, metadata=bounds(0, 1))
+    ambiguous_flip: float = field(default=0.45, metadata=bounds(0, 1))
+    zipf_exponent: float = field(default=1.0, metadata=bounds(0))
 
     def __post_init__(self):
-        if self.noun_count < len(NOUN_CLASSES):
-            raise ConfigurationError("need at least one noun per class")
-        if self.filler_count < 1:
-            raise ConfigurationError("need at least one filler word")
+        super().__post_init__()
         if self.noun_count + self.filler_count > WORD_CAPACITY:
             raise ConfigurationError(
                 f"noun_count + filler_count must be <= {WORD_CAPACITY}, the number of "
                 f"distinct pseudo-words, got {self.noun_count + self.filler_count}"
             )
-        if self.sentence_count < 1:
-            raise ConfigurationError("sentence_count must be >= 1")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        for name in ("agreement_noise", "ambiguous_fraction", "ambiguous_flip"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
-        if self.zipf_exponent < 0:
-            raise ConfigurationError(f"zipf_exponent must be >= 0, got {self.zipf_exponent}")
 
 
 @dataclass(frozen=True, eq=False)

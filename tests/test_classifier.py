@@ -161,6 +161,9 @@ def test_output_entropy_validation():
         output_entropy((1.2, -0.2))
     with pytest.raises(DataError):
         output_entropy(())
+    # a NaN sum is not a sum of 1
+    with pytest.raises(DataError, match="distribution sums to nan, not 1"):
+        output_entropy((float("nan"), float("nan")))
 
 
 def test_separable_toy_reaches_perfect_dev_accuracy():

@@ -17,7 +17,7 @@ from gendervec.classifier import TrainConfig
 from gendervec.cli import main
 from gendervec.cooccurrence import ContextConfig
 from gendervec.embedding import EmbeddingConfig
-from gendervec.errors import DataError
+from gendervec.errors import DataError, NumericalError
 
 
 REPORT_FILES = {
@@ -313,6 +313,42 @@ def test_tune_malformed_window_sizes_exits_two(flow, tmp_path, capsys):
     assert "window-sizes" in capsys.readouterr().err
 
 
+def test_tune_without_u_or_n_entries_exits_three(flow, tmp_path, capsys):
+    # every noun coded p: nothing to label, found before any counting
+    with open(flow["lexicon.tsv"], encoding="utf-8") as fh:
+        words = [line.split("\t")[0] for line in fh]
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("".join(f"{w}\tp\n" for w in words), encoding="utf-8")
+    rc = main(["tune", "--corpus", flow["corpus.txt"], "--lexicon", str(lexicon),
+               "--out", str(tmp_path / "t")])
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: {lexicon}: no u/n entries in lexicon\n"
+
+
+def test_tune_logs_a_failed_cell_and_keeps_the_others(flow, tmp_path, monkeypatch, caplog):
+    real_ritz_factors = pipeline.ritz_factors
+    calls = []
+
+    def ritz_factors_failing_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NumericalError("injected")
+        return real_ritz_factors(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ritz_factors", ritz_factors_failing_once)
+    out = tmp_path / "tune"
+    rc = main(["tune", "--corpus", flow["corpus.txt"], "--lexicon", flow["lexicon.tsv"],
+               "--out", str(out), "--context-types", "asymmetric_backward",
+               "--window-sizes", "1,2", "--dim", "8", "--max-epochs", "15",
+               "--hidden-size", "8"])
+    assert rc == 0
+    grid = json.loads((out / "grid.json").read_text(encoding="utf-8"))
+    assert [c["error"] for c in grid["cells"]] == [None, "NumericalError: injected"]
+    failed = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert [r.getMessage() for r in failed] == [
+        f"cell {'asymmetric_backward w=2':<28} failed: NumericalError: injected"]
+
+
 def test_tune_dim_above_the_vocabulary_exits_two(flow, tmp_path, capsys):
     out = tmp_path / "t"
     rc = main(["tune", "--corpus", flow["corpus.txt"], "--lexicon", flow["lexicon.tsv"],
@@ -545,6 +581,15 @@ def test_negative_seed_flag_exits_two(flow, tmp_path, capsys, stage, flag):
     assert not out.exists()
 
 
+def test_synth_nan_zipf_exponent_exits_two(tmp_path, capsys):
+    out = tmp_path / "c.txt"
+    rc = main(["synth", "--out-corpus", str(out), "--out-lexicon", str(tmp_path / "l.tsv"),
+               "--zipf-exponent", "nan"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: zipf_exponent must be >= 0, got nan\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_synth_more_words_than_exist_exits_two(tmp_path, capsys):
     out = tmp_path / "c.txt"
     rc = main(["synth", "--out-corpus", str(out), "--out-lexicon", str(tmp_path / "l.tsv"),
@@ -566,6 +611,12 @@ def test_synth_more_words_than_exist_exits_two(tmp_path, capsys):
     ("ingest", ["--vocab-min-freq", "-1"]),
     ("eval", ["--n-perm", "0"]),
     ("tune", ["--min-freq", "-2"]),
+    # NaN and infinity fail every float field's rule, whatever its bounds
+    ("embed", ["--alpha", "nan"]),
+    ("embed", ["--sigma-power", "inf"]),
+    ("train", ["--learning-rate", "nan"]),
+    ("split", ["--ratios", "nan,0.5,0.5"]),
+    ("embed", {"alpha": float("nan")}),
 ], ids=lambda value: value if isinstance(value, str) else json.dumps(value))
 def test_bad_option_exits_two_before_a_missing_input(flow, tmp_path, capsys, stage, option):
     absent = str(tmp_path / "absent")

@@ -154,7 +154,7 @@ def test_context_config_dict_roundtrip():
         ContextConfig.from_dict({})
     with pytest.raises(DataError, match="window_size"):
         ContextConfig.from_dict({"context_type": "symmetric"})
-    with pytest.raises(ConfigurationError, match="exceeds"):
+    with pytest.raises(ConfigurationError, match=re.escape("window_size must be in [1, 5], got 8")):
         ContextConfig.from_dict({"context_type": "symmetric", "window_size": 8})
     # a value that cannot take the field's type names its key
     # and so does an int field given a bool or a non-integral number
@@ -273,6 +273,10 @@ def test_load_rejects_garbage(tmp_path):
         path.write_text(json.dumps(header) + "\n", encoding="utf-8")
         with pytest.raises(DataError, match="rows and cols"):
             load_cooccurrence(path)
+    path.write_text(json.dumps({"rows": 3, "cols": 4, "context_type": "symmetric",
+                                "window_size": 1}) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: non-square dims in header$"):
+        load_cooccurrence(path)
     # a repeated (row, col) pair is ambiguous, not last-one-wins
     header = {"rows": 3, "cols": 3, "context_type": "symmetric", "window_size": 1}
     path.write_text(json.dumps(header) + "\n0\t1\t2\n1\t2\t1\n0\t1\t5\n", encoding="utf-8")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -213,6 +214,11 @@ def test_load_vocabulary_validates_dense_ids(tmp_path):
     path.write_text("word\tid\tfreq\na\t0\t5\nb\t2\t3\n", encoding="utf-8")
     with pytest.raises(DataError):
         load_vocabulary(path)
+    for rows in ("a\t0\t5\nb\t2\t3\n", "a\t1\t5\nb\t1\t3\n", "a\t1\t5\n"):
+        path.write_text(rows, encoding="utf-8")
+        n = rows.count("\n")
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: ids are not dense 0..{n - 1}')}$"):
+            load_vocabulary(path)
 
 
 def test_load_vocabulary_rejects_malformed_row(tmp_path):

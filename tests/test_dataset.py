@@ -150,6 +150,10 @@ def test_ratio_validation():
         stratified_split(data, ratios=(0.8, 0.3, -0.1))
     with pytest.raises(ConfigurationError):
         stratified_split(data, ratios=(0.8, 0.15, 0.1))
+    nan, inf = float("nan"), float("inf")
+    for ratios in ((nan, 0.5, 0.5), (0.5, 0.5, nan), (inf, 0.5, 0.5), (-inf, 0.5, 0.5)):
+        with pytest.raises(ConfigurationError, match="^ratios must "):
+            stratified_split(data, ratios=ratios)
 
 
 def test_split_words_by_class_is_word_level():
@@ -243,6 +247,9 @@ def test_manifest_validation(tmp_path):
         load_split_manifest(path)
     path.write_text(json.dumps({"seed": 0, "ratios": [0.8, 0.1, 0.1]}), encoding="utf-8")
     with pytest.raises(DataError, match="partitions"):
+        load_split_manifest(path)
+    path.write_text("[]", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}: split manifest is not a JSON object")):
         load_split_manifest(path)
     path.write_text(
         json.dumps({"seed": 0, "ratios": [0.8, 0.1, 0.1], "partitions": {"train": [], "dev": []}}),

@@ -257,6 +257,9 @@ def test_power_transform_rejects_bad_alpha():
         power_transform(cooc, 0.0)
     with pytest.raises(ConfigurationError):
         power_transform(cooc, -1.0)
+    # the alpha check, not the overflow check, rejects NaN
+    with pytest.raises(ConfigurationError, match="^alpha must be > 0, got nan$"):
+        power_transform(cooc, float("nan"))
 
 
 def test_power_transform_overflow_is_numerical_error():

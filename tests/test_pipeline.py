@@ -148,7 +148,9 @@ def test_grid_search_shares_one_split_across_cells(language_files):
     corpus, lexicon = language_files
     grid = [ContextConfig("asymmetric_backward", 1), ContextConfig("symmetric", 3)]
     result = grid_search(corpus, lexicon, grid, EMB_CFG, TRAIN_CFG, RunOptions(split_seed=7))
-    manifest = result.split_manifest
+    manifest = result.bundle.manifest
+    # the read-only split_manifest kept for the benchmark is the bundle's
+    assert result.split_manifest is manifest
     assert manifest["seed"] == 7
     parts = manifest["partitions"]
     words = parts["train"] + parts["dev"] + parts["test"]
@@ -227,7 +229,7 @@ def test_grid_cells_equal_each_cell_run_alone(language_files, monkeypatch):
     by_distance = cooccurrence.count_by_distance(read_token_ids(corpus, vocab), len(vocab), 5)
     for cell in result.cells:
         emb = embedding.embed_counts(cooccurrence.combine(by_distance, cell.context), vocab, emb_cfg)
-        bundle = bundle_from_manifest(result.split_manifest, build_dataset(emb, lex, vocab))
+        bundle = bundle_from_manifest(result.bundle.manifest, build_dataset(emb, lex, vocab))
         if cell.context == diverging:
             with pytest.raises(NumericalError) as alone:
                 train(bundle.train, bundle.dev, TRAIN_CFG)
@@ -282,7 +284,7 @@ def test_grid_cells_after_a_singular_vectors_failure_equal_each_cell_run_alone(
     for j, cell in enumerate(ok):
         emb = embedding.embed_counts(cooccurrence.combine(by_distance, cell.context), vocab,
                                      EMB_CFG)
-        bundle = bundle_from_manifest(result.split_manifest, build_dataset(emb, lex, vocab))
+        bundle = bundle_from_manifest(result.bundle.manifest, build_dataset(emb, lex, vocab))
         assert x_train[j].tobytes() == bundle.train.vectors.tobytes()
         assert x_dev[j].tobytes() == bundle.dev.vectors.tobytes()
         model = train(bundle.train, bundle.dev, TRAIN_CFG)
@@ -330,14 +332,16 @@ def test_manifest_run_options_out_of_range_are_data_errors(language_files, tmp_p
 def test_grid_result_round_trips_through_its_dict():
     ok = CellResult(ContextConfig("asymmetric_backward", 1), 0.9, {"uter": 1.0, "neuter": 0.5}, None)
     failed = CellResult(ContextConfig("symmetric", 2), None, None, "DataError: boom")
-    grid = GridResult((ok, failed), ok.context, split_seed=3, test_digest="abc",
-                      split_manifest={"partitions": {}})
+    grid = GridResult((ok, failed), ok.context, split_seed=3, test_digest="abc")
     loaded = GridResult.from_dict(grid.to_dict())
     assert loaded.cells == grid.cells
     assert loaded.best == grid.best
     assert loaded.to_dict() == grid.to_dict()
-    # grid.json leaves the split manifest out
+    # grid.json leaves the bundle, and so the split manifest, out
+    assert loaded.bundle is None
     assert loaded.split_manifest is None
+    with pytest.raises(KeyError, match=re.escape("no grid cell for (symmetric, 3)")):
+        loaded.cell("symmetric", 3)
 
 
 def test_grid_search_all_cells_failing_is_fatal(language_files, monkeypatch):
@@ -480,8 +484,18 @@ def test_manifest_build_save_load(language_files, tmp_path):
     # a well-typed but out-of-range value is the file's fault, not the options'
     path.write_text(json.dumps({**d, "context": {**d["context"], "window_size": 9}}),
                     encoding="utf-8")
-    with pytest.raises(DataError, match="window_size 9 exceeds"):
+    with pytest.raises(DataError, match=re.escape("window_size must be in [1, 5], got 9")):
         load_manifest(path)
+    # so is a NaN or an infinity, which a JSON file can hold, top-level or nested
+    for bad, message in (
+        ({"embedding": {**d["embedding"], "alpha": float("nan")}}, "alpha must be > 0, got nan"),
+        ({"training": {**d["training"], "learning_rate": float("inf")}},
+         "learning_rate must be finite, got inf"),
+        ({"ratios": [float("nan"), 0.5, 0.5]}, "ratios must be positive, got (nan, 0.5, 0.5)"),
+    ):
+        path.write_text(json.dumps({**d, **bad}), encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_manifest(path)
     # a fixed-length tuple of another length is rejected, not cut to size
     path.write_text(json.dumps({**d, "ratios": [0.8, 0.1, 0.1, 0.5]}), encoding="utf-8")
     with pytest.raises(DataError, match="ratios"):

@@ -1,18 +1,21 @@
 """The tab-separated row rule that all four staged TSV readers share,
-and the one invalid-UTF-8 rule of every reader of text or of words."""
+the one invalid-UTF-8 rule of every reader of text or of words, and the
+rule every config field declares."""
 
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
 
 from gendervec import cli
-from gendervec.classifier import RECORD_FIELDS, load_prediction_records
+from gendervec.classifier import RECORD_FIELDS, TrainConfig, load_prediction_records
 from gendervec.cooccurrence import ContextConfig, load_cooccurrence
 from gendervec.corpus import load_vocabulary
 from gendervec.dataset import load_dataset_table, load_split_manifest
 from gendervec.embedding import (
+    EmbeddingConfig,
     EmbeddingMatrix,
     load_embedding,
     load_embedding_binary,
@@ -21,7 +24,9 @@ from gendervec.embedding import (
 )
 from gendervec.errors import ConfigurationError, DataError
 from gendervec.lexicon import parse_lexicon
-from gendervec.records import load_record
+from gendervec.pipeline import RunOptions
+from gendervec.records import field_types, json_fields, load_record
+from gendervec.synthetic import SyntheticSpec
 
 COOC_HEADER = json.dumps({"rows": 2, "cols": 2, **ContextConfig("symmetric", 1).to_dict()})
 
@@ -137,3 +142,73 @@ def test_binary_embedding_names_the_bad_byte_offset(tmp_path, rows_before):
         with pytest.raises(DataError) as info:
             load(path)
         assert str(info.value) == f"{path}: invalid UTF-8 at byte offset {len(head) + 1}"
+
+
+# each config record with one valid dict form
+CONFIGS = {
+    ContextConfig: {"context_type": "symmetric", "window_size": 1},
+    EmbeddingConfig: {},
+    TrainConfig: {},
+    RunOptions: {},
+    SyntheticSpec: {},
+}
+
+
+def _edges(rule, tp):
+    """For each bound of ``rule``, the nearest ``tp`` value outside it and
+    the nearest inside it, as an (outside, inside) pair."""
+    step = {int: lambda v, d: v + d, float: lambda v, d: math.nextafter(v, d * math.inf)}[tp]
+    pairs = []
+    for bound, is_open, out in ((rule.lo, rule.open_lo, -1), (rule.hi, rule.open_hi, 1)):
+        if bound is not None:
+            pairs.append((tp(bound) if is_open else step(bound, out),
+                          step(bound, -out) if is_open else tp(bound)))
+    return pairs
+
+
+@pytest.mark.parametrize("cls", CONFIGS, ids=lambda cls: cls.__name__)
+def test_every_config_number_declares_a_rule_that_nan_and_its_bounds_fail(cls):
+    base = CONFIGS[cls]
+    checked = 0
+    for f, k in json_fields(cls):
+        tp = field_types(cls)[f.name]
+        rule = f.metadata.get("rule")
+        if tp not in (int, float):
+            assert rule is None or rule.choices is not None, k
+            continue
+        assert rule is not None and rule.choices is None, f"{cls.__name__}.{k} declares no range"
+        # NaN fails the rule's own comparisons, so its rejection names the rule
+        bad = [outside for outside, _ in _edges(rule, tp)] + [math.nan] * (tp is float)
+        for value in bad:
+            with pytest.raises(ConfigurationError) as info:
+                cls.from_dict({**base, k: value})
+            assert str(info.value) == f"{k} must be {rule}, got {value!r}"
+        for value in [math.inf, -math.inf] * (tp is float):
+            with pytest.raises(ConfigurationError, match=f"^{k} must be .*, got {value!r}$"):
+                cls.from_dict({**base, k: value})
+        for _, inside in _edges(rule, tp):
+            assert getattr(cls.from_dict({**base, k: inside}), f.name) == inside
+        checked += 1
+    assert checked
+
+
+def test_config_rejections_name_the_key_rule_and_value():
+    for cls, data, message in (
+        (ContextConfig, {"context_type": "up", "window_size": 1},
+         "context_type must be one of ('asymmetric_backward', 'asymmetric_forward', "
+         "'symmetric'), got 'up'"),
+        (ContextConfig, {"context_type": "symmetric", "window_size": 6},
+         "window_size must be in [1, 5], got 6"),
+        (EmbeddingConfig, {"K": 0}, "K must be >= 1, got 0"),
+        (EmbeddingConfig, {"alpha": 0}, "alpha must be > 0, got 0.0"),
+        (EmbeddingConfig, {"alpha": math.inf}, "alpha must be finite, got inf"),
+        (EmbeddingConfig, {"sigma_power": math.nan}, "sigma_power must be finite, got nan"),
+        (TrainConfig, {"momentum": 1}, "momentum must be in [0, 1), got 1.0"),
+        (SyntheticSpec, {"agreement_noise": math.nan}, "agreement_noise must be in [0, 1], got nan"),
+        (SyntheticSpec, {"noun_count": 1}, "noun_count must be >= 2, got 1"),
+        (RunOptions, {"ratios": [math.nan, 0.5, 0.5]}, "ratios must be positive, got (nan, 0.5, 0.5)"),
+        (RunOptions, {"ratios": [math.inf, 0.5, 0.5]}, "ratios must sum to 1, got (inf, 0.5, 0.5)"),
+    ):
+        with pytest.raises(ConfigurationError) as info:
+            cls.from_dict(data)
+        assert str(info.value) == message

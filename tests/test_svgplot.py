@@ -40,6 +40,17 @@ def test_histogram_draws_bars(tmp_path):
     assert _count(root, "rect") >= 4
 
 
+def test_histogram_of_equal_values_spans_one_unit(tmp_path):
+    # equal values get the axis of values from 0.25 to 1.25: the same
+    # first bar, and nothing else but the background and the legend swatch
+    histogram_svg({"a": [0.25] * 4}, tmp_path / "equal.svg", "entropies", "entropy")
+    histogram_svg({"a": [0.25] * 4 + [1.25]}, tmp_path / "unit.svg", "entropies", "entropy")
+    equal, unit = (_parse(tmp_path / name).findall(f"{SVG_NS}rect")
+                   for name in ("equal.svg", "unit.svg"))
+    assert len(equal) == 3
+    assert equal[1].attrib == unit[1].attrib
+
+
 def test_bars_svg_labels_clusters(tmp_path):
     path = tmp_path / "bars.svg"
     bars_svg(
