@@ -9,17 +9,15 @@ reproducible.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import Sequence
 
 import numpy as np
 
 from .dataset import CLASSES, LabeledSet
 from .errors import ConfigurationError, DataError, NumericalError
-from .records import Record, bounds, open_text, write_csv
+from .records import Record, bounds, read_csv, write_csv
 
 
 @dataclass(frozen=True)
@@ -147,13 +145,8 @@ class MLPModel:
         return float(loss[0]), grad[0]
 
 
-def correct_predictions(model: MLPModel, data: LabeledSet) -> np.ndarray:
-    """Per row, whether the model's most probable class is the gold one."""
-    return np.argmax(model.forward(data.vectors), axis=1) == data.labels
-
-
 def dev_accuracy(model: MLPModel, data: LabeledSet) -> float:
-    return float(correct_predictions(model, data).mean())
+    return float(predict_records(model, data).correct.mean())
 
 
 def train(
@@ -264,24 +257,6 @@ class _Live:
         return gone
 
 
-def output_entropy(distribution: Sequence[float]) -> float:
-    """Shannon entropy in nats, with ``0 * ln 0`` read as 0.
-
-    Rejects negative components and distributions that do not sum to 1
-    within 1e-8.
-    """
-    p = np.asarray(distribution, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise DataError(f"expected a 1-D distribution, got shape {p.shape}")
-    if np.any(p < 0):
-        raise DataError(f"negative probability in {p.tolist()}")
-    total = float(p.sum())
-    if not abs(total - 1.0) <= 1e-8:
-        raise DataError(f"distribution sums to {total!r}, not 1")
-    nonzero = p[p > 0]
-    return float(-(nonzero * np.log(nonzero)).sum())
-
-
 # Central-difference step of gradient_check.
 GRADIENT_EPSILON = 1e-5
 
@@ -312,52 +287,43 @@ def gradient_check(model: MLPModel, x: np.ndarray, y: np.ndarray) -> float:
 RECORD_FIELDS = ("word", "gold", "predicted", "p_uter", "p_neuter", "entropy", "frequency")
 
 
-@dataclass(frozen=True, eq=False)
-class Predictions:
-    """Per-word predictions as parallel arrays, one row per ``records.csv`` line.
+def output_entropy(proba) -> np.ndarray:
+    """Shannon entropy in nats of each distribution along the last axis of
+    ``proba``, with ``0 ln 0`` read as 0."""
+    proba = np.asarray(proba, dtype=np.float64)
+    # a zero probability takes ln 1 = 0 instead
+    return -(proba * np.log(np.where(proba > 0, proba, 1.0))).sum(axis=-1)
 
-    ``gold`` and ``predicted`` are indices into ``CLASSES``, ``proba`` is
-    ``(n, 2)`` with columns ``(p_uter, p_neuter)``, and ``entropy`` is
-    the output entropy in nats.
+
+class Predictions(LabeledSet):
+    """Per-word predictions, one row per ``records.csv`` line: a
+    ``LabeledSet`` whose vectors are the ``(n, 2)`` class probabilities
+    ``(p_uter, p_neuter)``.  The predicted class and the output entropy
+    derive from them.
     """
 
-    words: tuple[str, ...]
-    gold: np.ndarray
-    predicted: np.ndarray
-    proba: np.ndarray
-    entropy: np.ndarray
-    frequencies: np.ndarray
+    gold = property(lambda self: self.labels, doc="Gold class indices into ``CLASSES``.")
+    proba = property(lambda self: self.vectors, doc="The ``(p_uter, p_neuter)`` rows.")
 
-    def __post_init__(self):
-        lengths = {len(c) for c in (self.gold, self.predicted, self.proba, self.entropy,
-                                    self.frequencies)}
-        if self.proba.shape[1:] != (len(CLASSES),) or lengths != {len(self.words)}:
-            raise DataError("prediction columns need one row per word, proba one column per class")
+    @property
+    def predicted(self) -> np.ndarray:
+        """The more probable class; a tie goes to uter."""
+        return np.argmax(self.vectors, axis=1)
 
-    def __len__(self) -> int:
-        return len(self.words)
+    @property
+    def entropy(self) -> np.ndarray:
+        return output_entropy(self.vectors)
 
     @property
     def correct(self) -> np.ndarray:
-        return self.gold == self.predicted
-
-    def take(self, rows: np.ndarray) -> "Predictions":
-        return Predictions(
-            tuple(self.words[i] for i in rows), self.gold[rows], self.predicted[rows],
-            self.proba[rows], self.entropy[rows], self.frequencies[rows],
-        )
+        return self.labels == self.predicted
 
 
 def predict_records(model: MLPModel, data: LabeledSet) -> Predictions:
-    """Forward every row; each row's entropy equals ``output_entropy(row)``."""
+    """The model's class probabilities for every row of ``data``."""
     if not data:
         raise DataError("cannot predict on an empty example list")
-    proba = model.forward(data.vectors)
-    # 0 * ln 0 reads as 0: a zero probability takes ln 1 = 0 instead
-    entropy = -(proba * np.log(np.where(proba > 0, proba, 1.0))).sum(axis=1)
-    return Predictions(
-        data.words, data.labels, np.argmax(proba, axis=1), proba, entropy, data.frequencies
-    )
+    return Predictions(data.words, model.forward(data.vectors), data.labels, data.frequencies)
 
 
 def errors_by_entropy(predictions: Predictions) -> Predictions:
@@ -382,47 +348,37 @@ def save_prediction_records(predictions: Predictions, path) -> None:
 
 def load_prediction_records(path) -> Predictions:
     """Read ``save_prediction_records`` output; a bad row, or a word's
-    second row, is a ``DataError`` naming ``path:line``."""
+    second row, is a ``DataError`` naming ``path:line``.  The predicted
+    class and the entropy must be those of the probabilities."""
     rows = []
     lines: dict[str, int] = {}
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(RECORD_FIELDS):
-            raise DataError(f"{path}: unexpected header {header}")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(RECORD_FIELDS):
-                raise DataError(f"{where}: malformed row {row}")
-            if lines.setdefault(row[0], reader.line_num) != reader.line_num:
-                raise DataError(f"{where}: {row[0]!r} repeats the row of line {lines[row[0]]}")
-            try:
-                rows.append((row[0], CLASSES.index(row[1]), CLASSES.index(row[2]),
-                             float(row[3]), float(row[4]), float(row[5]), int(row[6])))
-            except ValueError:
-                raise DataError(f"{where}: malformed row {row}") from None
-            if rows[-1][-1] < 1:
-                raise DataError(f"{where}: frequency must be >= 1, got {row[6]}")
-            if not all(map(math.isfinite, rows[-1][3:6])):
-                raise DataError(f"{where}: p_uter, p_neuter and entropy must be finite")
-            predicted, p_uter, p_neuter, entropy = rows[-1][2:6]
-            # 1e-8 is output_entropy's tolerance
-            if not (0 <= p_uter <= 1 and 0 <= p_neuter <= 1) or abs(p_uter + p_neuter - 1) > 1e-8:
-                raise DataError(f"{where}: p_uter and p_neuter must be in [0, 1] and sum to 1")
-            # a tie goes to uter, as predict_records' argmax breaks it
-            if predicted != int(p_neuter > p_uter):
-                raise DataError(f"{where}: predicted must be the more probable class, got {row[2]}")
-            if abs(entropy - output_entropy((p_uter, p_neuter))) > 1e-8:
-                raise DataError(f"{where}: entropy must be that of p_uter and p_neuter, "
-                                f"got {row[5]}")
+    for line, row in read_csv(path, RECORD_FIELDS):
+        where = f"{path}:{line}"
+        if lines.setdefault(row[0], line) != line:
+            raise DataError(f"{where}: {row[0]!r} repeats the row of line {lines[row[0]]}")
+        try:
+            gold, predicted = CLASSES.index(row[1]), CLASSES.index(row[2])
+            p_uter, p_neuter, entropy, frequency = *map(float, row[3:6]), int(row[6])
+        except ValueError:
+            raise DataError(f"{where}: malformed row {row}") from None
+        if frequency < 1:
+            raise DataError(f"{where}: frequency must be >= 1, got {row[6]}")
+        if not all(map(math.isfinite, (p_uter, p_neuter, entropy))):
+            raise DataError(f"{where}: p_uter, p_neuter and entropy must be finite")
+        if not (0 <= p_uter <= 1 and 0 <= p_neuter <= 1) or abs(p_uter + p_neuter - 1) > 1e-8:
+            raise DataError(f"{where}: p_uter and p_neuter must be in [0, 1] and sum to 1")
+        # a tie goes to uter, as Predictions.predicted's argmax breaks it
+        if predicted != int(p_neuter > p_uter):
+            raise DataError(f"{where}: predicted must be the more probable class, got {row[2]}")
+        if abs(entropy - output_entropy((p_uter, p_neuter))) > 1e-8:
+            raise DataError(f"{where}: entropy must be that of p_uter and p_neuter, "
+                            f"got {row[5]}")
+        rows.append((row[0], p_uter, p_neuter, gold, frequency))
     if not rows:
         raise DataError(f"{path}: no prediction rows")
-    words, gold, predicted, p_uter, p_neuter, entropy, frequencies = zip(*rows)
-    return Predictions(
-        words, np.array(gold, dtype=np.int64), np.array(predicted, dtype=np.int64),
-        np.column_stack([p_uter, p_neuter]), np.array(entropy),
-        np.array(frequencies, dtype=np.int64),
-    )
+    words, p_uter, p_neuter, gold, frequencies = zip(*rows)
+    return Predictions(words, np.column_stack([p_uter, p_neuter]),
+                       np.array(gold, dtype=np.int64), np.array(frequencies, dtype=np.int64))
 
 
 def save_model(model: MLPModel, path) -> None:

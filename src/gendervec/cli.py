@@ -254,12 +254,17 @@ def cmd_report(args) -> int:
         decile_report = dataset.class_ratio_by_decile(dataset.load_dataset_table(args.dataset))
     grid = records.load_record(pipeline.GridResult, args.grid) if args.grid else None
     # eval already wrote the report and the statistics; carry them as they
-    # are, once the report is the one the records score
+    # are, once the report is the one the records score and the statistics
+    # are a stats record as eval writes it
     names = ("eval_report.json", "stats.json")
     carried = [pathlib.Path(args.eval_dir, name).read_bytes() for name in names]
+    report_path, stats_path = (os.path.join(args.eval_dir, name) for name in names)
     if carried[0] != records.json_text(metrics.build_eval_report(predictions)).encode():
-        raise DataError(f"{os.path.join(args.eval_dir, names[0])}: not the report of "
+        raise DataError(f"{report_path}: not the report of "
                         f"{os.path.join(args.eval_dir, 'records.csv')}")
+    stats = records.load_record(metrics.EntropyFrequencyReport, stats_path)
+    if carried[1] != records.json_text(stats).encode():
+        raise DataError(f"{stats_path}: not a stats record as eval writes it")
     os.makedirs(args.out, exist_ok=True)
     paths = [os.path.join(args.out, name) for name in names]
     for path, data in zip(paths, carried):

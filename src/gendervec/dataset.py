@@ -71,8 +71,9 @@ class LabeledSet:
         return row_lookup(self._index, words, "the dataset")
 
     def take(self, rows: np.ndarray) -> "LabeledSet":
-        words = tuple(self.words[i] for i in rows)
-        return LabeledSet(words, self.vectors[rows], self.labels[rows], self.frequencies[rows])
+        """The given rows, in order, as a set of this set's own class."""
+        return replace(self, words=tuple(self.words[i] for i in rows), vectors=self.vectors[rows],
+                       labels=self.labels[rows], frequencies=self.frequencies[rows])
 
 
 def _unjoined(words: list[str], labels: list[int], frequencies: list[int]) -> LabeledSet:

@@ -24,7 +24,6 @@ from .classifier import (
     MLPModel,
     Predictions,
     TrainConfig,
-    correct_predictions,
     predict_records,
     save_model,
     save_prediction_records,
@@ -322,7 +321,7 @@ def grid_search(
             fail(i, model)
             continue
         dev = replace(split.dev, vectors=x)
-        hits, labels = correct_predictions(model, dev), dev.labels
+        hits, labels = predict_records(model, dev).correct, dev.labels
         per_class = {
             cls: float(hits[labels == c].mean()) if np.any(labels == c) else None
             for c, cls in enumerate(CLASSES)

@@ -10,7 +10,8 @@ checks: any other value, NaN and infinity too, is a ``ConfigurationError``
 ``<key> must be <rule>, got <value!r>``.  ``write_json`` writes every JSON
 artifact (two-space indent, sorted keys, a final newline), and
 ``read_json`` reads every JSON file: the run and split manifests,
-``grid.json`` and a CLI config.  ``write_csv`` writes all six CSV files.
+``grid.json`` and a CLI config.  ``write_csv`` writes all six CSV files,
+and ``read_csv`` reads the one read back, ``records.csv``.
 
 ``read_rows`` reads all four tab-separated files (vocabulary, dataset
 table, lexicon, co-occurrence counts) by one rule: one row a line, blank
@@ -262,3 +263,19 @@ def write_csv(path, header: typing.Sequence, rows: typing.Iterable[typing.Iterab
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def read_csv(path, header: typing.Sequence[str]) -> typing.Iterator[tuple[int, list[str]]]:
+    """Line number and fields of each row of a ``write_csv`` file after its
+    header; a header other than ``header`` is a ``DataError`` ``path:
+    unexpected header``, and a row of other than ``len(header)`` fields one
+    ``path:line: malformed row``."""
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first != list(header):
+            raise DataError(f"{path}: unexpected header {first}")
+        for row in reader:
+            if len(row) != len(header):
+                raise DataError(f"{path}:{reader.line_num}: malformed row {row}")
+            yield reader.line_num, row

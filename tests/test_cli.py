@@ -1100,6 +1100,27 @@ def test_report_with_missing_stats_exits_three(flow, tmp_path, capsys):
     assert not out.exists()  # nothing written before both eval files are read
 
 
+@pytest.mark.parametrize("stats, message", [
+    ("not json", "stats.json: malformed JSON"),
+    ('{"accuracy": 2}', "stats.json: EntropyFrequencyReport: missing required key"),
+    # the genuine statistics on one line: the record, but not as eval writes it
+    (None, "stats.json: not a stats record as eval writes it"),
+], ids=("not-json", "not-a-stats-record", "one-line"))
+def test_report_with_stats_eval_did_not_write_exits_three(flow, tmp_path, capsys, stats, message):
+    eval_dir = tmp_path / "eval"
+    eval_dir.mkdir()
+    for name in ("eval_report.json", "records.csv"):
+        shutil.copyfile(f"{flow['eval']}/{name}", eval_dir / name)
+    if stats is None:
+        stats = json.dumps(records.read_json(f"{flow['eval']}/stats.json"), sort_keys=True)
+    (eval_dir / "stats.json").write_text(stats, encoding="utf-8")
+    out = tmp_path / "report"
+    rc = main(["report", "--eval-dir", str(eval_dir), "--out", str(out)])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_with_a_non_utf8_split_manifest_exits_three(flow, tmp_path, capsys):
     with open(flow["split.json"], "rb") as fh:
         text = fh.read()

@@ -328,6 +328,12 @@ def test_total_sums_counts_past_the_int64_range():
     assert CoocMatrix(matrix, ContextConfig("symmetric", 1)).total == 2**63 + 1
 
 
+def test_cooc_matrix_must_be_square():
+    matrix = sparse.csr_array(np.ones((2, 3), dtype=np.int64))
+    with pytest.raises(ConfigurationError, match=re.escape("expected a square matrix, got (2, 3)")):
+        CoocMatrix(matrix, ContextConfig("symmetric", 1))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_count_files_load_in_bulk_and_line_by_line_alike(tmp_path, monkeypatch, seed):
     rng = np.random.default_rng(seed)

@@ -192,6 +192,8 @@ def test_vocabulary_rejects_duplicates_and_bad_freq():
         Vocabulary(("a", "a"), np.array([1, 2]))
     with pytest.raises(DataError):
         Vocabulary(("a",), np.array([0]))
+    with pytest.raises(DataError, match="words and frequencies do not match in length"):
+        Vocabulary(("a", "b"), np.array([1]))
 
 
 def test_word_index_rejects_a_repeat_naming_the_source():

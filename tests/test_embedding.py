@@ -22,6 +22,7 @@ from gendervec.embedding import (
     load_embedding_text,
     power_transform,
     save_embedding_binary,
+    scaled_vectors,
     save_embedding_text,
     truncated_svd,
 )
@@ -376,6 +377,9 @@ def test_sigma_power_rescales_columns():
     scaled = embed_counts(cooc, vocab, EmbeddingConfig(k=2, alpha=0.5, sigma_power=1.0))
     sigma, _ = dense_svd_oracle(power_transform(cooc, 0.5), 2)
     assert np.allclose(scaled.matrix, flat.matrix * sigma, atol=1e-10)
+    # a zero singular value to a negative power is infinite
+    with np.errstate(divide="ignore"), pytest.raises(NumericalError, match="non-finite"):
+        scaled_vectors(np.array([1.0, 0.0]), np.ones((3, 2)), EmbeddingConfig(k=2, sigma_power=-1.0))
 
 
 def test_text_roundtrip(tmp_path):

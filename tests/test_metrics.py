@@ -10,7 +10,7 @@ import scipy.stats
 
 from gendervec.classifier import Predictions
 from gendervec.dataset import CLASSES
-from gendervec.errors import DataError
+from gendervec.errors import ConfigurationError, DataError
 from gendervec.metrics import (
     build_eval_report,
     confusion_matrix,
@@ -62,20 +62,26 @@ def tau_b_oracle(x, y):
 
 
 def _predictions(rows):
-    """Predictions from (word, gold, predicted, p_uter, p_neuter, entropy, frequency) rows."""
-    words, gold, predicted, p_uter, p_neuter, entropy, frequency = zip(*rows)
+    """Predictions from (word, gold, p_uter, frequency) rows; p_neuter is
+    1 - p_uter, so the more probable class is the predicted one."""
+    words, gold, p_uter, frequency = zip(*rows)
+    p_uter = np.array(p_uter)
     return Predictions(
-        words, np.array([CLASSES.index(g) for g in gold]),
-        np.array([CLASSES.index(p) for p in predicted]),
-        np.column_stack([p_uter, p_neuter]), np.array(entropy), np.array(frequency),
+        words, np.column_stack([p_uter, 1 - p_uter]),
+        np.array([CLASSES.index(g) for g in gold]), np.array(frequency),
     )
+
+
+def binary_entropy(p):
+    """Entropy in nats of the distribution (p, 1 - p), for 0 < p < 1."""
+    return -(p * math.log(p) + (1 - p) * math.log(1 - p))
 
 
 def test_confusion_matrix_accessors():
     preds = _predictions(
-        [("a", "uter", "uter", 0.9, 0.1, 0.3, 5)] * 3
-        + [("b", "uter", "neuter", 0.4, 0.6, 0.6, 5)]
-        + [("c", "neuter", "neuter", 0.1, 0.9, 0.3, 5)] * 2
+        [(f"a{i}", "uter", 0.9, 5) for i in range(3)]
+        + [("b", "uter", 0.4, 5)]
+        + [(f"c{i}", "neuter", 0.1, 5) for i in range(2)]
     )
     cm = confusion_matrix(preds)
     # indexed [gold, predicted] in CLASSES order (uter, neuter)
@@ -174,6 +180,14 @@ def test_kendall_all_tied_side_error():
         kendall_tau_b([1, 2, 3], [4, 4, 4])
 
 
+def test_kendall_rejects_unequal_or_short_input():
+    for x, y in (([1, 2, 3], [1, 2]), ([[1, 2], [3, 4]], [[1, 2], [3, 4]])):
+        with pytest.raises(DataError, match="must be 1-D and equally long"):
+            kendall_tau_b(x, y)
+    with pytest.raises(DataError, match="need at least 2 observations, got 1"):
+        kendall_tau_b([1], [2])
+
+
 def test_kendall_matches_pairwise_oracle_exactly():
     # Random vectors with heavy ties; implementation must equal the loop
     # oracle bit for bit since both use the same closed formulas.
@@ -237,6 +251,14 @@ def test_fisher_pitman_identical_groups():
     assert res.p == 1.0
 
 
+def test_fisher_pitman_rejects_an_empty_group_and_no_relabelings():
+    for a, b in (([], [1.0, 2.0]), ([1.0, 2.0], [])):
+        with pytest.raises(DataError, match="both groups must be non-empty"):
+            fisher_pitman_permutation(a, b)
+    with pytest.raises(ConfigurationError, match="n_perm must be >= 1, got 0"):
+        fisher_pitman_permutation([1.0], [2.0], n_perm=0)
+
+
 def test_fisher_pitman_constant_data_z_zero():
     res = fisher_pitman_permutation([5.0, 5.0, 5.0], [5.0, 5.0, 5.0])
     assert res.z == 0.0
@@ -274,11 +296,13 @@ def test_entropy_frequency_analysis_shapes():
     rows = []
     for i in range(60):
         correct = i % 5 != 0
-        entropy = float(rng.uniform(0.05, 0.3 if correct else 0.69))
+        # uter words: the correct ones sure of uter, the errors near the tie
+        p_u = float(rng.uniform(0.8, 0.99) if correct else rng.uniform(0.3, 0.49))
         freq = int(rng.integers(1, 5000))
-        p_u = 1.0 - entropy / 2
-        rows.append((f"w{i}", "uter", "uter" if correct else "neuter", p_u, 1 - p_u, entropy, freq))
-    rep = entropy_frequency_analysis(_predictions(rows), n_perm=500, seed=0)
+        rows.append((f"w{i}", "uter", p_u, freq))
+    preds = _predictions(rows)
+    assert np.count_nonzero(~preds.correct) == 12
+    rep = entropy_frequency_analysis(preds, n_perm=500, seed=0)
     assert rep.tau_overall.n == 60
     assert rep.entropy_permutation is not None
     assert rep.mean_entropy_errors > rep.mean_entropy_correct
@@ -296,16 +320,16 @@ def test_entropy_frequency_analysis_shapes():
 
 
 def test_entropy_frequency_analysis_rejects_bad_frequency():
-    preds = _predictions([("w", "uter", "uter", 0.9, 0.1, 0.1, 0)])
+    preds = _predictions([("w", "uter", 0.9, 0)])
     with pytest.raises(DataError):
         entropy_frequency_analysis(preds)
+    with pytest.raises(DataError, match="no prediction records to analyze"):
+        entropy_frequency_analysis(preds.take([]))
 
 
 def test_entropy_frequency_analysis_all_correct_warns():
-    preds = _predictions([
-        (f"w{i}", "uter", "uter", 0.9, 0.1, 0.1 + 0.01 * (i % 7), 10 + i)
-        for i in range(20)
-    ])
+    preds = _predictions([(f"w{i}", "uter", 0.9 + 0.01 * (i % 7), 10 + i) for i in range(20)])
+    assert preds.correct.all() and len(set(preds.entropy.tolist())) == 7
     rep = entropy_frequency_analysis(preds, n_perm=200, seed=0)
     assert rep.entropy_permutation is None
     assert rep.warnings
@@ -313,9 +337,9 @@ def test_entropy_frequency_analysis_all_correct_warns():
 
 def test_build_eval_report_fields(tmp_path):
     preds = _predictions([
-        ("a", "uter", "uter", 0.9, 0.1, 0.32, 50),
-        ("b", "uter", "neuter", 0.2, 0.8, 0.5, 3),
-        ("c", "neuter", "neuter", 0.1, 0.9, 0.32, 8),
+        ("a", "uter", 0.9, 50),
+        ("b", "uter", 0.2, 3),
+        ("c", "neuter", 0.1, 8),
     ])
     rep = build_eval_report(preds)
     assert rep.n == 3
@@ -334,4 +358,4 @@ def test_build_eval_report_fields(tmp_path):
     }
     summary = rep.entropy_summary
     assert summary["errors"]["count"] == 1
-    assert abs(summary["correct"]["mean"] - 0.32) < 1e-12
+    assert abs(summary["correct"]["mean"] - binary_entropy(0.9)) < 1e-12

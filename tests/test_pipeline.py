@@ -13,8 +13,8 @@ from gendervec import cooccurrence, embedding
 from gendervec.classifier import (
     MLPModel,
     TrainConfig,
-    correct_predictions,
     errors_by_entropy,
+    predict_records,
     train,
 )
 from gendervec.cooccurrence import ContextConfig
@@ -237,7 +237,7 @@ def test_grid_cells_equal_each_cell_run_alone(language_files, monkeypatch):
             assert cell.dev_accuracy is None and cell.per_class_dev_accuracy is None
             continue
         model = train(bundle.train, bundle.dev, TRAIN_CFG)
-        hits = correct_predictions(model, bundle.dev)
+        hits = predict_records(model, bundle.dev).correct
         labels = bundle.dev.labels
         assert cell.ok and cell.dev_accuracy == float(hits.mean())
         assert cell.per_class_dev_accuracy == {
@@ -289,7 +289,7 @@ def test_grid_cells_after_a_singular_vectors_failure_equal_each_cell_run_alone(
         assert x_dev[j].tobytes() == bundle.dev.vectors.tobytes()
         model = train(bundle.train, bundle.dev, TRAIN_CFG)
         assert models[j].flat.tobytes() == model.flat.tobytes()
-        assert cell.dev_accuracy == float(correct_predictions(model, bundle.dev).mean())
+        assert cell.dev_accuracy == float(predict_records(model, bundle.dev).correct.mean())
         if cell.context == result.best:
             for name in ("train", "dev", "test"):
                 ours, theirs = getattr(result.bundle, name), getattr(bundle, name)

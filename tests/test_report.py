@@ -32,10 +32,8 @@ def _records(n=24, seed=0):
     p_u = np.array(p_uter)
     return Predictions(
         tuple(f"w{i:03d}" for i in range(n)),
-        np.array([0 if i % 3 else 1 for i in range(n)]),
-        (p_u < 0.5).astype(int),
         np.column_stack([p_u, 1 - p_u]),
-        -(p_u * np.log(p_u) + (1 - p_u) * np.log(1 - p_u)),
+        np.array([0 if i % 3 else 1 for i in range(n)]),
         np.array(frequencies),
     )
 
@@ -91,9 +89,10 @@ def test_emit_report_writes_full_bundle(tmp_path):
 
 
 def test_emit_errors_sorted_by_entropy(tmp_path):
-    # rounding the entropies makes ties, which the word order breaks
+    # rounding the probabilities makes entropy ties, which the word order breaks
     records = _records()
-    records = dataclasses.replace(records, entropy=np.round(records.entropy, 1))
+    p_uter = np.round(records.proba[:, 0], 1)
+    records = dataclasses.replace(records, vectors=np.column_stack([p_uter, 1 - p_uter]))
     save_prediction_records(records, tmp_path / "records.csv")
     emit_errors(tmp_path, records)
     header, *rows = _read_csv(tmp_path / "records.csv")
